@@ -67,22 +67,24 @@ def test_contract_line_for_one_workload(config):
     assert set(line["metrics"]) == {m["name"] for m in config["end_to_end"]}
 
 
-@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workloads_match_the_config(config):
+    assert list(workloads.NAMES) == [w["name"] for w in config["workloads"]]
+
+
+@pytest.mark.parametrize("name", workloads.NAMES)
 def test_inputs_follow_the_seed(name):
     assert workloads.describe_inputs(name, 5) == workloads.describe_inputs(name, 5)
     assert workloads.describe_inputs(name, 5) != workloads.describe_inputs(name, 6)
 
 
 def test_serve_stream_make_up_is_seed_independent():
-    spec = workloads.WORKLOADS["serve-mix"]
-
     def make_up(seed: int) -> list:
-        block = workloads.describe_inputs("serve-mix", seed)["first_block"]
+        block = workloads.describe_inputs(workloads.SERVE, seed)["first_block"]
         return sorted((name, noise or "", shots) for name, noise, shots, _ in block)
 
     assert make_up(1) == make_up(2)
     noisy = sum(1 for _, noise, _ in make_up(1) if noise)
-    assert noisy == len(spec.zoo) * spec.noisy_per_ten
+    assert noisy == len(workloads.SERVE_ZOO) * workloads.NOISY_PER_CIRCUIT
 
 
 def test_corrupted_count_is_a_failure():

@@ -1,19 +1,20 @@
 """The benchmark's workloads: seeded inputs, timed legs and output checks.
 
-Each workload runs in a process of its own (``run.py`` starts it).  The
-circuit set of a workload is fixed; ``seed`` picks only the trajectory
-seeds, the exact-reference draws and the serve request stream, so two seeds
-do the same work on different random inputs.
+Each workload runs in a process of its own (``run.py`` starts it, pinned to
+one CPU).  The circuits of a workload are fixed; ``seed`` picks only the
+trajectory seeds, the exact-reference draws and the serve request stream,
+so two seeds do the same work on different random inputs.
 
-Every workload times three *legs* on the same inputs:
+An engine workload times three *legs* on one circuit, in rounds:
 
-* ``engine``   — the library default: ``TQSimEngine(noise, seed=s).run`` for
-  the engine workloads, ``SimulationServer(workers=1, executor_threads=1)``
-  behind a closed loop of two clients for ``serve-mix``;
-* ``pool2``    — the same inputs through two worker processes:
-  ``PoolDispatcher(num_workers=2)`` or ``SimulationServer(workers=2)``;
+* ``engine``   — the library default, ``TQSimEngine(noise, seed=s).run``;
+* ``pool2``    — the same call through ``PoolDispatcher(num_workers=2)``;
 * ``baseline`` — ``BaselineNoisySimulator`` with the shots divided by
   ``BASELINE_SHOT_DIVISOR`` (its cost per shot is constant).
+
+``serve-mix`` times the default ``SimulationServer()`` behind a closed loop
+of ``CLIENTS`` clients, and the baseline on one request per zoo circuit and
+noise model.
 
 Wall time is read here with ``time.perf_counter`` around the public calls,
 so nothing inside ``src/`` changes to be measured.
@@ -54,12 +55,12 @@ from . import layers
 from .ledger import distribution, scalar
 
 LEGS = ("engine", "pool2", "baseline")
-BASELINE_SHOT_DIVISOR = 8
+BASELINE_SHOT_DIVISOR = 4
 #: ``--quick`` divides shots and requests by this and runs one round.
 QUICK_DIVISOR = 8
 #: Multinomial draws from the exact distribution behind ``NF_ref``.
 REFERENCE_DRAWS = 32
-#: A circuit fails when ``|NF(tree) - NF_ref| > FIDELITY_SDS * sd_ref +
+#: A run fails when ``|NF(tree) - NF_ref| > FIDELITY_SDS * sd_ref +
 #: FIDELITY_SLACK``.
 FIDELITY_SDS = 4.0
 FIDELITY_SLACK = 0.02
@@ -75,46 +76,44 @@ PROBE_REFERENCE_S = 1.25e-3
 
 @dataclass(frozen=True)
 class EngineWorkload:
-    """Fixed suite circuits under one noise model, run by every leg."""
+    """One suite circuit under one noise model, run by every leg."""
 
     name: str
     noise: str | None
-    #: ``(suite circuit name, shots)`` pairs.
-    circuits: tuple[tuple[str, int], ...]
+    circuit: str
+    shots: int
 
 
-@dataclass(frozen=True)
-class ServeWorkload:
-    """A closed-loop request stream over a zoo of small suite circuits."""
-
-    name: str
-    zoo: tuple[str, ...]
-    noise: str = "DC"
-    #: Out of every ten requests per circuit, this many carry ``noise``.
-    noisy_per_ten: int = 3
-    shots: tuple[int, int] = (256, 512)
-    request_seeds: int = 4
-    clients: int = 2
-    #: One simulation thread: two would contend for the interpreter lock,
-    #: which ties every latency to the speed of the other core.
-    executor_threads: int = 1
-
-
-WORKLOADS: dict[str, EngineWorkload | ServeWorkload] = {
+ENGINE_WORKLOADS = {
     spec.name: spec
     for spec in (
-        EngineWorkload("dc-reuse", "DC", (("qsc_8", 4096),)),
-        EngineWorkload("adr-noreuse", "ADR", (("qsc_8", 512),)),
-        EngineWorkload("ideal-deep", None, (("qft_8", 2048),)),
-        ServeWorkload(
-            "serve-mix",
-            ("adder_4", "bv_6", "bv_8", "qaoa_6", "qft_8", "qpe_6", "qsc_8"),
-        ),
+        EngineWorkload("dc-reuse", "DC", "qsc_8", 4096),
+        EngineWorkload("adr-noreuse", "ADR", "qsc_8", 512),
+        EngineWorkload("ideal-deep", None, "qft_8", 2048),
     )
 }
 
-#: One block of the serve stream holds this many requests per zoo circuit.
+SERVE = "serve-mix"
+NAMES = (*ENGINE_WORKLOADS, SERVE)
+
+#: The small suite circuits ``serve-mix`` asks for.
+SERVE_ZOO = ("adder_4", "bv_6", "bv_8", "qaoa_6", "qft_8", "qpe_6", "qsc_8")
+SERVE_NOISE = "DC"
+#: One block of the serve stream holds this many requests per zoo circuit,
 REQUESTS_PER_CIRCUIT = 10
+#: of which this many carry ``SERVE_NOISE``; the rest are noiseless.
+NOISY_PER_CIRCUIT = 3
+SERVE_SHOTS = (256, 512)
+#: Request seeds come from ``range(REQUEST_SEEDS)``, so identical requests
+#: repeat and exercise the caches.
+REQUEST_SEEDS = 4
+#: Closed-loop clients, each waiting for its reply before it sends again.
+CLIENTS = 2
+#: Blocks of the stream per round of ``serve-mix``; each block is timed
+#: between two speed probes.
+BLOCKS_PER_ROUND = 4
+#: Blocks per pass of the traced run.
+TRACE_BLOCKS = 2
 
 
 # ---------------------------------------------------------------------------
@@ -132,43 +131,50 @@ def noise_model(code: str | None) -> NoiseModel | None:
     return noise_model_by_code(code) if code else None
 
 
-def serve_stream(spec: ServeWorkload, seed: int, divisor: int = 1) -> Iterator[tuple]:
+def serve_stream(seed: int, divisor: int = 1) -> Iterator[tuple]:
     """The endless ``serve-mix`` stream of ``(circuit, noise, shots, seed)``.
 
     Every block holds ``REQUESTS_PER_CIRCUIT`` requests per zoo circuit with
-    one fixed make-up (``noisy_per_ten`` noisy, shot counts alternating) and
-    is shuffled by ``seed``, which also draws each request's trajectory seed
-    from ``range(request_seeds)``.  Every block therefore asks for the same
-    work whatever the seed, and repeated requests exercise the caches.
+    one fixed make-up (``NOISY_PER_CIRCUIT`` noisy, shot counts alternating)
+    and is shuffled by ``seed``, which also draws each request's trajectory
+    seed.  Every block therefore asks for the same work whatever the seed.
     """
     rng = random.Random(seed)
     while True:
         block = []
-        for name in spec.zoo:
+        for name in SERVE_ZOO:
             for k in range(REQUESTS_PER_CIRCUIT):
-                noise = spec.noise if k < spec.noisy_per_ten else None
-                shots = spec.shots[k % 2] // divisor
-                block.append((name, noise, shots, rng.randrange(spec.request_seeds)))
+                noise = SERVE_NOISE if k < NOISY_PER_CIRCUIT else None
+                shots = SERVE_SHOTS[k % 2] // divisor
+                block.append((name, noise, shots, rng.randrange(REQUEST_SEEDS)))
         rng.shuffle(block)
         yield from block
 
 
+def baseline_items(seed: int, divisor: int = 1) -> list[tuple]:
+    """One request per (circuit, noise) at the smaller shot count: the
+    baseline leg's fixed make-up."""
+    rng = random.Random(seed)
+    return [
+        (name, noise, SERVE_SHOTS[0] // divisor, rng.randrange(REQUEST_SEEDS))
+        for name in SERVE_ZOO
+        for noise in (None, SERVE_NOISE)
+    ]
+
+
 def describe_inputs(name: str, seed: int, quick: bool = False) -> dict[str, Any]:
     """Plain-data description of what ``seed`` generates for a workload."""
-    spec = WORKLOADS[name]
     divisor = QUICK_DIVISOR if quick else 1
-    if isinstance(spec, EngineWorkload):
-        return {
-            "noise": spec.noise,
-            "circuits": [[c, shots // divisor] for c, shots in spec.circuits],
-            "seed": seed,
-        }
-    block = itertools.islice(serve_stream(spec, seed, divisor),
-                             len(spec.zoo) * REQUESTS_PER_CIRCUIT // divisor)
+    if name in ENGINE_WORKLOADS:
+        spec = ENGINE_WORKLOADS[name]
+        return {"noise": spec.noise, "circuit": spec.circuit,
+                "shots": spec.shots // divisor, "seed": seed}
+    block = itertools.islice(serve_stream(seed, divisor),
+                             len(SERVE_ZOO) * REQUESTS_PER_CIRCUIT // divisor)
     return {
-        "zoo": list(spec.zoo),
+        "zoo": list(SERVE_ZOO),
         "first_block": [list(item) for item in block],
-        "baseline": [list(item) for item in baseline_items(spec, seed, divisor)],
+        "baseline": [list(item) for item in baseline_items(seed, divisor)],
     }
 
 
@@ -236,14 +242,6 @@ def reference_fidelity(circuit: Circuit, noise: NoiseModel | None, shots: int,
 # ---------------------------------------------------------------------------
 # Summaries
 # ---------------------------------------------------------------------------
-def latency_metrics(seconds: list[float]) -> dict[str, dict[str, Any]]:
-    ms = np.asarray(seconds) * 1e3
-    return {
-        "latency_p50_ms": scalar(float(np.percentile(ms, 50)), "ms", len(ms)),
-        "latency_p99_ms": scalar(float(np.percentile(ms, 99)), "ms", len(ms)),
-    }
-
-
 def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
@@ -263,25 +261,24 @@ class SpeedProbe:
     """A fixed one-thread statevector workload, timed around every call.
 
     On shared hardware the speed of each core can change by up to 2x, from
-    seconds to minutes.  Work that runs on one thread is therefore
-    reported in *reference seconds*: its wall time
-    scaled by ``PROBE_REFERENCE_S`` over the mean of the probes taken just
-    before and just after it.  The probe is 200 single-qubit updates of an
-    8-qubit state written here in plain NumPy, so no change to the
-    simulator can move it.
+    seconds to minutes.  Work that runs on one core is therefore reported
+    in *reference seconds*: its wall time scaled by ``PROBE_REFERENCE_S``
+    over the mean of the probes taken just before and just after it.  The
+    probe is 200 single-qubit updates of an 8-qubit state written here in
+    plain NumPy, so no change to the simulator can move it.
 
-    The probe must run on the core the scaled work runs on, so creating it
-    pins the calling thread, and every thread it starts later, to one CPU.
-    Work on two cores, whose speeds change independently, runs under
-    :meth:`all_cores` and keeps wall seconds.
+    The probe must run on the core the scaled work runs on: the process is
+    pinned to one CPU before the simulator is imported, and every thread it
+    starts inherits the pin.  Work on two cores, whose speeds change
+    independently, runs under :meth:`all_cores` and keeps wall seconds.
     """
 
     QUBITS = 8
 
-    def __init__(self) -> None:
-        self._cpus = os.sched_getaffinity(0)
-        self._pinned = {min(self._cpus)}
-        os.sched_setaffinity(0, self._pinned)
+    def __init__(self, cpus: set[int]) -> None:
+        """``cpus``: every CPU the process may use before it was pinned."""
+        self._cpus = cpus
+        self._pinned = os.sched_getaffinity(0)
         rng = np.random.default_rng(8)
         self._gates = []
         for qubit in rng.integers(0, self.QUBITS, 200):
@@ -334,6 +331,14 @@ class SpeedProbe:
                 "probe_reference_ms": 1e3 * PROBE_REFERENCE_S}
 
 
+def keep_going(start: float, rounds: int, budget: float, min_rounds: int) -> bool:
+    """True while one more round of the mean length fits in ``budget``."""
+    if rounds < min_rounds:
+        return True
+    elapsed = time.perf_counter() - start
+    return elapsed * (rounds + 1) / rounds <= budget
+
+
 # ---------------------------------------------------------------------------
 # Engine workloads
 # ---------------------------------------------------------------------------
@@ -360,110 +365,79 @@ class EngineSetup:
     """Everything an engine workload builds before it times anything."""
 
     def __init__(self, spec: EngineWorkload, seed: int, quick: bool) -> None:
-        divisor = QUICK_DIVISOR if quick else 1
         self.seed = seed
+        self.name = spec.circuit
         self.noise = noise_model(spec.noise)
-        self.ops = [
-            (name, fuse_for_noise_model(suite_circuit(name), self.noise),
-             shots // divisor)
-            for name, shots in spec.circuits
-        ]
-        # Untimed warm-up: every leg once on every circuit at a tiny size.
-        for _, circuit, _ in self.ops:
-            for leg in LEGS:
-                make_leg(leg, self.noise, seed).run(circuit, leg_shots(leg, 16))
+        self.circuit = fuse_for_noise_model(suite_circuit(spec.circuit), self.noise)
+        self.shots = spec.shots // (QUICK_DIVISOR if quick else 1)
+        # Untimed warm-up: every leg once at a tiny size.
+        for leg in LEGS:
+            make_leg(leg, self.noise, seed).run(self.circuit, leg_shots(leg, 16))
 
     def run_leg(self, checker: Checker, probe: SpeedProbe, leg: str, tracer=None
-                ) -> tuple[dict[str, SimulationResult], list[float], list[float]]:
-        """Every circuit once through ``leg``.
-
-        Returns the results by circuit and the call times, in wall seconds
-        and in reference seconds.
-        """
-        results, walls, references = {}, [], []
-        for name, circuit, shots in self.ops:
-            requested = leg_shots(leg, shots)
-            checker.attempted += 1
-            sim = make_leg(leg, self.noise, self.seed, tracer)
-            with probe.all_cores() if leg == "pool2" else contextlib.nullcontext():
-                out, wall = timed_run(sim, circuit, requested)
-            references.append(probe.reference(wall))
-            checker.check_result(leg, name, out.counts, out.shots, requested)
-            results[name] = out
-            walls.append(wall)
-        return results, walls, references
-
-
-def keep_going(start: float, rounds: int, budget: float, min_rounds: int) -> bool:
-    """True while one more round of the mean length fits in ``budget``."""
-    if rounds < min_rounds:
-        return True
-    elapsed = time.perf_counter() - start
-    return elapsed * (rounds + 1) / rounds <= budget
+                ) -> tuple[SimulationResult, float, float]:
+        """One call through ``leg``: its result and its time in wall and in
+        reference seconds."""
+        requested = leg_shots(leg, self.shots)
+        checker.attempted += 1
+        sim = make_leg(leg, self.noise, self.seed, tracer)
+        with probe.all_cores() if leg == "pool2" else contextlib.nullcontext():
+            out, wall = timed_run(sim, self.circuit, requested)
+        reference = probe.reference(wall)
+        checker.check_result(leg, self.name, out.counts, out.shots, requested)
+        return out, wall, reference
 
 
 def measure_engine(setup: EngineSetup, probe: SpeedProbe, seconds: float,
                    quick: bool) -> dict[str, Any]:
-    """Rounds of (engine, pool2, baseline) over every circuit until ``seconds``."""
+    """Rounds of one (engine, pool2, baseline) call each until ``seconds``."""
     checker = Checker()
     rng = np.random.default_rng(setup.seed)
     start = time.perf_counter()
-    exact = {
-        name: reference_fidelity(circuit, setup.noise, shots, rng)
-        for name, circuit, shots in setup.ops
-    }
+    ideal, nf_ref, sd_ref = reference_fidelity(setup.circuit, setup.noise,
+                                               setup.shots, rng)
     ref_s = time.perf_counter() - start
 
     rates: dict[str, list[float]] = {leg: [] for leg in LEGS}
     wall_rates: dict[str, list[float]] = {leg: [] for leg in LEGS}
-    engine_calls: list[float] = []
-    engine_walls: list[float] = []
+    engine_ms: list[float] = []
     digests: dict[str, str] = {}
-    plans: dict[str, str] = {}
-    tree_counts: dict[str, dict[str, int]] = {}
+    results: dict[str, SimulationResult] = {}
     start = time.perf_counter()
     rounds = 0
     while keep_going(start, rounds, seconds, 1 if quick else 2):
         if quick and rounds:
             break
         for leg in LEGS:
-            results, walls, references = setup.run_leg(checker, probe, leg)
-            shots = sum(r.shots for r in results.values())
-            # The engine and the baseline compute on one thread, the pool on two.
-            rates[leg].append(shots / sum(walls if leg == "pool2" else references))
-            wall_rates[leg].append(shots / sum(walls))
-            for name, out in results.items():
-                digests[f"{leg}/{name}"] = digest(sorted(out.counts.items()))
+            out, wall, reference = setup.run_leg(checker, probe, leg)
+            # The engine and the baseline compute on one core, the pool on two.
+            rates[leg].append(out.shots / (wall if leg == "pool2" else reference))
+            wall_rates[leg].append(out.shots / wall)
+            digests[f"{leg}/{setup.name}"] = digest(sorted(out.counts.items()))
+            results[leg] = out
             if leg == "engine":
-                engine_calls.extend(references)
-                engine_walls.extend(walls)
-                tree_counts = {name: out.counts for name, out in results.items()}
-                plans = {name: str(out.metadata["tree"]) for name, out in results.items()}
+                engine_ms.append(1e3 * reference)
         rounds += 1
 
-    gaps = []
-    for name, circuit, _ in setup.ops:
-        ideal, nf_ref, sd_ref = exact[name]
-        nf_tree = normalized_fidelity_from_counts(ideal, tree_counts[name],
-                                                  circuit.num_qubits)
-        gaps.append(abs(nf_tree - nf_ref))
-        if gaps[-1] > FIDELITY_SDS * sd_ref + FIDELITY_SLACK:
-            checker.fail(f"fidelity/{name}: |NF(tree) {nf_tree:.4f} - NF_ref "
-                         f"{nf_ref:.4f}| > {FIDELITY_SDS:g} x sd_ref {sd_ref:.4f} "
-                         f"+ {FIDELITY_SLACK:g}")
+    nf_tree = normalized_fidelity_from_counts(ideal, results["engine"].counts,
+                                              setup.circuit.num_qubits)
+    gap = abs(nf_tree - nf_ref)
+    if gap > FIDELITY_SDS * sd_ref + FIDELITY_SLACK:
+        checker.fail(f"fidelity/{setup.name}: |NF(tree) {nf_tree:.4f} - NF_ref "
+                     f"{nf_ref:.4f}| > {FIDELITY_SDS:g} x sd_ref {sd_ref:.4f} "
+                     f"+ {FIDELITY_SLACK:g}")
 
     metrics = {
         "shots_per_s": distribution(rates["engine"], "shots/s"),
         "pool2_shots_per_s": distribution(rates["pool2"], "shots/s"),
         "baseline_shots_per_s": distribution(rates["baseline"], "shots/s"),
-        **latency_metrics(engine_calls),
-        "fidelity_gap": scalar(float(np.mean(gaps)), "abs_NF", len(gaps)),
+        "latency_p50_ms": distribution(engine_ms, "ms"),
+        "fidelity_gap": scalar(gap, "abs_NF"),
     }
     wall_clock = {f"{leg}_shots_per_s": statistics.median(wall_rates[leg])
                   for leg in LEGS}
-    wall_clock.update({key: value["value"]
-                       for key, value in latency_metrics(engine_walls).items()})
-    extra = {"rounds": rounds, "ref_s": ref_s, "plans": plans,
+    extra = {"rounds": rounds, "ref_s": ref_s,
+             "plan": str(results["engine"].metadata["tree"]),
              "counts_sha256": digests, "wall_clock": wall_clock, **probe.summary()}
     return report(metrics, checker, extra)
 
@@ -472,11 +446,10 @@ def trace_engine(setup: EngineSetup, probe: SpeedProbe, seconds: float,
                  quick: bool) -> dict[str, Any]:
     """Alternating untraced / traced / kernel-sampled passes, then the other legs."""
     checker = Checker()
-    arity = layers.gate_arity(circuit for _, circuit, _ in setup.ops)
+    arity = layers.gate_arity([setup.circuit])
     walls: dict[str, list[float]] = {kind: [] for kind in PASS_KINDS}
     span_samples, kernel_samples = [], []
     drift: dict[str, float] = {}
-    untraced: dict[str, SimulationResult] = {}
     start = time.perf_counter()
     passes = 0
     while keep_going(start, passes, TRACE_SHARE * seconds, 1):
@@ -486,12 +459,11 @@ def trace_engine(setup: EngineSetup, probe: SpeedProbe, seconds: float,
             tracer = None if kind == "untraced" else Tracer(
                 kernel_interval=layers.KERNEL_INTERVAL if kind == "kernels" else 0
             )
-            results, call_walls, references = setup.run_leg(
-                checker, probe, "engine", tracer)
-            walls[kind].append(sum(references))
-            scale = sum(references) / sum(call_walls)
+            out, wall, reference = setup.run_leg(checker, probe, "engine", tracer)
+            walls[kind].append(reference)
+            scale = reference / wall
             if kind == "untraced":
-                untraced = results
+                untraced = out
             elif kind == "traced":
                 span_samples.append(layers.scaled(layers.span_layers(tracer), scale))
                 drift = drift or layers.drift_layers(tracer)
@@ -501,19 +473,18 @@ def trace_engine(setup: EngineSetup, probe: SpeedProbe, seconds: float,
         passes += 1
 
     pool, _, _ = setup.run_leg(checker, probe, "pool2", Tracer())
-    baseline, _, base_references = setup.run_leg(checker, probe, "baseline")
-    widest = max((circuit for _, circuit, _ in setup.ops), key=lambda c: c.num_qubits)
+    baseline, _, base_reference = setup.run_leg(checker, probe, "baseline")
     probe.refresh()
     one_thread = {
-        **layers.micro_layers(widest),
-        **layers.plan_layers((c, s, setup.noise) for _, c, s in setup.ops),
+        **layers.micro_layers(setup.circuit),
+        **layers.plan_layers([(setup.circuit, setup.shots, setup.noise)]),
     }
     one_thread = layers.scaled(one_thread, probe.scale())
     values = {
         **layers.median_of(span_samples),
         **layers.median_of(kernel_samples),
         **drift,
-        **layers.dispatch_layers([r.metadata["dispatch"] for r in pool.values()]),
+        **layers.dispatch_layers([pool.metadata["dispatch"]]),
         **one_thread,
     }
     untraced_wall = statistics.median(walls["untraced"])
@@ -522,16 +493,15 @@ def trace_engine(setup: EngineSetup, probe: SpeedProbe, seconds: float,
     values["backends.kernel.sampling_overhead"] = (
         statistics.median(walls["kernels"]) / traced_wall - 1
     )
-    values["baseline.ns_per_gate"] = sum(base_references) * 1e9 / sum(
-        r.cost.gate_applications for r in baseline.values()
+    values["baseline.ns_per_gate"] = (
+        base_reference * 1e9 / baseline.cost.gate_applications
     )
-    noise_events = sum(r.cost.noise_applications for r in untraced.values())
+    noise_events = untraced.cost.noise_applications
     values["engine.noise_applications"] = noise_events
     values["noise.modeled_share"] = (
         noise_events * 1e-9 * event_ns(setup.noise, one_thread) / untraced_wall
     )
-    extra = {"passes": passes,
-             "plans": {name: str(r.metadata["tree"]) for name, r in untraced.items()},
+    extra = {"passes": passes, "plan": str(untraced.metadata["tree"]),
              **probe.summary()}
     return report({}, checker, extra, values)
 
@@ -549,60 +519,34 @@ def event_ns(noise: NoiseModel | None, micro: dict[str, float]) -> float:
 # ---------------------------------------------------------------------------
 # serve-mix
 # ---------------------------------------------------------------------------
-#: Requests per round of the primary leg, in blocks of the stream; the
-#: 2-worker leg serves one block per round.
-MAIN_BLOCKS_PER_ROUND = 4
-#: Blocks per pass of the traced run.
-TRACE_BLOCKS = 2
-
-
-def baseline_items(spec: ServeWorkload, seed: int, divisor: int = 1) -> list[tuple]:
-    """One request per (circuit, noise) at the smaller shot count: the
-    baseline leg's fixed make-up."""
-    rng = random.Random(seed)
-    return [
-        (name, noise, spec.shots[0] // divisor, rng.randrange(spec.request_seeds))
-        for name in spec.zoo
-        for noise in (None, spec.noise)
-    ]
-
-
 class ServeSetup:
-    """Zoo circuits, request streams and the servers of both serving legs."""
+    """Zoo circuits, the request stream and the server under test."""
 
-    def __init__(self, spec: ServeWorkload, seed: int, quick: bool) -> None:
-        self.spec = spec
+    def __init__(self, seed: int, quick: bool) -> None:
         self.seed = seed
         self.divisor = QUICK_DIVISOR if quick else 1
-        self.block = len(spec.zoo) * REQUESTS_PER_CIRCUIT // self.divisor
-        self.baseline_items = baseline_items(spec, seed, self.divisor)
-        self.circuits = {name: suite_circuit(name) for name in spec.zoo}
-        self.noise = {None: None, spec.noise: noise_model(spec.noise)}
+        self.block = len(SERVE_ZOO) * REQUESTS_PER_CIRCUIT // self.divisor
+        self.baseline_items = baseline_items(seed, self.divisor)
+        self.circuits = {name: suite_circuit(name) for name in SERVE_ZOO}
+        self.noise = {None: None, SERVE_NOISE: noise_model(SERVE_NOISE)}
         self.fused = {
             (name, code): fuse_for_noise_model(circuit, model)
             for name, circuit in self.circuits.items()
             for code, model in self.noise.items()
         }
-        self.server = self.new_server(workers=1)
-        self.pool_server = self.new_server(workers=2)
+        # The library default: one process, four executor threads.
+        self.server = SimulationServer()
         # Untimed warm-up on a circuit outside the zoo, so the stream's own
         # cache entries stay cold.
-        for server in (self.server, self.pool_server):
-            server.handle(SimulationRequest(
-                circuit=suite_circuit("qpe_4"), noise=spec.noise, shots=16, seed=0,
-            ))
-
-    def new_server(self, workers: int, tracer=None) -> SimulationServer:
-        return SimulationServer(workers=workers,
-                                executor_threads=self.spec.executor_threads,
-                                tracer=tracer)
+        self.server.handle(SimulationRequest(
+            circuit=suite_circuit("qpe_4"), noise=SERVE_NOISE, shots=16, seed=0,
+        ))
 
     def close(self) -> None:
         self.server.close()
-        self.pool_server.close()
 
     def stream(self) -> Iterator[tuple]:
-        return serve_stream(self.spec, self.seed, self.divisor)
+        return serve_stream(self.seed, self.divisor)
 
     def request(self, item: tuple) -> SimulationRequest:
         name, noise, shots, seed = item
@@ -625,7 +569,7 @@ async def closed_loop(server: SimulationServer, setup: ServeSetup,
             response = await server.submit(setup.request(item))
             records.append((item, response, time.perf_counter() - start))
 
-    await asyncio.gather(*(client() for _ in range(setup.spec.clients)))
+    await asyncio.gather(*(client() for _ in range(CLIENTS)))
     return records
 
 
@@ -657,14 +601,14 @@ def served_shots(records: list[tuple]) -> int:
     return sum(response.shots for _, response, _ in records if response.ok)
 
 
-def serve_digests(leg: str, records: list[tuple]) -> dict[str, str]:
+def serve_digests(records: list[tuple]) -> dict[str, str]:
     """One digest per zoo circuit over the counts of every request key."""
     by_circuit: dict[str, dict[str, list]] = {}
     for item, response, _ in records:
         if response.ok:
             key = item_key(item)
             by_circuit.setdefault(item[0], {})[key] = sorted(response.counts.items())
-    return {f"{leg}/{name}": digest(sorted(entries.items()))
+    return {f"engine/{name}": digest(sorted(entries.items()))
             for name, entries in sorted(by_circuit.items())}
 
 
@@ -693,74 +637,75 @@ def run_baseline(setup: ServeSetup, checker: Checker, probe: SpeedProbe
 
 def measure_serve(setup: ServeSetup, probe: SpeedProbe, seconds: float,
                   quick: bool) -> dict[str, Any]:
-    """Rounds of: the next chunk of each server's stream, then the baseline set.
+    """Rounds of ``BLOCKS_PER_ROUND`` blocks of the stream, then the baseline set.
 
-    An untimed first block fills each server's caches; from then on both
-    serve the steady mix of warm noiseless and cold noisy requests, keeping
-    their caches across rounds.
+    An untimed first block fills the server's caches; from then on it
+    serves the steady mix of warm noiseless and cold noisy requests, keeping
+    its caches across rounds.
     """
     checker = Checker()
-    servers = {"engine": setup.server, "pool2": setup.pool_server}
-    streams = {leg: setup.stream() for leg in servers}
-    chunks = {"engine": MAIN_BLOCKS_PER_ROUND * setup.block, "pool2": setup.block}
-    digests: dict[str, str] = {}
-    for leg, server in servers.items():
-        # The 2-worker server's executor thread starts here, unpinned, and
-        # forks its workers unpinned for the rest of the run.
-        with probe.all_cores() if leg == "pool2" else contextlib.nullcontext():
-            records, _ = serve_chunk(server, setup, streams[leg], setup.block)
-        check_responses(checker, leg, records)
-        digests.update(serve_digests(leg, records))
-    rates: dict[str, list[float]] = {leg: [] for leg in LEGS}
-    engine_wall_rates: list[float] = []
-    baseline_walls: list[float] = []
+    stream = setup.stream()
+    records, _ = serve_chunk(setup.server, setup, stream, setup.block)
+    check_responses(checker, "engine", records)
+    digests = serve_digests(records)
+    rates: list[float] = []
+    wall_rates: list[float] = []
     request_rates: list[float] = []
+    baseline_rates: list[float] = []
+    baseline_wall_rates: list[float] = []
     latencies: list[float] = []
     warm = 0
+    probe.refresh()
     start = time.perf_counter()
     rounds = 0
     try:
         while keep_going(start, rounds, seconds, 1 if quick else 2):
             if quick and rounds:
                 break
-            for leg, server in servers.items():
-                records, wall = serve_chunk(server, setup, streams[leg], chunks[leg])
-                check_responses(checker, leg, records)
-                # The one-thread server shares the probe's core and is
-                # scaled; the 2-worker one computes on two cores.
-                scale = probe.reference(wall) / wall if leg == "engine" else 1.0
-                rates[leg].append(served_shots(records) / (wall * scale))
-                if leg == "engine":
-                    engine_wall_rates.append(served_shots(records) / wall)
-                    request_rates.append(len(records) / (wall * scale))
-                    latencies += [latency * scale for _, _, latency in records]
-                    warm += sum(1 for _, response, _ in records if response.cached)
-            probe.refresh()
+            shots = requests = 0
+            wall = reference = 0.0
+            for _ in range(BLOCKS_PER_ROUND):
+                records, block_wall = serve_chunk(setup.server, setup, stream,
+                                                  setup.block)
+                scale = probe.scale()
+                check_responses(checker, "engine", records)
+                shots += served_shots(records)
+                requests += len(records)
+                wall += block_wall
+                reference += block_wall * scale
+                latencies += [latency * scale for _, _, latency in records]
+                warm += sum(1 for _, response, _ in records if response.cached)
+            rates.append(shots / reference)
+            wall_rates.append(shots / wall)
+            request_rates.append(requests / reference)
             shots, wall, reference, _ = run_baseline(setup, checker, probe)
-            rates["baseline"].append(shots / reference)
-            baseline_walls.append(shots / wall)
+            baseline_rates.append(shots / reference)
+            baseline_wall_rates.append(shots / wall)
             rounds += 1
     finally:
         setup.close()
 
+    ms = np.asarray(latencies) * 1e3
     metrics = {
-        "shots_per_s": distribution(rates["engine"], "shots/s"),
-        "pool2_shots_per_s": distribution(rates["pool2"], "shots/s"),
-        "baseline_shots_per_s": distribution(rates["baseline"], "shots/s"),
-        **latency_metrics(latencies),
+        "shots_per_s": distribution(rates, "shots/s"),
+        "baseline_shots_per_s": distribution(baseline_rates, "shots/s"),
+        "latency_p50_ms": scalar(float(np.percentile(ms, 50)), "ms", len(ms)),
+        "latency_p99_ms": scalar(float(np.percentile(ms, 99)), "ms", len(ms)),
         "req_per_s": distribution(request_rates, "req/s"),
     }
     extra = {"rounds": rounds, "requests": len(latencies), "warm_requests": warm,
              "counts_sha256": digests,
-             "wall_clock": {"engine_shots_per_s": statistics.median(engine_wall_rates),
-                            "baseline_shots_per_s": statistics.median(baseline_walls)},
+             "wall_clock": {"engine_shots_per_s": statistics.median(wall_rates),
+                            "baseline_shots_per_s": statistics.median(
+                                baseline_wall_rates)},
              **probe.summary()}
     return report(metrics, checker, extra)
 
 
 def trace_serve(setup: ServeSetup, probe: SpeedProbe, seconds: float,
                 quick: bool) -> dict[str, Any]:
-    """Untraced and traced passes on fresh servers, then the other legs."""
+    """Untraced and traced passes on fresh servers, then a 2-worker server
+    and the baseline."""
     setup.close()
     checker = Checker()
     size = TRACE_BLOCKS * setup.block
@@ -774,7 +719,7 @@ def trace_serve(setup: ServeSetup, probe: SpeedProbe, seconds: float,
             break
         for kind in walls:
             tracer = Tracer() if kind == "traced" else None
-            server = setup.new_server(workers=1, tracer=tracer)
+            server = SimulationServer(tracer=tracer)
             try:
                 records, wall = serve_chunk(server, setup, setup.stream(), size)
             finally:
@@ -789,7 +734,8 @@ def trace_serve(setup: ServeSetup, probe: SpeedProbe, seconds: float,
                 drift = drift or layers.drift_layers(tracer)
         passes += 1
 
-    server = setup.new_server(workers=2, tracer=Tracer())
+    # The dispatch layers come from the server's process-pool mode.
+    server = SimulationServer(workers=2, tracer=Tracer())
     try:
         with probe.all_cores():
             pool_records, _ = serve_chunk(server, setup, setup.stream(), setup.block)
@@ -804,9 +750,9 @@ def trace_serve(setup: ServeSetup, probe: SpeedProbe, seconds: float,
         **layers.micro_layers(widest),
         **layers.plan_layers(
             (setup.fused[(name, code)], shots, model)
-            for name in setup.spec.zoo
+            for name in SERVE_ZOO
             for code, model in setup.noise.items()
-            for shots in setup.spec.shots
+            for shots in SERVE_SHOTS
         ),
     }
     values = {
@@ -826,22 +772,22 @@ def trace_serve(setup: ServeSetup, probe: SpeedProbe, seconds: float,
 
 
 def run_child(name: str, seed: int, seconds: float, trace: bool, quick: bool,
-              setup_only: bool, started: float) -> dict[str, Any]:
+              setup_only: bool, started: float, cpus: set[int]) -> dict[str, Any]:
     """Set up one workload, then measure it (or stop after set-up).
 
     ``started`` is the ``perf_counter`` reading taken before the simulator
-    was imported, so ``setup_s`` covers imports too.
+    was imported, so ``setup_s`` covers imports too; ``cpus`` are the CPUs
+    the process could use before it pinned itself to one.
     """
-    spec = WORKLOADS[name]
     setup: EngineSetup | ServeSetup
-    if isinstance(spec, EngineWorkload):
-        setup = EngineSetup(spec, seed, quick)
+    if name in ENGINE_WORKLOADS:
+        setup = EngineSetup(ENGINE_WORKLOADS[name], seed, quick)
         measure = trace_engine if trace else measure_engine
     else:
-        setup = ServeSetup(spec, seed, quick)
+        setup = ServeSetup(seed, quick)
         measure = trace_serve if trace else measure_serve
     setup_wall = time.perf_counter() - started
-    probe = SpeedProbe()
+    probe = SpeedProbe(cpus)
     setup_s = setup_wall * PROBE_REFERENCE_S / probe.samples[0]
     if setup_only:
         if isinstance(setup, ServeSetup):
