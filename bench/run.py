@@ -79,11 +79,18 @@ def child_main(args: argparse.Namespace, started: float) -> int:
     cpus = os.sched_getaffinity(0)
     os.sched_setaffinity(0, {min(cpus)})
     sys.path.insert(0, str(ROOT / "src"))
-    from bench import workloads
+    from bench.probe import SpeedProbe
 
+    probe = SpeedProbe(cpus)
+    # Set-up, imports included, is timed under the probe from the start of
+    # main().
+    with probe.timing(since=started) as setup_timing:
+        from bench import workloads
+
+        setup = workloads.set_up(args.child, args.seed, args.quick)
     report = workloads.run_child(
-        args.child, args.seed, args.seconds, bool(args.trace), args.quick,
-        args.setup_only, started, cpus,
+        args.child, setup, probe, setup_timing, args.seconds, bool(args.trace),
+        args.quick, args.setup_only,
     )
     print(json.dumps(report))
     return 0

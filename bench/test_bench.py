@@ -2,19 +2,24 @@
 
 They check the benchmark itself, not the simulator: that a ``--quick``
 ledger carries every metric ``BENCHMARK.json`` names, that inputs follow
-the seed, that ``compare.py`` reaches the right verdicts, and that a
-corrupted count is caught.
+the seed, that ``compare.py`` reaches the right verdicts, that a
+corrupted count is caught, and that the speed probe samples inside timed
+work and leaves its own time out.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
 from . import compare, layers, ledger, workloads
+from .probe import SpeedProbe, Timing
 
 RUN = ledger.ROOT / "bench" / "run.py"
 
@@ -152,6 +157,30 @@ def test_compare_flags_changed_counts():
     rows = compare.compare([synthetic({"w": [100, 101, 99, 100]})], [changed],
                            SYNTHETIC_CONFIG)
     assert rows[0]["counts"] == "changed"
+
+
+def test_timing_leaves_out_the_probes_inside():
+    timing = Timing(start=0.0, end=10.0, scale=2.0, probes=[(1.0, 2.0), (9.5, 10.5)])
+    assert timing.work(0.0, 10.0) == 8.5
+    assert timing.work(1.5, 3.0) == 1.0
+    assert timing.reference == 17.0
+
+
+def test_probe_samples_inside_timed_work():
+    previous = signal.getsignal(signal.SIGALRM)
+    try:
+        probe = SpeedProbe(os.sched_getaffinity(0))
+        with probe.timing() as timing:
+            end = time.perf_counter() + 0.2
+            while time.perf_counter() < end:
+                pass
+        assert len(timing.probes) >= 3
+        assert 0 < timing.work(timing.start, timing.end) < timing.wall
+        with probe.timing(inside=False) as timing:
+            pass
+        assert timing.probes == [] and timing.scale > 0
+    finally:
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_layer_units_follow_the_names(config):

@@ -17,23 +17,23 @@ of ``CLIENTS`` clients, and the baseline on one request per zoo circuit and
 noise model.
 
 Wall time is read here with ``time.perf_counter`` around the public calls,
-so nothing inside ``src/`` changes to be measured.
+so nothing inside ``src/`` changes to be measured; work on one core is
+reported in reference seconds (see ``probe.py``).
 """
 
 from __future__ import annotations
 
 import asyncio
-import contextlib
+import functools
 import hashlib
 import itertools
 import json
-import os
 import random
 import resource
 import statistics
 import time
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Callable, ContextManager, Iterator
 
 import numpy as np
 
@@ -53,9 +53,13 @@ from repro.statevector import StatevectorSimulator
 
 from . import layers
 from .ledger import distribution, scalar
+from .probe import SpeedProbe, Timing
 
 LEGS = ("engine", "pool2", "baseline")
 BASELINE_SHOT_DIVISOR = 4
+#: The pool leg (not gated) runs in one round of this many, so the gated
+#: one-core legs get more of the run.
+POOL_EVERY = 3
 #: ``--quick`` divides shots and requests by this and runs one round.
 QUICK_DIVISOR = 8
 #: Multinomial draws from the exact distribution behind ``NF_ref``.
@@ -70,8 +74,6 @@ TRACE_SHARE = 0.6
 #: kernel spans.  Span self times come from ``traced`` passes, so kernel
 #: sampling cannot skew them.
 PASS_KINDS = ("untraced", "traced", "kernels")
-#: Seconds one speed probe takes on the reference machine when it is quiet.
-PROBE_REFERENCE_S = 1.25e-3
 
 
 @dataclass(frozen=True)
@@ -109,8 +111,7 @@ SERVE_SHOTS = (256, 512)
 REQUEST_SEEDS = 4
 #: Closed-loop clients, each waiting for its reply before it sends again.
 CLIENTS = 2
-#: Blocks of the stream per round of ``serve-mix``; each block is timed
-#: between two speed probes.
+#: Blocks of the stream per round of ``serve-mix``.
 BLOCKS_PER_ROUND = 4
 #: Blocks per pass of the traced run.
 TRACE_BLOCKS = 2
@@ -257,80 +258,6 @@ def report(metrics: dict, checker: Checker, extra: dict,
     return out
 
 
-class SpeedProbe:
-    """A fixed one-thread statevector workload, timed around every call.
-
-    On shared hardware the speed of each core can change by up to 2x, from
-    seconds to minutes.  Work that runs on one core is therefore reported
-    in *reference seconds*: its wall time scaled by ``PROBE_REFERENCE_S``
-    over the mean of the probes taken just before and just after it.  The
-    probe is 200 single-qubit updates of an 8-qubit state written here in
-    plain NumPy, so no change to the simulator can move it.
-
-    The probe must run on the core the scaled work runs on: the process is
-    pinned to one CPU before the simulator is imported, and every thread it
-    starts inherits the pin.  Work on two cores, whose speeds change
-    independently, runs under :meth:`all_cores` and keeps wall seconds.
-    """
-
-    QUBITS = 8
-
-    def __init__(self, cpus: set[int]) -> None:
-        """``cpus``: every CPU the process may use before it was pinned."""
-        self._cpus = cpus
-        self._pinned = os.sched_getaffinity(0)
-        rng = np.random.default_rng(8)
-        self._gates = []
-        for qubit in rng.integers(0, self.QUBITS, 200):
-            matrix = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            self._gates.append((np.linalg.qr(matrix)[0], int(qubit)))
-        self.samples: list[float] = []
-        self._last = self.seconds()
-
-    def _once(self) -> float:
-        state = np.zeros(2**self.QUBITS, dtype=complex)
-        state[0] = 1.0
-        start = time.perf_counter()
-        for matrix, qubit in self._gates:
-            view = state.reshape(-1, 2, 2**qubit)
-            low, high = view[:, 0, :].copy(), view[:, 1, :].copy()
-            view[:, 0, :] = matrix[0, 0] * low + matrix[0, 1] * high
-            view[:, 1, :] = matrix[1, 0] * low + matrix[1, 1] * high
-        return time.perf_counter() - start
-
-    def seconds(self) -> float:
-        """The fastest of three probes: the machine's speed right now."""
-        value = min(self._once() for _ in range(3))
-        self.samples.append(value)
-        return value
-
-    def scale(self) -> float:
-        """Reference seconds per wall second of the work since the last probe."""
-        before, self._last = self._last, self.seconds()
-        return 2 * PROBE_REFERENCE_S / (before + self._last)
-
-    def reference(self, wall: float) -> float:
-        """``wall`` (just measured) in reference seconds."""
-        return wall * self.scale()
-
-    def refresh(self) -> None:
-        """Probe again, so the next scaled call starts from a fresh reading."""
-        self._last = self.seconds()
-
-    @contextlib.contextmanager
-    def all_cores(self) -> Iterator[None]:
-        """Unpin, so the processes and threads started inside use every CPU."""
-        os.sched_setaffinity(0, self._cpus)
-        try:
-            yield
-        finally:
-            os.sched_setaffinity(0, self._pinned)
-
-    def summary(self) -> dict[str, float]:
-        return {"probe_ms": 1e3 * statistics.median(self.samples),
-                "probe_reference_ms": 1e3 * PROBE_REFERENCE_S}
-
-
 def keep_going(start: float, rounds: int, budget: float, min_rounds: int) -> bool:
     """True while one more round of the mean length fits in ``budget``."""
     if rounds < min_rounds:
@@ -355,12 +282,6 @@ def leg_shots(leg: str, shots: int) -> int:
     return max(1, shots // BASELINE_SHOT_DIVISOR) if leg == "baseline" else shots
 
 
-def timed_run(sim, circuit: Circuit, shots: int) -> tuple[SimulationResult, float]:
-    start = time.perf_counter()
-    out = sim.run(circuit, shots)
-    return out, time.perf_counter() - start
-
-
 class EngineSetup:
     """Everything an engine workload builds before it times anything."""
 
@@ -374,23 +295,26 @@ class EngineSetup:
         for leg in LEGS:
             make_leg(leg, self.noise, seed).run(self.circuit, leg_shots(leg, 16))
 
+    def close(self) -> None:
+        """Nothing outlives a call."""
+
     def run_leg(self, checker: Checker, probe: SpeedProbe, leg: str, tracer=None
-                ) -> tuple[SimulationResult, float, float]:
-        """One call through ``leg``: its result and its time in wall and in
-        reference seconds."""
+                ) -> tuple[SimulationResult, Timing]:
+        """One call through ``leg``: its result and its timing (the pool's
+        in wall seconds on every CPU, the others on the probed core)."""
         requested = leg_shots(leg, self.shots)
         checker.attempted += 1
         sim = make_leg(leg, self.noise, self.seed, tracer)
-        with probe.all_cores() if leg == "pool2" else contextlib.nullcontext():
-            out, wall = timed_run(sim, self.circuit, requested)
-        reference = probe.reference(wall)
+        with probe.all_cores() if leg == "pool2" else probe.timing() as timing:
+            out = sim.run(self.circuit, requested)
         checker.check_result(leg, self.name, out.counts, out.shots, requested)
-        return out, wall, reference
+        return out, timing
 
 
 def measure_engine(setup: EngineSetup, probe: SpeedProbe, seconds: float,
                    quick: bool) -> dict[str, Any]:
-    """Rounds of one (engine, pool2, baseline) call each until ``seconds``."""
+    """Rounds of one engine and one baseline call until ``seconds``, with a
+    pool2 call in every ``POOL_EVERY``-th round."""
     checker = Checker()
     rng = np.random.default_rng(setup.seed)
     start = time.perf_counter()
@@ -409,14 +333,16 @@ def measure_engine(setup: EngineSetup, probe: SpeedProbe, seconds: float,
         if quick and rounds:
             break
         for leg in LEGS:
-            out, wall, reference = setup.run_leg(checker, probe, leg)
+            if leg == "pool2" and rounds % POOL_EVERY:
+                continue
+            out, timing = setup.run_leg(checker, probe, leg)
             # The engine and the baseline compute on one core, the pool on two.
-            rates[leg].append(out.shots / (wall if leg == "pool2" else reference))
-            wall_rates[leg].append(out.shots / wall)
+            rates[leg].append(out.shots / timing.reference)
+            wall_rates[leg].append(out.shots / timing.wall)
             digests[f"{leg}/{setup.name}"] = digest(sorted(out.counts.items()))
             results[leg] = out
             if leg == "engine":
-                engine_ms.append(1e3 * reference)
+                engine_ms.append(1e3 * timing.reference)
         rounds += 1
 
     nf_tree = normalized_fidelity_from_counts(ideal, results["engine"].counts,
@@ -432,6 +358,8 @@ def measure_engine(setup: EngineSetup, probe: SpeedProbe, seconds: float,
         "pool2_shots_per_s": distribution(rates["pool2"], "shots/s"),
         "baseline_shots_per_s": distribution(rates["baseline"], "shots/s"),
         "latency_p50_ms": distribution(engine_ms, "ms"),
+        "latency_geomean_ms": scalar(statistics.geometric_mean(engine_ms), "ms",
+                                     len(engine_ms)),
         "fidelity_gap": scalar(gap, "abs_NF"),
     }
     wall_clock = {f"{leg}_shots_per_s": statistics.median(wall_rates[leg])
@@ -459,9 +387,11 @@ def trace_engine(setup: EngineSetup, probe: SpeedProbe, seconds: float,
             tracer = None if kind == "untraced" else Tracer(
                 kernel_interval=layers.KERNEL_INTERVAL if kind == "kernels" else 0
             )
-            out, wall, reference = setup.run_leg(checker, probe, "engine", tracer)
-            walls[kind].append(reference)
-            scale = reference / wall
+            out, timing = setup.run_leg(checker, probe, "engine", tracer)
+            walls[kind].append(timing.reference)
+            # Spans cover the probes too, so they are scaled by the share of
+            # work in the whole wall time.
+            scale = timing.reference / timing.wall
             if kind == "untraced":
                 untraced = out
             elif kind == "traced":
@@ -472,14 +402,14 @@ def trace_engine(setup: EngineSetup, probe: SpeedProbe, seconds: float,
                     layers.scaled(layers.kernel_layers(tracer, arity), scale))
         passes += 1
 
-    pool, _, _ = setup.run_leg(checker, probe, "pool2", Tracer())
-    baseline, _, base_reference = setup.run_leg(checker, probe, "baseline")
-    probe.refresh()
-    one_thread = {
-        **layers.micro_layers(setup.circuit),
-        **layers.plan_layers([(setup.circuit, setup.shots, setup.noise)]),
-    }
-    one_thread = layers.scaled(one_thread, probe.scale())
+    pool, _ = setup.run_leg(checker, probe, "pool2", Tracer())
+    baseline, base_timing = setup.run_leg(checker, probe, "baseline")
+    with probe.timing() as timing:
+        one_thread = {
+            **layers.micro_layers(setup.circuit),
+            **layers.plan_layers([(setup.circuit, setup.shots, setup.noise)]),
+        }
+    one_thread = layers.scaled(one_thread, timing.scale)
     values = {
         **layers.median_of(span_samples),
         **layers.median_of(kernel_samples),
@@ -494,7 +424,7 @@ def trace_engine(setup: EngineSetup, probe: SpeedProbe, seconds: float,
         statistics.median(walls["kernels"]) / traced_wall - 1
     )
     values["baseline.ns_per_gate"] = (
-        base_reference * 1e9 / baseline.cost.gate_applications
+        base_timing.reference * 1e9 / baseline.cost.gate_applications
     )
     noise_events = untraced.cost.noise_applications
     values["engine.noise_applications"] = noise_events
@@ -558,8 +488,8 @@ async def closed_loop(server: SimulationServer, setup: ServeSetup,
                       requests: Iterator[tuple]) -> list[tuple]:
     """Clients that each wait for a reply before sending their next request.
 
-    Returns ``(item, response, client latency in seconds)`` in completion
-    order, once ``requests`` runs out.
+    Returns ``(item, response, send time, reply time)`` in completion order,
+    once ``requests`` runs out.
     """
     records: list[tuple] = []
 
@@ -567,18 +497,27 @@ async def closed_loop(server: SimulationServer, setup: ServeSetup,
         for item in requests:
             start = time.perf_counter()
             response = await server.submit(setup.request(item))
-            records.append((item, response, time.perf_counter() - start))
+            records.append((item, response, start, time.perf_counter()))
 
     await asyncio.gather(*(client() for _ in range(CLIENTS)))
     return records
 
 
 def serve_chunk(server: SimulationServer, setup: ServeSetup,
-                requests: Iterator[tuple], count: int) -> tuple[list[tuple], float]:
-    """The next ``count`` requests through ``server``: records and wall time."""
-    start = time.perf_counter()
-    records = asyncio.run(closed_loop(server, setup, itertools.islice(requests, count)))
-    return records, time.perf_counter() - start
+                requests: Iterator[tuple], count: int,
+                clock: Callable[[], ContextManager[Timing]]
+                ) -> tuple[list[tuple], Timing]:
+    """The next ``count`` requests through ``server``, timed by ``clock``
+    (``probe.timing`` or ``probe.all_cores``).
+
+    Returns ``(item, response, client latency in wall seconds)`` records,
+    each latency less the probing inside it, and the block's timing.
+    """
+    with clock() as timing:
+        sent = asyncio.run(closed_loop(server, setup, itertools.islice(requests, count)))
+    records = [(item, response, timing.work(start, end))
+               for item, response, start, end in sent]
+    return records, timing
 
 
 def item_key(item: tuple) -> str:
@@ -613,26 +552,23 @@ def serve_digests(records: list[tuple]) -> dict[str, str]:
 
 
 def run_baseline(setup: ServeSetup, checker: Checker, probe: SpeedProbe
-                 ) -> tuple[int, float, float, int]:
-    """The baseline set through the per-shot simulator.
+                 ) -> tuple[int, Timing, int]:
+    """The baseline set through the per-shot simulator, timed as one block.
 
-    Returns the shots, the wall and reference seconds, and the gate
-    applications.
+    Returns the shots, the timing and the gate applications.
     """
-    shots_done, wall_total, reference_total, gates = 0, 0.0, 0.0, 0
-    for item in setup.baseline_items:
-        name, noise, shots, seed = item
-        requested = leg_shots("baseline", shots)
+    requested = [leg_shots("baseline", item[2]) for item in setup.baseline_items]
+    with probe.timing() as timing:
+        outs = [
+            BaselineNoisySimulator(setup.noise[noise], seed=seed).run(
+                setup.fused[(name, noise)], shots)
+            for (name, noise, _, seed), shots in zip(setup.baseline_items, requested)
+        ]
+    for item, shots, out in zip(setup.baseline_items, requested, outs):
         checker.attempted += 1
-        out, wall = timed_run(BaselineNoisySimulator(setup.noise[noise], seed=seed),
-                              setup.fused[(name, noise)], requested)
-        reference_total += probe.reference(wall)
-        checker.check_result("baseline", item_key(item), out.counts, out.shots,
-                             requested)
-        shots_done += out.shots
-        wall_total += wall
-        gates += out.cost.gate_applications
-    return shots_done, wall_total, reference_total, gates
+        checker.check_result("baseline", item_key(item), out.counts, out.shots, shots)
+    return (sum(out.shots for out in outs), timing,
+            sum(out.cost.gate_applications for out in outs))
 
 
 def measure_serve(setup: ServeSetup, probe: SpeedProbe, seconds: float,
@@ -641,11 +577,13 @@ def measure_serve(setup: ServeSetup, probe: SpeedProbe, seconds: float,
 
     An untimed first block fills the server's caches; from then on it
     serves the steady mix of warm noiseless and cold noisy requests, keeping
-    its caches across rounds.
+    its caches across rounds.  Throughputs are per block, every block
+    having the same make-up.
     """
     checker = Checker()
     stream = setup.stream()
-    records, _ = serve_chunk(setup.server, setup, stream, setup.block)
+    around = functools.partial(probe.timing, inside=False)
+    records, _ = serve_chunk(setup.server, setup, stream, setup.block, around)
     check_responses(checker, "engine", records)
     digests = serve_digests(records)
     rates: list[float] = []
@@ -655,32 +593,24 @@ def measure_serve(setup: ServeSetup, probe: SpeedProbe, seconds: float,
     baseline_wall_rates: list[float] = []
     latencies: list[float] = []
     warm = 0
-    probe.refresh()
     start = time.perf_counter()
     rounds = 0
     try:
         while keep_going(start, rounds, seconds, 1 if quick else 2):
             if quick and rounds:
                 break
-            shots = requests = 0
-            wall = reference = 0.0
             for _ in range(BLOCKS_PER_ROUND):
-                records, block_wall = serve_chunk(setup.server, setup, stream,
-                                                  setup.block)
-                scale = probe.scale()
+                records, timing = serve_chunk(setup.server, setup, stream,
+                                              setup.block, around)
                 check_responses(checker, "engine", records)
-                shots += served_shots(records)
-                requests += len(records)
-                wall += block_wall
-                reference += block_wall * scale
-                latencies += [latency * scale for _, _, latency in records]
+                rates.append(served_shots(records) / timing.reference)
+                wall_rates.append(served_shots(records) / timing.wall)
+                request_rates.append(len(records) / timing.reference)
+                latencies += [latency * timing.scale for _, _, latency in records]
                 warm += sum(1 for _, response, _ in records if response.cached)
-            rates.append(shots / reference)
-            wall_rates.append(shots / wall)
-            request_rates.append(requests / reference)
-            shots, wall, reference, _ = run_baseline(setup, checker, probe)
-            baseline_rates.append(shots / reference)
-            baseline_wall_rates.append(shots / wall)
+            shots, timing, _ = run_baseline(setup, checker, probe)
+            baseline_rates.append(shots / timing.reference)
+            baseline_wall_rates.append(shots / timing.wall)
             rounds += 1
     finally:
         setup.close()
@@ -691,6 +621,10 @@ def measure_serve(setup: ServeSetup, probe: SpeedProbe, seconds: float,
         "baseline_shots_per_s": distribution(baseline_rates, "shots/s"),
         "latency_p50_ms": scalar(float(np.percentile(ms, 50)), "ms", len(ms)),
         "latency_p99_ms": scalar(float(np.percentile(ms, 99)), "ms", len(ms)),
+        # Every block has the same make-up, so the mean of the logs weighs
+        # the warm and cold clusters alike in every run; the median falls
+        # between clusters and jumps.
+        "latency_geomean_ms": scalar(float(np.exp(np.log(ms).mean())), "ms", len(ms)),
         "req_per_s": distribution(request_rates, "req/s"),
     }
     extra = {"rounds": rounds, "requests": len(latencies), "warm_requests": warm,
@@ -721,40 +655,41 @@ def trace_serve(setup: ServeSetup, probe: SpeedProbe, seconds: float,
             tracer = Tracer() if kind == "traced" else None
             server = SimulationServer(tracer=tracer)
             try:
-                records, wall = serve_chunk(server, setup, setup.stream(), size)
+                records, timing = serve_chunk(server, setup, setup.stream(), size,
+                                              functools.partial(probe.timing,
+                                                                inside=False))
             finally:
                 server.close()
             check_responses(checker, "engine", records)
-            walls[kind].append(probe.reference(wall))
+            walls[kind].append(timing.reference)
             if tracer is not None:
-                scale = walls[kind][-1] / wall
-                span_samples.append(layers.scaled(layers.span_layers(tracer), scale))
+                span_samples.append(
+                    layers.scaled(layers.span_layers(tracer), timing.scale))
                 serve_samples.append(layers.scaled(
-                    layers.serve_layers(server.counters(), records), scale))
+                    layers.serve_layers(server.counters(), records), timing.scale))
                 drift = drift or layers.drift_layers(tracer)
         passes += 1
 
     # The dispatch layers come from the server's process-pool mode.
     server = SimulationServer(workers=2, tracer=Tracer())
     try:
-        with probe.all_cores():
-            pool_records, _ = serve_chunk(server, setup, setup.stream(), setup.block)
+        pool_records, _ = serve_chunk(server, setup, setup.stream(), setup.block,
+                                      probe.all_cores)
     finally:
         server.close()
     check_responses(checker, "pool2", pool_records)
-    probe.refresh()
-    _, _, base_reference, base_gates = run_baseline(setup, checker, probe)
+    _, base_timing, base_gates = run_baseline(setup, checker, probe)
     widest = max(setup.circuits.values(), key=lambda c: c.num_qubits)
-    probe.refresh()
-    one_thread = {
-        **layers.micro_layers(widest),
-        **layers.plan_layers(
-            (setup.fused[(name, code)], shots, model)
-            for name in SERVE_ZOO
-            for code, model in setup.noise.items()
-            for shots in SERVE_SHOTS
-        ),
-    }
+    with probe.timing() as timing:
+        one_thread = {
+            **layers.micro_layers(widest),
+            **layers.plan_layers(
+                (setup.fused[(name, code)], shots, model)
+                for name in SERVE_ZOO
+                for code, model in setup.noise.items()
+                for shots in SERVE_SHOTS
+            ),
+        }
     values = {
         **layers.median_of(span_samples),
         **layers.median_of(serve_samples),
@@ -763,39 +698,35 @@ def trace_serve(setup: ServeSetup, probe: SpeedProbe, seconds: float,
             response.metadata["dispatch"] for _, response, _ in pool_records
             if "dispatch" in response.metadata
         ]),
-        **layers.scaled(one_thread, probe.scale()),
+        **layers.scaled(one_thread, timing.scale),
         "obs.trace_overhead": statistics.median(walls["traced"])
         / statistics.median(walls["untraced"]) - 1,
-        "baseline.ns_per_gate": base_reference * 1e9 / base_gates,
+        "baseline.ns_per_gate": base_timing.reference * 1e9 / base_gates,
     }
     return report({}, checker, {"passes": passes, **probe.summary()}, values)
 
 
-def run_child(name: str, seed: int, seconds: float, trace: bool, quick: bool,
-              setup_only: bool, started: float, cpus: set[int]) -> dict[str, Any]:
-    """Set up one workload, then measure it (or stop after set-up).
-
-    ``started`` is the ``perf_counter`` reading taken before the simulator
-    was imported, so ``setup_s`` covers imports too; ``cpus`` are the CPUs
-    the process could use before it pinned itself to one.
-    """
-    setup: EngineSetup | ServeSetup
+def set_up(name: str, seed: int, quick: bool) -> EngineSetup | ServeSetup:
     if name in ENGINE_WORKLOADS:
-        setup = EngineSetup(ENGINE_WORKLOADS[name], seed, quick)
+        return EngineSetup(ENGINE_WORKLOADS[name], seed, quick)
+    return ServeSetup(seed, quick)
+
+
+def run_child(name: str, setup: EngineSetup | ServeSetup, probe: SpeedProbe,
+              setup_timing: Timing, seconds: float, trace: bool, quick: bool,
+              setup_only: bool) -> dict[str, Any]:
+    """Measure a workload that ``set_up`` built under ``setup_timing`` (or
+    report only its set-up time)."""
+    setup_times = {"setup_s": setup_timing.reference, "setup_wall_s": setup_timing.wall}
+    if setup_only:
+        setup.close()
+        return setup_times
+    if isinstance(setup, EngineSetup):
         measure = trace_engine if trace else measure_engine
     else:
-        setup = ServeSetup(seed, quick)
         measure = trace_serve if trace else measure_serve
-    setup_wall = time.perf_counter() - started
-    probe = SpeedProbe(cpus)
-    setup_s = setup_wall * PROBE_REFERENCE_S / probe.samples[0]
-    if setup_only:
-        if isinstance(setup, ServeSetup):
-            setup.close()
-        return {"setup_s": setup_s, "setup_wall_s": setup_wall}
     out = measure(setup, probe, seconds, quick)
-    out["setup_s"] = setup_s
-    out["setup_wall_s"] = setup_wall
+    out.update(setup_times)
     out["numpy"] = np.__version__
-    out["inputs"] = describe_inputs(name, seed, quick)
+    out["inputs"] = describe_inputs(name, setup.seed, quick)
     return out
