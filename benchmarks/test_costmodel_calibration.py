@@ -1,7 +1,7 @@
 """Calibration microbenchmark: measure the per-primitive cost model.
 
 Times one full :func:`~repro.core.costmodel.calibrate_cost_model` pass on the
-batched backend at the acceptance width and prints the resulting model — the
+default backend at the acceptance width and prints the resulting model — the
 per-gate, per-copy, per-batch-row and per-sample costs the calibrated
 partition search and the shard balancer consume.  The calibrated model is
 persisted as a JSON artifact (``REPRO_CALIBRATION_CACHE``, default
@@ -34,7 +34,7 @@ def test_costmodel_calibration(benchmark):
         # refresh=True forces a real measurement pass every round; the
         # artifact still ends up with the final (freshest) model.
         return get_cost_model(
-            "batched",
+            "optimized",
             DEFAULT_CALIBRATION_QUBITS,
             cache_path=ARTIFACT,
             refresh=True,
@@ -42,7 +42,7 @@ def test_costmodel_calibration(benchmark):
 
     model = benchmark.pedantic(calibrate, rounds=1, iterations=1)
     print_table(
-        f"Calibrated cost model — batched backend, "
+        f"Calibrated cost model — optimized backend, "
         f"{DEFAULT_CALIBRATION_QUBITS} qubits",
         [
             {"primitive": "gate_ns", "value": model.gate_ns},
@@ -55,13 +55,13 @@ def test_costmodel_calibration(benchmark):
     )
     # Sanity contract, not a performance assertion: every primitive is
     # positive and the artifact round-trips the exact model.
-    assert model.backend == "batched"
+    assert model.backend == "optimized"
     assert model.num_qubits == DEFAULT_CALIBRATION_QUBITS
     assert model.gate_ns > 0
     assert model.copy_ns > 0
     assert model.sample_ns > 0
     cached = load_cost_model_cache(ARTIFACT)
-    assert cached[("batched", DEFAULT_CALIBRATION_QUBITS)] == model
+    assert cached[("optimized", DEFAULT_CALIBRATION_QUBITS)] == model
     # On the tree-reuse substrate the whole design rests on copies being
     # cheaper than re-execution: a copy must not cost more than the
     # analytic default of a few hundred gates.

@@ -3,8 +3,8 @@
 The observability contract (ISSUE: ``repro.obs``) has a quantitative half on
 top of the bitwise one: a *disabled* tracer must cost the hot path under 2%
 (the inert guard is one attribute lookup plus a no-op context manager), and a
-fully *enabled* tracer must stay under 15% on the span-heavy sequential
-traversal.  Both numbers are printed for the CI smoke log; the timing
+fully *enabled* tracer must stay under 15% on the span-heavy one-node-at-a-time
+traversal (``max_batch=1``: one span per tree node).  Both numbers are printed for the CI smoke log; the timing
 assertions themselves are skipped on shared CI runners (scheduling noise),
 exactly like the other wall-clock benchmarks here.  The bitwise assertion —
 traced counts equal untraced counts — always runs.
@@ -39,13 +39,12 @@ ENABLED_BUDGET = 0.15
 
 def _engine(tracer=None):
     return TQSimEngine(
-        depolarizing_noise_model(), seed=SEED, backend="optimized",
-        tracer=tracer,
+        depolarizing_noise_model(), seed=SEED, max_batch=1, tracer=tracer,
     )
 
 
 def _run(tracer=None):
-    """Best-of-N wall-clock of the sequential traversal."""
+    """Best-of-N wall-clock of the one-node-at-a-time traversal."""
     circuit = qft_circuit(WIDTH)
     plan = ManualPartitioner(TREE_ARITIES).plan(
         circuit, SHOTS, depolarizing_noise_model()

@@ -11,7 +11,7 @@ Five subcommands:
   ``--max-depth`` lets their shard planner split tree layers below the
   first when the first-layer arity would starve the pool.  ``--copy-cost``
   pins the analytic state-copy cost, while ``--calibrated``
-  microbenchmarks the batched backend and uses the measured ratio instead.
+  microbenchmarks the default backend and uses the measured ratio instead.
   ``--trace [PATH]`` runs the experiment under a tracer (see
   :mod:`repro.obs`) and writes a Chrome trace next to the summary.
 * ``python -m repro trace <experiment> [--out PATH]
@@ -87,9 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
         "calibrate",
         help="microbenchmark the cost model for one backend and width",
     )
-    calibrate.add_argument("--backend", default="batched",
+    calibrate.add_argument("--backend", default="optimized",
                            help="execution backend to calibrate "
-                                "(default: batched)")
+                                "(default: optimized)")
     calibrate.add_argument("--qubits", type=int,
                            default=DEFAULT_CALIBRATION_QUBITS,
                            help="circuit width to calibrate at")
@@ -164,7 +164,7 @@ def _add_experiment_arguments(parser: argparse.ArgumentParser) -> None:
                         help="state-copy cost in gate executions handed to "
                              "the partitioners (default: harness value)")
     parser.add_argument("--calibrated", action="store_true",
-                        help="microbenchmark the batched backend and use the "
+                        help="microbenchmark the default backend and use the "
                              "measured copy cost instead of the analytic "
                              "value")
     parser.add_argument("--resilient", action="store_true",
@@ -257,12 +257,12 @@ def _experiment_config(args: argparse.Namespace):
         overrides["copy_cost_in_gates"] = args.copy_cost
     if args.calibrated:
         width = overrides.get("max_qubits", DEFAULT_CONFIG.max_qubits)
-        model = get_cost_model("batched", width)
+        model = get_cost_model("optimized", width)
         overrides["copy_cost_in_gates"] = model.copy_cost_in_gates
         extra["calibrated"] = True
         print(
             f"calibrated copy cost: {model.copy_cost_in_gates:.4g} gates "
-            f"(batched backend, {width} qubits)"
+            f"(optimized backend, {width} qubits)"
         )
     if extra != DEFAULT_CONFIG.extra:
         overrides["extra"] = extra

@@ -72,12 +72,11 @@ def tqsim_simulation_bytes(num_qubits: int, num_subcircuits: int) -> float:
 
 
 def batched_tree_pool_states(arities, max_batch: int) -> int:
-    """Pooled statevectors of the batched tree engine: ``sum_i min(A_i, cap)``.
+    """Pooled statevectors of the tree engine: ``sum_i min(A_i, cap)``.
 
-    The batched traversal holds one ``(min(A_i, max_batch), 2**n)`` buffer
-    per layer (see :class:`~repro.core.engine.TQSimEngine`); this is its
-    total row count, the batched counterpart of the sequential engine's one
-    state per layer.
+    The traversal holds one ``(min(A_i, max_batch), 2**n)`` buffer per
+    layer (see :class:`~repro.core.engine.TQSimEngine`); this is its total
+    row count, one state per layer at cap 1.
     """
     if max_batch < 1:
         raise ValueError("max_batch must be >= 1")
@@ -89,7 +88,7 @@ def batched_tree_pool_states(arities, max_batch: int) -> int:
 
 def batched_tree_simulation_bytes(num_qubits: int, arities,
                                   max_batch: int) -> float:
-    """Peak memory of the batched tree engine for the given plan and cap."""
+    """Peak memory of the tree engine's pool for the given plan and cap."""
     return batched_tree_pool_states(arities, max_batch) * statevector_bytes(
         num_qubits
     )
@@ -101,9 +100,9 @@ def max_batch_for_budget(num_qubits: int, arities,
 
     This is the Figure-9 trade-off knob: a larger cap amortises more
     per-gate dispatch across sibling trajectories, a smaller one shrinks the
-    ``sum_i min(A_i, cap)`` statevector footprint toward the sequential
-    engine's one state per layer.  Returns at least 1 (the sequential
-    footprint) even when the budget is smaller than that.
+    ``sum_i min(A_i, cap)`` statevector footprint toward one state per
+    layer.  Returns at least 1 (that footprint) even when the budget is
+    smaller than that.
     """
     best = 1
     ceiling = max(int(a) for a in arities)
@@ -135,33 +134,27 @@ def max_density_matrix_qubits(memory_bytes: float) -> int:
 class AdmissionDecision:
     """Outcome of admitting one partition plan under a memory budget.
 
-    ``max_batch`` is the admitted sibling-batch cap (1 means the batched
-    pool had to collapse to the sequential footprint), ``peak_bytes`` the
-    pool size at that cap.  When a calibrated
-    :class:`~repro.core.costmodel.CostModel` was supplied the two
-    ``predicted_*_seconds`` legs price both traversals at the admitted cap
-    and ``use_batched`` picks the faster one; without a model the decision
-    falls back to "batched whenever the cap allows more than one row".
+    ``max_batch`` is the admitted sibling-chunk cap of the engine's
+    traversal (1 runs one node at a time, the one-state-per-layer
+    footprint) and ``peak_bytes`` the pool size at that cap.  When a
+    calibrated :class:`~repro.core.costmodel.CostModel` was supplied, the
+    ``predicted_*_seconds`` legs price the plan at the memory-admitted cap
+    and one node at a time, and the cap drops to 1 when that is cheaper.
     """
 
     fits_memory: bool
     max_batch: int
     peak_bytes: float
-    use_batched: bool
     reason: str
     predicted_batched_seconds: float | None = None
     predicted_sequential_seconds: float | None = None
 
     @property
     def predicted_seconds(self) -> float | None:
-        """Predicted wall time of the admitted traversal (model runs only)."""
-        if self.predicted_batched_seconds is None:
-            return None
-        return (
-            self.predicted_batched_seconds
-            if self.use_batched
-            else self.predicted_sequential_seconds
-        )
+        """Predicted wall time at the admitted cap (model runs only)."""
+        if self.max_batch == 1:
+            return self.predicted_sequential_seconds
+        return self.predicted_batched_seconds
 
 
 def admit_plan(
@@ -173,15 +166,15 @@ def admit_plan(
     max_batch: int = 64,
     prefix_states: int = 0,
 ) -> AdmissionDecision:
-    """Admit one plan under a memory budget and pick its traversal.
+    """Admit one plan under a memory budget and pick its chunk cap.
 
     Memory first: the requested cap is lowered (via
-    :func:`max_batch_for_budget`) until the batched pool fits, bottoming
-    out at the sequential one-state-per-layer footprint.  Then, when a
-    calibrated cost model is available, both traversals are priced at the
-    admitted cap with :meth:`CostModel.plan_seconds` — so a plan whose
-    admitted cap is too small to amortise the batched-kernel overhead is
-    steered back to the sequential traversal by measurement, not by a
+    :func:`max_batch_for_budget`) until the chunk pool fits, bottoming out
+    at the one-state-per-layer footprint.  Then, when a calibrated cost
+    model is available, the plan is priced with
+    :meth:`CostModel.plan_seconds` at the admitted cap and one node at a
+    time — so a plan whose admitted cap is too small to amortise the
+    batched-kernel overhead runs at cap 1 by measurement, not by a
     hard-coded threshold.
 
     ``prefix_states`` is the number of *extra* resident statevectors the
@@ -201,21 +194,17 @@ def admit_plan(
     prefix_bytes = prefix_states * statevector_bytes(num_qubits)
     pool_budget = memory_bytes - prefix_bytes
     requested = min(max_batch, max(int(a) for a in arities))
-    peak = batched_tree_simulation_bytes(num_qubits, arities, requested)
-    if peak <= pool_budget:
+    if batched_tree_simulation_bytes(num_qubits, arities, requested) <= pool_budget:
         cap = requested
         reason = "requested batch cap fits the budget"
     else:
         cap = max_batch_for_budget(num_qubits, arities, pool_budget)
-        peak = batched_tree_simulation_bytes(num_qubits, arities, cap)
         reason = (
             "batch cap lowered to fit the budget"
-            if peak <= pool_budget
-            else "even the sequential pool exceeds the budget"
+            if batched_tree_simulation_bytes(num_qubits, arities, cap)
+            <= pool_budget
+            else "even the one-state-per-layer pool exceeds the budget"
         )
-    peak += prefix_bytes
-    fits = peak <= memory_bytes
-    use_batched = cap > 1
     batched_seconds = sequential_seconds = None
     if cost_model is not None:
         batched_seconds = cost_model.plan_seconds(
@@ -224,12 +213,14 @@ def admit_plan(
         sequential_seconds = cost_model.plan_seconds(
             arities, subcircuit_lengths, batched=False
         )
-        use_batched = cap > 1 and batched_seconds <= sequential_seconds
+        if cap > 1 and sequential_seconds < batched_seconds:
+            cap = 1
+            reason = f"{reason}; cap 1 is priced cheaper"
+    peak = batched_tree_simulation_bytes(num_qubits, arities, cap) + prefix_bytes
     return AdmissionDecision(
-        fits_memory=fits,
+        fits_memory=peak <= memory_bytes,
         max_batch=cap,
         peak_bytes=peak,
-        use_batched=use_batched,
         reason=reason,
         predicted_batched_seconds=batched_seconds,
         predicted_sequential_seconds=sequential_seconds,

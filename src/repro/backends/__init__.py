@@ -9,13 +9,15 @@ registry::
     backend = get_backend()            # the optimized default
     reference = get_backend("numpy")   # the tensordot reference
 
+Both advance a single statevector or a ``(B, 2**n)`` block of trajectories;
+``"batched"`` is a registry alias of the optimized backend.
+
 New execution substrates (a torch/GPU backend, a multiprocessing shot
 dispatcher, ...) plug in through :func:`register_backend` without touching
 the engines.
 """
 
 from repro.backends.base import Backend
-from repro.backends.batched import BatchedNumpyBackend
 from repro.backends.numpy_backend import NumpyBackend
 from repro.backends.optimized import OptimizedNumpyBackend
 from repro.backends.registry import (
@@ -27,7 +29,6 @@ from repro.backends.registry import (
 
 __all__ = [
     "Backend",
-    "BatchedNumpyBackend",
     "NumpyBackend",
     "OptimizedNumpyBackend",
     "DEFAULT_BACKEND_NAME",
@@ -37,5 +38,8 @@ __all__ = [
 ]
 
 register_backend("numpy", NumpyBackend, aliases=("reference",))
-register_backend("optimized", OptimizedNumpyBackend, aliases=("optimized_numpy",))
-register_backend("batched", BatchedNumpyBackend, aliases=("batched_numpy",))
+register_backend(
+    "optimized",
+    OptimizedNumpyBackend,
+    aliases=("optimized_numpy", "batched", "batched_numpy"),
+)

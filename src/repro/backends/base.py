@@ -16,6 +16,16 @@ returned array and must not assume the input was left intact.  The reference
 :class:`~repro.backends.numpy_backend.NumpyBackend` is purely functional while
 :class:`~repro.backends.optimized.OptimizedNumpyBackend` works in place, and
 both honour this contract.
+
+Batch axis
+----------
+Every state method also accepts a ``(B, 2**n)`` block whose rows are
+independent trajectories — the sibling chunks of the engine's tree
+traversal.  The kernels of the optimized backend absorb the leading axis;
+the reference backend loops over rows.  The batch helpers below (branch
+sampling, general-Kraus updates, outcome sampling) are written once against
+``apply_unitary`` on such blocks, so every backend shares one
+implementation.  1-D single-state calls keep their scalar paths.
 """
 
 from __future__ import annotations
@@ -49,12 +59,6 @@ class Backend(ABC):
     #: Registry key of the backend (subclasses override).
     name: str = "abstract"
 
-    #: True when the backend's kernels advance a ``(B, 2**n)`` batch of
-    #: trajectories per call (and it provides ``allocate_batch`` /
-    #: ``sample_outcomes``).  Batch-aware engines key off this flag instead
-    #: of probing for individual methods.
-    supports_batch: bool = False
-
     # ------------------------------------------------------------------
     # State management
     # ------------------------------------------------------------------
@@ -62,14 +66,20 @@ class Backend(ABC):
         """Allocate an *uninitialised* state buffer (for buffer pools)."""
         return np.empty(2**num_qubits, dtype=complex)
 
+    def allocate_batch(self, num_qubits: int, rows: int) -> np.ndarray:
+        """Allocate an uninitialised ``(rows, 2**n)`` block of statevectors."""
+        if rows < 1:
+            raise ValueError("rows must be >= 1")
+        return np.empty((rows, 2**num_qubits), dtype=complex)
+
     def initial_state(self, num_qubits: int) -> np.ndarray:
         """Allocate |0...0>."""
         return self.reset_state(self.allocate_state(num_qubits))
 
     def reset_state(self, state: np.ndarray) -> np.ndarray:
-        """Overwrite ``state`` with |0...0> in place and return it."""
+        """Overwrite ``state`` (every row of a block) with |0...0> in place."""
         state.fill(0.0)
-        state[0] = 1.0
+        state[..., 0] = 1.0
         return state
 
     def copy_state(self, state: np.ndarray) -> np.ndarray:
@@ -84,7 +94,7 @@ class Backend(ABC):
     def broadcast_into(self, batch: np.ndarray, state: np.ndarray) -> np.ndarray:
         """Copy one statevector into every row of a ``(B, 2**n)`` batch.
 
-        This is the reuse copy of the batched tree traversal: a parent's
+        This is the reuse copy of the engine's tree traversal: a parent's
         pooled state fans out to ``B`` sibling trajectories in one write.
         Each row is a full copy, so callers account ``B`` state copies.
         """
@@ -131,7 +141,12 @@ class Backend(ABC):
 
         Engines that need the event list anyway (for cost accounting) call
         this directly so ``events_for_gate`` matching runs once per gate.
+        The rows of a ``(B, 2**n)`` block share ``rng``: each event draws
+        one uniform per row, in row order.
         """
+        if state.ndim == 2:
+            uniforms = np.asarray(rng.random((len(events), state.shape[0])))
+            return self.apply_noise_events_uniforms(state, events, uniforms.T)
         from repro.noise.trajectory import apply_noise_events
 
         return apply_noise_events(state, events, rng, backend=self)
@@ -148,20 +163,130 @@ class Backend(ABC):
         reproducible: a trajectory's noise depends only on its own stream —
         a :class:`numpy.random.Generator` or a path-keyed
         :class:`~repro.core.pathrng.PathStream` — never on how trajectories
-        were grouped into batches.  Row ``i`` consumes ``rngs[i]`` exactly
-        as :meth:`apply_noise_events` would on a single state.  The generic
-        implementation loops rows; batch backends override it to keep both
-        the operator application and the draws vectorised.
+        were grouped into batches.  Every event consumes exactly one uniform
+        per row, so this draws one per event and hands them to
+        :meth:`apply_noise_events_uniforms`.
+        """
+        _check_rows(state, rngs)
+        return self.apply_noise_events_uniforms(
+            state, events, _row_uniforms(rngs, len(events))
+        )
+
+    def apply_noise_events_uniforms(
+        self,
+        state: np.ndarray,
+        events: Sequence[NoiseEvent],
+        uniforms: np.ndarray,
+    ) -> np.ndarray:
+        """Apply noise events from pre-drawn per-row uniforms.
+
+        ``uniforms`` is a ``(B, len(events))`` block whose column ``j``
+        holds each row's uniform for ``events[j]``.  Mixed-unitary events map
+        it to a mixture branch and apply each branch to the rows that drew
+        it; general Kraus events take the vectorised trajectory update of
+        :meth:`_apply_kraus_from_uniforms`.  Either way the branch is the
+        one the per-state path (:func:`~repro.noise.trajectory.
+        sample_channel_on_state`) picks from the same uniform, which is
+        what lets the engine pre-draw a whole subcircuit's noise in one
+        :func:`~repro.core.pathrng.draw_block` call.
         """
         batched = state if state.ndim == 2 else state.reshape(1, -1)
-        if batched.shape[0] != len(rngs):
-            raise ValueError("need exactly one generator per batch row")
-        for i, row_rng in enumerate(rngs):
-            row = batched[i]
-            out = self.apply_noise_events(row, events, row_rng)
-            if out is not row:
-                np.copyto(row, out)
+        if uniforms.shape != (batched.shape[0], len(events)):
+            raise ValueError("uniforms must be one column per event, "
+                             "one row per trajectory")
+        for j, event in enumerate(events):
+            channel = event.channel
+            if channel.is_mixed_unitary:
+                indices = channel.mixture_indices_from_uniforms(uniforms[:, j])
+                # sorted(set(...)) beats np.unique at chunk sizes and keeps
+                # branch order deterministic.
+                for branch in sorted(set(indices.tolist())):
+                    if branch == 0 and channel.mixture_identity_first:
+                        continue
+                    self._apply_to_rows(
+                        batched, channel.mixture_unitary(branch),
+                        event.qubits, indices == branch,
+                    )
+            else:
+                self._apply_kraus_from_uniforms(batched, event, uniforms[:, j])
         return state
+
+    def _apply_to_rows(
+        self,
+        batched: np.ndarray,
+        matrix: np.ndarray,
+        qubits: Sequence[int],
+        mask: np.ndarray,
+    ) -> None:
+        """Apply ``matrix`` to the rows of ``batched`` selected by ``mask``."""
+        if mask.all():
+            out = self.apply_unitary(batched, matrix, qubits)
+            if out is not batched:
+                np.copyto(batched, out)
+        else:
+            rows = np.flatnonzero(mask)
+            # Fancy indexing copies the rows out and back.
+            batched[rows] = self.apply_unitary(batched[rows], matrix, qubits)
+
+    def _apply_kraus_from_uniforms(
+        self, batched: np.ndarray, event: NoiseEvent, uniforms: np.ndarray
+    ) -> np.ndarray:
+        """One quantum-trajectory step of a general Kraus channel per row.
+
+        Each Kraus operator is applied to its own copy of the block, row
+        ``b`` takes branch ``i`` with probability ``||K_i psi_b||^2`` by an
+        inverse-CDF lookup of ``uniforms[b]``, and the chosen rows are
+        renormalised.  Returns the branch index of every row.  A row whose
+        weights sum to zero raises before ``batched`` is written.
+        """
+        channel = event.channel
+        operators = channel.kraus_operators
+        candidates = np.empty((len(operators),) + batched.shape, dtype=complex)
+        candidates[...] = batched
+        for candidate, operator in zip(candidates, operators):
+            out = self.apply_unitary(candidate, operator, event.qubits)
+            if out is not candidate:
+                candidate[...] = out
+        # weights[b, i] = ||K_i psi_b||^2, summed over re/im parts.
+        real = candidates.view(np.float64)
+        weights = np.einsum("kbj,kbj->bk", real, real)
+        cumulative = weights.cumsum(axis=1)
+        totals = cumulative[:, -1]
+        if totals.min() <= 0:
+            raise ValueError(f"channel {channel.name!r} annihilated the state")
+        # Counting the interior bounds at or below the draw is
+        # searchsorted(side="right") clamped to the last branch, the lookup
+        # inverse_cdf_index performs on a single state.
+        draws = (uniforms * totals)[:, None]
+        indices = (cumulative[:, :-1] <= draws).sum(axis=1)
+        rows = np.arange(batched.shape[0])
+        np.divide(
+            candidates[indices, rows],
+            np.sqrt(weights[rows, indices])[:, None],
+            out=batched,
+        )
+        return indices
+
+    def sample_outcomes(
+        self,
+        state: np.ndarray,
+        rng: RandomStream,
+        readout_error: ReadoutError | None = None,
+    ) -> list[str]:
+        """Sample one outcome per row, every row drawing from ``rng``.
+
+        The outcome uniforms of all rows come first, then the readout flips
+        row by row.
+        """
+        batched = state if state.ndim == 2 else state.reshape(1, -1)
+        draws = np.asarray(rng.random(batched.shape[0]))
+        flips = (
+            None
+            if readout_error is None
+            else np.asarray(rng.random((batched.shape[0], _num_qubits(batched))))
+        )
+        return self._outcomes_from_uniforms(batched, draws, readout_error,
+                                            flips)
 
     def sample_outcomes_multi(
         self,
@@ -172,16 +297,45 @@ class Backend(ABC):
         """Sample one outcome per batch row, row ``i`` drawing from ``rngs[i]``.
 
         Row ``i`` consumes ``rngs[i]`` exactly as :meth:`sample_outcome` would
-        on a single state (one uniform for the outcome, then the readout
-        flips), so results are independent of batch grouping.
+        on a single state — one uniform for the outcome, then the readout
+        flips — so results are independent of batch grouping.
         """
-        batched = state if state.ndim == 2 else state.reshape(1, -1)
-        if batched.shape[0] != len(rngs):
-            raise ValueError("need exactly one generator per batch row")
-        return [
-            self.sample_outcome(batched[i], row_rng, readout_error)
-            for i, row_rng in enumerate(rngs)
-        ]
+        batched = _check_rows(state, rngs)
+        if len(rngs) == 1:
+            # The scalar sampler consumes the same uniforms, with fewer calls.
+            return [self.sample_outcome(batched[0], rngs[0], readout_error)]
+        count = 1 if readout_error is None else 1 + _num_qubits(batched)
+        uniforms = _row_uniforms(rngs, count)
+        return self._outcomes_from_uniforms(
+            batched, uniforms[:, 0], readout_error, uniforms[:, 1:]
+        )
+
+    def _outcomes_from_uniforms(
+        self,
+        batched: np.ndarray,
+        draws: np.ndarray,
+        readout_error: ReadoutError | None,
+        flips: np.ndarray | None,
+    ) -> list[str]:
+        """Vectorised inverse-CDF pass over pre-drawn uniforms.
+
+        ``sum(cumulative <= draw)`` per row is ``searchsorted(cumulative,
+        draw, side="right")``, so outcomes are bitwise those of
+        :meth:`sample_outcome` on each row.
+        """
+        cumulative = self.probabilities(batched).cumsum(axis=1)
+        totals = cumulative[:, -1]
+        if totals.min() <= 0:
+            raise ValueError("cumulative probabilities sum to zero")
+        num_qubits = _num_qubits(batched)
+        # Counting the interior bounds at or below the draw clamps to the
+        # last index like inverse_cdf_index does.
+        outcomes = (cumulative[:, :-1] <= (draws * totals)[:, None]).sum(axis=1)
+        if readout_error is not None and flips is not None:
+            outcomes = self._readout_flips_from_uniforms(
+                outcomes, num_qubits, readout_error, flips
+            )
+        return [index_to_bitstring(int(o), num_qubits) for o in outcomes]
 
     # ------------------------------------------------------------------
     # Measurement
@@ -201,7 +355,14 @@ class Backend(ABC):
         Uses an inverse-CDF draw (``cumsum`` + ``searchsorted``) instead of
         ``rng.choice(p=...)``, and vectorised per-bit readout flips.  This is
         the single shared implementation behind every trajectory simulator.
+        A block of one row is sampled as that row; larger blocks need
+        :meth:`sample_outcomes`.
         """
+        if state.ndim == 2:
+            if state.shape[0] != 1:
+                raise ValueError("sample_outcome on a batched state is "
+                                 "ambiguous; use sample_outcomes")
+            state = state[0]
         cumulative = np.cumsum(self.probabilities(state))
         outcome = inverse_cdf_index(cumulative, rng)
         num_qubits = int(cumulative.size).bit_length() - 1
@@ -258,3 +419,30 @@ class Backend(ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.name!r}>"
+
+
+def _num_qubits(batched: np.ndarray) -> int:
+    return int(batched.shape[-1]).bit_length() - 1
+
+
+def _check_rows(state: np.ndarray, rngs: Sequence[RandomStream]) -> np.ndarray:
+    """``state`` as a block, checked to hold one row per stream."""
+    batched = state if state.ndim == 2 else state.reshape(1, -1)
+    if batched.shape[0] != len(rngs):
+        raise ValueError("need exactly one generator per batch row")
+    return batched
+
+
+def _row_uniforms(rngs: Sequence[RandomStream], count: int) -> np.ndarray:
+    """The next ``count`` uniforms of every row's stream, as ``(B, count)``.
+
+    Path-keyed streams draw the whole block in one vectorised call; other
+    generators draw row by row.  Both advance each stream by ``count``.
+    """
+    from repro.core.pathrng import all_path_streams, draw_block
+
+    if all_path_streams(rngs):
+        return draw_block(rngs, count)  # type: ignore[arg-type]
+    return np.array([rng.random(count) for rng in rngs]).reshape(
+        len(rngs), count
+    )

@@ -3,7 +3,8 @@
 This backend applies every gate through the fully general (and fully
 validated) :func:`repro.statevector.apply.apply_unitary` contraction.  It
 never mutates its inputs, which makes it the ground truth the optimized
-in-place backend is tested against.
+in-place backend is tested against.  A ``(B, 2**n)`` block is contracted
+row by row.
 """
 
 from __future__ import annotations
@@ -27,4 +28,6 @@ class NumpyBackend(Backend):
         self, state: np.ndarray, matrix: np.ndarray, targets: Sequence[int]
     ) -> np.ndarray:
         """Apply a matrix to the target qubits, returning a new array."""
-        return apply_unitary(state, matrix, targets)
+        if state.ndim == 1:
+            return apply_unitary(state, matrix, targets)
+        return np.array([apply_unitary(row, matrix, targets) for row in state])

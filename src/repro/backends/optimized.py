@@ -19,6 +19,14 @@ specialises those cases the way mature simulators do:
 
 Gates on three or more qubits fall back to the reference contraction, with
 the result written back into the caller's buffer.
+
+Every kernel also advances a ``(B, 2**n)`` block of trajectories in one
+call: the slice views address qubit ``t`` through a trailing
+``(..., 2, 2**t)`` reshape whose leading axis absorbs the batch dimension,
+so each row evolves bit for bit like a single state.  That is the batch
+axis the engine's sibling-chunk traversal runs on (Figure 8: one small
+statevector update does not fill the machine, so trajectories advance
+together).
 """
 
 from __future__ import annotations
@@ -63,8 +71,13 @@ class OptimizedNumpyBackend(Backend):
     def apply_unitary(
         self, state: np.ndarray, matrix: np.ndarray, targets: Sequence[int]
     ) -> np.ndarray:
-        """Apply a matrix to the target qubits of ``state`` in place."""
-        num_qubits = int(state.shape[0]).bit_length() - 1
+        """Apply a matrix to the target qubits of ``state`` in place.
+
+        ``state`` is one statevector or a ``(B, 2**n)`` block; the 1q/2q
+        kernels' leading view axis absorbs the block's rows.
+        """
+        dim = int(state.shape[-1])
+        num_qubits = dim.bit_length() - 1
         k = len(targets)
         matrix = np.asarray(matrix, dtype=complex)
         if matrix.shape != (2**k, 2**k):
@@ -82,8 +95,9 @@ class OptimizedNumpyBackend(Backend):
             self._apply_2q(state, matrix, targets[0], targets[1])
         else:
             # Rare wide gates (ccx, cswap, ...) reuse the reference
-            # contraction; only the destination write is in place.
-            state[...] = apply_unitary(state, matrix, targets)
+            # contraction row by row; only the destination write is in place.
+            for row in state.reshape(-1, dim):
+                row[...] = apply_unitary(row, matrix, targets)
         return state
 
     # ------------------------------------------------------------------

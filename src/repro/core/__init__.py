@@ -10,7 +10,6 @@ from repro.core.backends import (
     XEON_6130,
     XEON_6138,
     Backend,
-    BatchedNumpyBackend,
     DeviceProfile,
     NumpyBackend,
     OptimizedNumpyBackend,
@@ -86,7 +85,6 @@ __all__ = [
     "calibrate_cost_model",
     "get_cost_model",
     "Backend",
-    "BatchedNumpyBackend",
     "NumpyBackend",
     "OptimizedNumpyBackend",
     "available_backends",

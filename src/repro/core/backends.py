@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 from repro.backends import (
     Backend,
-    BatchedNumpyBackend,
     NumpyBackend,
     OptimizedNumpyBackend,
     available_backends,
@@ -27,7 +26,6 @@ from repro.core.results import CostCounters
 
 __all__ = [
     "Backend",
-    "BatchedNumpyBackend",
     "NumpyBackend",
     "OptimizedNumpyBackend",
     "available_backends",

@@ -3,10 +3,10 @@
 Semantically this is the per-shot baseline: every shot is an independent
 noisy trajectory from |0...0> contributing one measurement outcome.  The
 difference is purely in execution — shots run B at a time as the rows of one
-``(B, 2**n)`` array on a batch-capable backend, so each gate (and each noise
-event, and the final measurement) is one vectorised call instead of B Python
-dispatches.  That amortisation of per-gate overhead across the batch is
-exactly the effect the paper measures on an A100 in Figure 8.
+``(B, 2**n)`` array, so each gate (and each noise event, and the final
+measurement) is one vectorised call instead of B Python dispatches.  That
+amortisation of per-gate overhead across the batch is exactly the effect the
+paper measures on an A100 in Figure 8.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.backends import Backend, get_backend
-from repro.backends.batched import DEFAULT_BATCH_SIZE
 from repro.circuits.circuit import Circuit
 from repro.core.results import CostCounters, SimulationResult
 from repro.noise.model import NoiseModel
@@ -31,20 +30,14 @@ class BatchedTrajectorySimulator:
         self,
         noise_model: NoiseModel | None = None,
         seed: int | None = None,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        backend: str | Backend = "batched",
+        batch_size: int = 16,
+        backend: str | Backend | None = None,
     ) -> None:
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         self.noise_model = noise_model
         self.batch_size = int(batch_size)
-        resolved = get_backend(backend)
-        if not resolved.supports_batch:
-            raise TypeError(
-                f"backend {resolved.name!r} cannot run batched trajectories "
-                "(supports_batch is False)"
-            )
-        self.backend = resolved
+        self.backend = get_backend(backend)
         self._rng = np.random.default_rng(seed)
 
     # ------------------------------------------------------------------

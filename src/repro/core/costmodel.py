@@ -2,8 +2,8 @@
 
 The analytic planner prices a state copy at the paper-era scalar
 ``DEFAULT_COPY_COST_IN_GATES`` — right for the systems of Figure 10, but
-wrong whenever the substrate changes the economics: the batched backend
-amortises per-gate Python dispatch across ``B`` rows (so copies get
+wrong whenever the substrate changes the economics: batched kernels
+amortise per-gate Python dispatch across ``B`` rows (so copies get
 *relatively* more expensive per kernel call but cheaper per trajectory), and
 any future torch/GPU backend will shift the ratio again.  Following the
 measure-then-plan structure of QTensor's cost analyses, this module times
@@ -18,7 +18,7 @@ planners a :class:`CostModel` instead of a guess:
 * ``sample_ns`` — one leaf outcome draw.
 
 :meth:`CostModel.plan_seconds` turns a partition plan into predicted wall
-time under either traversal, which is what lets the DCP search, the shard
+time at a chunk cap, which is what lets the DCP search, the shard
 balancer and the admission logic compare candidate plans in measured
 nanoseconds rather than gate-equivalents.  Models are cached per
 ``(backend, num_qubits)`` in memory and optionally persisted to a JSON
@@ -127,9 +127,10 @@ class CostModel:
 
         Mirrors the engine's execution shape layer by layer: layer ``i``
         runs ``prod(arities[:i+1])`` nodes, each reuse node costs one copy,
-        and — under the batched traversal — siblings execute in chunks of
-        at most ``max_batch`` rows, each gate costing one kernel call at
-        the affine batched rate.  Leaves add one outcome draw each.
+        and siblings execute in chunks of at most ``max_batch`` rows, each
+        gate costing one kernel call at the affine batched rate.
+        ``batched=False`` prices one node at a time (cap 1) at the
+        single-state ``gate_ns`` instead.  Leaves add one outcome draw each.
         """
         arities = [int(a) for a in arities]
         lengths = [int(length) for length in subcircuit_lengths]
@@ -243,7 +244,7 @@ def _random_state(num_qubits: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def calibrate_cost_model(
-    backend: str | Backend = "batched",
+    backend: str | Backend = "optimized",
     num_qubits: int = DEFAULT_CALIBRATION_QUBITS,
     repeats: int = 48,
     rounds: int = 3,
@@ -251,12 +252,9 @@ def calibrate_cost_model(
     """Measure one backend's primitive costs at the given width.
 
     Times the 1q/2q kernels (an H / CX mix, unitary so the state stays
-    normalised across repeats), the state copy, the leaf outcome draw and —
-    on batch-capable backends — the batched kernel at 1 and
-    ``CALIBRATION_BATCH_ROWS`` rows to solve the affine per-call model.
-    Backends without batch support get the degenerate fit (no overhead,
-    per-row cost = sequential gate cost), so ``plan_seconds(batched=True)``
-    stays meaningful everywhere.
+    normalised across repeats), the state copy, the leaf outcome draw and
+    the kernel on a block of 1 and ``CALIBRATION_BATCH_ROWS`` rows to solve
+    the affine per-call model.
     """
     if num_qubits < 1:
         raise ValueError("num_qubits must be >= 1")
@@ -291,29 +289,25 @@ def calibrate_cost_model(
         lambda: resolved.sample_outcome(single, sample_rng), repeats, rounds
     )
 
-    if getattr(resolved, "supports_batch", False):
-        per_call: dict[int, float] = {}
-        for rows in (1, CALIBRATION_BATCH_ROWS):
-            batch = resolved.allocate_batch(num_qubits, rows)
-            resolved.broadcast_into(batch, single)
+    per_call: dict[int, float] = {}
+    for rows in (1, CALIBRATION_BATCH_ROWS):
+        batch = resolved.allocate_batch(num_qubits, rows)
+        resolved.broadcast_into(batch, single)
 
-            def one_batched_gate() -> None:
-                resolved.apply_unitary(batch, h, (0,))
-                if far:
-                    resolved.apply_unitary(batch, cx, (0, far))
+        def one_batched_gate() -> None:
+            resolved.apply_unitary(batch, h, (0,))
+            if far:
+                resolved.apply_unitary(batch, cx, (0, far))
 
-            per_call[rows] = (
-                _best_ns_per_call(one_batched_gate, repeats, rounds)
-                / calls_per_burst
-            )
-        span = CALIBRATION_BATCH_ROWS - 1
-        batch_row_ns = max(
-            (per_call[CALIBRATION_BATCH_ROWS] - per_call[1]) / span, 1.0
+        per_call[rows] = (
+            _best_ns_per_call(one_batched_gate, repeats, rounds)
+            / calls_per_burst
         )
-        batch_overhead_ns = max(per_call[1] - batch_row_ns, 0.0)
-    else:
-        batch_row_ns = gate_ns
-        batch_overhead_ns = 0.0
+    span = CALIBRATION_BATCH_ROWS - 1
+    batch_row_ns = max(
+        (per_call[CALIBRATION_BATCH_ROWS] - per_call[1]) / span, 1.0
+    )
+    batch_overhead_ns = max(per_call[1] - batch_row_ns, 0.0)
 
     return CostModel(
         backend=resolved.name,
@@ -370,7 +364,7 @@ def clear_cost_model_memory_cache() -> None:
 
 
 def get_cost_model(
-    backend: str | Backend = "batched",
+    backend: str | Backend = "optimized",
     num_qubits: int = DEFAULT_CALIBRATION_QUBITS,
     cache_path: str | None = None,
     refresh: bool = False,

@@ -6,28 +6,23 @@ layer ``i`` copies its parent's intermediate state, applies subcircuit ``i``
 with freshly sampled noise, and hands the resulting state to its ``A_{i+1}``
 children; leaves sample one measurement outcome each.
 
-Two traversals implement that contract:
+One traversal implements that contract: the ``A_{i+1}`` sibling subtrees
+below a reuse node execute *together*, in chunks of at most ``max_batch``
+rows.  The parent's state is broadcast into a ``(B, 2**n)`` block and the
+child subcircuit runs once through the backend's batched kernels instead of
+``B`` separate passes (the paper's Figure-8 argument: one small statevector
+update does not fill the machine).  At the leaf layer all ``B`` outcomes are
+drawn in one inverse-CDF pass.  The pool holds one ``(min(A_i, cap), 2**n)``
+buffer per layer, so peak memory is ``sum_i min(A_i, cap)`` statevectors;
+``max_batch=1`` is the classic depth-first order with one statevector per
+layer (the Figure-9 footprint).  Every backend runs this traversal — the
+reference backend by looping its kernels over rows — and ``"batched"`` is
+only a registry alias of the optimized backend.
 
-* **Sequential** (any backend): states live in a *buffer pool* with exactly
-  one preallocated statevector per tree layer — the Figure-9 memory
-  footprint.  Reuse copies are ``np.copyto`` into the pooled buffer of the
-  child's layer, so with an in-place backend and mixed-unitary noise the
-  steady-state traversal allocates nothing.
-
-* **Batched** (backends with ``supports_batch``, the default when one is
-  configured): the ``A_{i+1}`` sibling subtrees below a reuse node execute
-  *together*.  The parent's pooled state is broadcast into a ``(B, 2**n)``
-  batch (``B`` = the child arity, chunked by ``batch_size`` / ``max_batch``
-  to respect the memory budget) and the child subcircuit runs once through
-  the batched kernels instead of ``A_{i+1}`` sequential passes.  At the leaf
-  layer all ``B`` outcomes are drawn in one batched inverse-CDF pass.  The
-  pool holds one ``(A_i_chunk, 2**n)`` buffer per layer, so peak memory is
-  ``sum_i min(A_i, cap)`` statevectors.
-
-Both traversals produce identical cost counters (``gate_applications``,
-``state_copies``, ``leaf_samples``, ``noise_applications``): a batched kernel
-advancing ``B`` rows counts as ``B`` applications, and a broadcast into ``B``
-rows counts as ``B`` reuse copies.
+Cost counters keep per-trajectory semantics at every chunk size
+(``gate_applications``, ``state_copies``, ``leaf_samples``,
+``noise_applications``): a kernel advancing ``B`` rows counts as ``B``
+applications, and a broadcast into ``B`` rows counts as ``B`` reuse copies.
 
 Seeding (contract v2)
 ---------------------
@@ -44,14 +39,13 @@ its subcircuit, and — at leaves — the outcome draw plus readout flips.
 
 Two properties follow, and they are the engine's signature guarantees:
 
-* **Traversal independence.**  The sequential and the batched traversal
-  consume each node's stream identically — and because the ``t``-th uniform
-  of a stream is a pure function of ``(key, t)``, the batched kernels
-  generate all per-row uniforms in one vectorised block
-  (:func:`~repro.core.pathrng.draw_block`) that is bitwise identical to the
-  sequential per-row draws.  Counts and counters are therefore *bitwise
-  identical* across traversals, backends and chunk sizes — with or without
-  noise.
+* **Chunking independence.**  Every noise event, mixed-unitary or general
+  Kraus, consumes exactly one uniform per row, so a chunk pre-draws a whole
+  subcircuit's noise in one vectorised block
+  (:func:`~repro.core.pathrng.draw_block`); because the ``t``-th uniform of
+  a stream is a pure function of ``(key, t)``, that block is bitwise the
+  per-row draws.  Counts and counters are therefore *bitwise identical*
+  across chunk sizes — with or without noise.
 * **Sharding at any depth.**  A run over any set of disjoint subtrees — a
   slice of first-layer nodes, or a slice of the children of any deeper node
   (see :class:`SubtreeAssignment` and :mod:`repro.dispatch`) — reproduces
@@ -64,7 +58,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -78,7 +72,6 @@ from repro.core.partitioners import (
 )
 from repro.core.pathrng import (
     PathStream,
-    all_path_streams,
     child_key,
     child_keys,
     draw_block,
@@ -90,7 +83,7 @@ from repro.core.statecache import (
     NamespacedStateCache,
     PrefixStateCache,
 )
-from repro.noise.model import NoiseModel
+from repro.noise.model import NoiseEvent, NoiseModel
 from repro.obs import clock
 from repro.obs.tracer import NULL_SPAN, NULL_TRACER, AnyTracer, get_tracer
 
@@ -105,7 +98,7 @@ def _path_label(path: Sequence[int]) -> str:
     """Span-attribute form of a tree path: ``"1/3"``; the root is ``""``."""
     return "/".join(str(component) for component in path)
 
-#: Ceiling on the sibling-chunk size of the batched traversal.  Each layer's
+#: Default ceiling on the sibling-chunk size of the traversal.  Each layer's
 #: pooled buffer holds ``min(A_i, max_batch)`` statevectors, so this bounds
 #: peak memory at ``num_layers * max_batch`` states regardless of arity.
 DEFAULT_MAX_TREE_BATCH = 64
@@ -224,6 +217,15 @@ class SubtreeAssignment:
         )
 
 
+class _LayerNoise(NamedTuple):
+    """One subcircuit's noise events, matched once per run."""
+
+    #: ``events_for_gate`` of each gate, in gate order.
+    events: Sequence[Sequence[NoiseEvent]]
+    #: Total events: the uniforms one row draws for the subcircuit.
+    draws: int
+
+
 class TQSimEngine:
     """Tree-based quantum circuit simulator (the paper's TQSim)."""
 
@@ -233,7 +235,6 @@ class TQSimEngine:
         seed: int | np.random.SeedSequence | None = None,
         backend: str | Backend | None = None,
         copy_cost_in_gates: float = DEFAULT_COPY_COST_IN_GATES,
-        batch_size: int | None = None,
         max_batch: int = DEFAULT_MAX_TREE_BATCH,
         tracer: AnyTracer | None = None,
     ) -> None:
@@ -252,19 +253,11 @@ class TQSimEngine:
             still produce fresh, independent ensembles.  An explicit
             ``SeedSequence`` may be passed (shared-root dispatch); it is
             folded without being mutated.
-        batch_size:
-            Sibling-chunk size of the batched traversal.  ``None`` (default)
-            lets every chunk grow to ``max_batch``; an explicit value caps
-            chunks at ``min(batch_size, max_batch)``.  Requesting a
-            ``batch_size`` implies the ``"batched"`` backend when no backend
-            is named, and raises if the configured backend cannot batch.
-            The traversal is batched whenever the backend supports it.
         max_batch:
-            Hard memory ceiling on the per-layer pooled buffers (in
-            statevectors).  Larger values amortise more Python dispatch per
-            kernel call; smaller values shrink the ``sum_i min(A_i, cap)``
-            statevector footprint toward the sequential engine's one state
-            per layer.
+            Sibling-chunk cap: the per-layer pooled buffers hold
+            ``min(A_i, max_batch)`` statevectors.  Larger values amortise
+            more Python dispatch per kernel call; ``1`` runs one node at a
+            time with one statevector per layer.  Counts never depend on it.
         tracer:
             Observability hook (see :mod:`repro.obs`).  ``None`` — the
             default — defers to the process-wide tracer from
@@ -273,34 +266,15 @@ class TQSimEngine:
             inert by contract: it never changes counts, counters or RNG
             draws (all clock reads live in :mod:`repro.obs.clock`).
         """
-        if backend is None and batch_size is not None:
-            backend = "batched"
+        if max_batch < 1:
+            raise ValueError("max_batch must be >= 1")
         self.noise_model = noise_model
         self.backend = get_backend(backend)
         self.copy_cost_in_gates = float(copy_cost_in_gates)
-        if max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
-        if batch_size is not None:
-            if batch_size < 1:
-                raise ValueError("batch_size must be >= 1")
-            if not self.backend.supports_batch:
-                raise TypeError(
-                    f"backend {self.backend.name!r} cannot run the batched "
-                    "tree traversal (supports_batch is False)"
-                )
-        self.batch_size = None if batch_size is None else int(batch_size)
         self.max_batch = int(max_batch)
         self.tracer = tracer
         self._root_key = root_key_from_seed(seed)
         self._runs_started = 0
-
-    # ------------------------------------------------------------------
-    @property
-    def chunk_cap(self) -> int:
-        """Effective sibling-chunk ceiling of the batched traversal."""
-        if self.batch_size is None:
-            return self.max_batch
-        return min(self.batch_size, self.max_batch)
 
     # ------------------------------------------------------------------
     def run(
@@ -425,7 +399,6 @@ class TQSimEngine:
                             "its outcomes"
                         )
 
-        batched = self.backend.supports_batch
         tracer = self.tracer if self.tracer is not None else get_tracer()
         counts: dict[str, int] = {}
         cost = CostCounters()
@@ -444,44 +417,35 @@ class TQSimEngine:
                 lengths=[int(length) for length in plan.subcircuit_lengths],
                 backend=self.backend.name,
                 qubits=circuit.num_qubits,
-                batched=batched,
-                chunk_cap=self.chunk_cap if batched else 0,
+                chunk_cap=self.max_batch,
                 full_tree=full_tree,
                 assignments=len(assignments),
             )
             if tracer.enabled
             else NULL_SPAN
         ) as run_span:
+            noise = [self._match_noise(sub) for sub in plan.subcircuits]
             for assignment in assignments:
                 produced += assignment.outcomes(arities)
                 prefix_state = self._replay_prefix(
-                    circuit, plan, assignment, cost, prefix_cache, tracer
+                    circuit, plan, noise, assignment, cost, prefix_cache,
+                    tracer,
                 )
-                if batched:
-                    self._run_tree_batched(
-                        circuit, plan, counts, cost, assignment.child_keys,
-                        start_layer=assignment.depth,
-                        parent_state=prefix_state,
-                        tracer=tracer,
-                        entry_path=assignment.path,
-                        child_start=assignment.child_start,
-                    )
-                else:
-                    self._run_tree(
-                        circuit, plan, counts, cost, assignment.child_keys,
-                        start_layer=assignment.depth,
-                        parent_state=prefix_state,
-                        tracer=tracer,
-                        entry_path=assignment.path,
-                        child_start=assignment.child_start,
-                    )
+                self._run_tree(
+                    circuit, plan, noise, counts, cost, assignment.child_keys,
+                    start_layer=assignment.depth,
+                    parent_state=prefix_state,
+                    tracer=tracer,
+                    entry_path=assignment.path,
+                    child_start=assignment.child_start,
+                )
             run_span.set(shots=produced)
         cost.wall_time_seconds = clock.perf_seconds() - start
 
         metadata = {
             "simulator": "tqsim",
             "backend": self.backend.name,
-            "execution": "tree-batched" if batched else "tree-sequential",
+            "execution": "tree-batched",
             "policy": plan.policy,
             "tree": str(plan.tree),
             "subcircuit_lengths": plan.subcircuit_lengths,
@@ -491,10 +455,8 @@ class TQSimEngine:
                 self.copy_cost_in_gates
             ),
             "noise_model": self.noise_model.name if self.noise_model else "ideal",
+            "max_batch": self.max_batch,
         }
-        if batched:
-            metadata["chunk_cap"] = self.chunk_cap
-            metadata["max_batch"] = self.max_batch
         return SimulationResult(
             counts=counts,
             num_qubits=circuit.num_qubits,
@@ -503,11 +465,19 @@ class TQSimEngine:
             metadata=metadata,
         )
 
+    def _match_noise(self, subcircuit: Circuit) -> _LayerNoise:
+        """Match every gate of one subcircuit to its noise events, once."""
+        if self.noise_model is None:
+            return _LayerNoise([()] * len(subcircuit), 0)
+        events = [self.noise_model.events_for_gate(gate) for gate in subcircuit]
+        return _LayerNoise(events, sum(len(matched) for matched in events))
+
     # ------------------------------------------------------------------
     def _replay_prefix(
         self,
         circuit: Circuit,
         plan: PartitionPlan,
+        noise: Sequence[_LayerNoise],
         assignment: SubtreeAssignment,
         cost: CostCounters,
         cache: PrefixStateCache | NamespacedStateCache,
@@ -556,7 +526,8 @@ class TQSimEngine:
                 # Cache hit: the state exists already, but an owned layer
                 # still has to book the node's work exactly once.
                 if counted:
-                    self._account_subcircuit(plan.subcircuits[layer], tally)
+                    tally.gate_applications += len(plan.subcircuits[layer])
+                    tally.noise_applications += noise[layer].draws
                 continue
             work = (
                 backend.reset_state(backend.allocate_state(circuit.num_qubits))
@@ -566,8 +537,8 @@ class TQSimEngine:
                 else backend.copy_state(state)
             )
             stream = PathStream(assignment.prefix_keys[layer])
-            # The multi-stream path with a single row consumes the stream
-            # exactly as both traversals do, on every backend family.
+            # A one-row subcircuit application consumes the stream exactly
+            # as the node's row in a traversal chunk does.
             with (
                 tracer.span(
                     "engine.prefix_replay",
@@ -580,240 +551,71 @@ class TQSimEngine:
                 else NULL_SPAN
             ):
                 state = self._apply_subcircuit(
-                    work, plan.subcircuits[layer], tally, None,
-                    row_rngs=[stream], tracer=tracer,
+                    work, plan.subcircuits[layer], noise[layer], tally,
+                    [stream], tracer,
                 )
             cache.put(assignment.path[: layer + 1], state)
         return state
 
-    def _account_subcircuit(
-        self, subcircuit: Circuit, cost: CostCounters, weight: int = 1
-    ) -> None:
-        """Book one node's subcircuit work without executing it.
+    def _apply_subcircuit(
+        self,
+        state: np.ndarray,
+        subcircuit: Circuit,
+        noise: _LayerNoise,
+        cost: CostCounters,
+        row_rngs: Sequence[PathStream],
+        tracer: AnyTracer = NULL_TRACER,
+    ) -> np.ndarray:
+        """Apply one subcircuit with freshly sampled trajectory noise.
 
-        Mirrors the accounting :meth:`_apply_subcircuit` performs — used
-        when a prefix state comes from the cache but this assignment owns
-        the node, so the work must still be counted exactly once.
+        ``state`` is a ``(B, 2**n)`` chunk whose row ``i`` is the tree node
+        streaming from ``row_rngs[i]`` (or one statevector with a single
+        stream).  Every noise event, mixed-unitary or general Kraus,
+        consumes exactly one uniform per row, so the chunk's whole noise
+        budget is pre-drawn in *one* :func:`~repro.core.pathrng.draw_block`
+        call: the row counters advance in lockstep and column ``j`` of the
+        block is bitwise the ``j``-th per-event draw of each row's stream.
+        Cost counters book ``B`` applications per gate and per event.
         """
-        for gate in subcircuit:
-            cost.gate_applications += weight
-            if self.noise_model is not None:
-                events = self.noise_model.events_for_gate(gate)
-                if events:
-                    cost.noise_applications += len(events) * weight
+        backend = self.backend
+        rows = len(row_rngs)
+        # Kernel-level spans sit behind the tracer's sampling knob; the
+        # common (disabled) case costs one attribute lookup per subcircuit.
+        kernel_interval = tracer.kernel_interval
+        uniforms = None
+        if noise.draws:
+            with (
+                tracer.span("engine.noise_predraw", rows=rows,
+                            draws=noise.draws)
+                if tracer.enabled
+                else NULL_SPAN
+            ):
+                uniforms = draw_block(row_rngs, noise.draws)
+        column = 0
+        for gate, events in zip(subcircuit, noise.events):
+            if kernel_interval:
+                with tracer.kernel_span(
+                    "backend.kernel", gate=gate.name, rows=rows
+                ):
+                    state = backend.apply_gate(state, gate)
+            else:
+                state = backend.apply_gate(state, gate)
+            if events:
+                width = len(events)
+                state = backend.apply_noise_events_uniforms(
+                    state, events, uniforms[:, column : column + width]
+                )
+                column += width
+        cost.gate_applications += len(subcircuit) * rows
+        cost.noise_applications += noise.draws * rows
+        return state
 
     # ------------------------------------------------------------------
     def _run_tree(
         self,
         circuit: Circuit,
         plan: PartitionPlan,
-        counts: dict[str, int],
-        cost: CostCounters,
-        entry_keys: Sequence[int],
-        start_layer: int = 0,
-        parent_state: np.ndarray | None = None,
-        tracer: AnyTracer = NULL_TRACER,
-        entry_path: tuple[int, ...] = (),
-        child_start: int = 0,
-    ) -> None:
-        """Iterative depth-first traversal over the pooled state buffers.
-
-        Runs the ``len(entry_keys)`` subtrees rooted at ``start_layer``
-        (the whole tree when ``start_layer`` is 0), each keyed by its own
-        path key; deeper nodes derive theirs from the parent's via
-        :func:`~repro.core.pathrng.child_key`.  ``pool[i]`` holds the
-        intermediate state produced by the node of layer ``i`` currently on
-        the traversal path; ``progress[i]`` counts how many of that node's
-        parent's children have already executed.
-
-        ``entry_path`` / ``child_start`` only label spans (the tree path of
-        the assignment node and the child offset of ``entry_keys[0]``);
-        they never influence execution.
-        """
-        backend = self.backend
-        arities = plan.tree.arities
-        num_layers = plan.tree.num_subcircuits
-        subcircuits = plan.subcircuits
-        readout = self.noise_model.readout_error if self.noise_model else None
-        pool: dict[int, np.ndarray] = {
-            layer: backend.allocate_state(circuit.num_qubits)
-            for layer in range(start_layer, num_layers)
-        }
-        progress = [0] * num_layers
-        keys: list[int] = [0] * num_layers
-        traced = tracer.enabled
-        entry_label = _path_label(entry_path)
-        labels: list[str] = [""] * num_layers
-
-        def arity_at(layer: int) -> int:
-            return len(entry_keys) if layer == start_layer else arities[layer]
-
-        layer = start_layer
-        while layer >= start_layer:
-            if progress[layer] == arity_at(layer):
-                # All children of the parent node are done; pop back up.
-                progress[layer] = 0
-                layer -= 1
-                continue
-            index = progress[layer]
-            progress[layer] += 1
-            if layer == start_layer:
-                key = entry_keys[index]
-                node_id = child_start + index
-            else:
-                key = child_key(keys[layer - 1], index)
-                node_id = index
-            if traced:
-                parent_label = (
-                    entry_label if layer == start_layer else labels[layer - 1]
-                )
-                labels[layer] = (
-                    f"{parent_label}/{node_id}" if parent_label
-                    else str(node_id)
-                )
-            if layer == start_layer and parent_state is None:
-                # First-layer nodes start from |0...0> just like the
-                # baseline; resetting the buffer is not a reuse copy.
-                state = backend.reset_state(pool[layer])
-            else:
-                source = (
-                    parent_state if layer == start_layer else pool[layer - 1]
-                )
-                with (
-                    tracer.span("engine.copy", path=labels[layer],
-                                layer=layer, rows=1)
-                    if traced
-                    else NULL_SPAN
-                ):
-                    state = backend.copy_into(pool[layer], source)
-                cost.state_copies += 1
-            keys[layer] = key
-            rng = PathStream(key)
-            with (
-                tracer.span("engine.subcircuit", path=labels[layer],
-                            layer=layer, gates=len(subcircuits[layer]), rows=1)
-                if traced
-                else NULL_SPAN
-            ):
-                state = self._apply_subcircuit(
-                    state, subcircuits[layer], cost, rng, tracer=tracer
-                )
-            # Rebind in case the backend works out of place; in-place
-            # backends return the pooled buffer itself.
-            pool[layer] = state
-            if layer == num_layers - 1:
-                with (
-                    tracer.span("engine.leaf_sample", path=labels[layer],
-                                rows=1)
-                    if traced
-                    else NULL_SPAN
-                ):
-                    bitstring = backend.sample_outcome(state, rng, readout)
-                counts[bitstring] = counts.get(bitstring, 0) + 1
-                cost.leaf_samples += 1
-            else:
-                layer += 1
-
-    def _apply_subcircuit(
-        self,
-        state: np.ndarray,
-        subcircuit: Circuit,
-        cost: CostCounters,
-        rng: PathStream | np.random.Generator | None,
-        weight: int = 1,
-        row_rngs: Sequence[PathStream] | None = None,
-        tracer: AnyTracer = NULL_TRACER,
-    ) -> np.ndarray:
-        """Apply one subcircuit with freshly sampled trajectory noise.
-
-        ``state`` may be a single statevector or a ``(B, 2**n)`` chunk of
-        sibling trajectories (on a batch-capable backend); ``weight`` is the
-        number of trajectories one kernel call advances, so cost counters
-        keep per-trajectory semantics and both traversals account
-        identically.  Noise draws come from ``rng``, or — when ``row_rngs``
-        is given (batched chunks, whose rows are distinct tree nodes) —
-        from each row's own stream.
-
-        When every noise event of the subcircuit is mixed-unitary and the
-        rows carry path-keyed counter streams, all of the chunk's noise
-        uniforms are pre-drawn in *one* block: each event consumes exactly
-        one uniform per row, so the counters advance in lockstep and column
-        ``j`` of the block is bitwise identical to the ``j``-th per-event
-        draw the generic path performs.  That turns ~one ``draw_block`` call
-        per gate into one per subcircuit application.
-        """
-        backend = self.backend
-        # Kernel-level spans sit behind the tracer's sampling knob; the
-        # common (disabled) case costs one attribute lookup per subcircuit.
-        kernel_interval = tracer.kernel_interval
-        if row_rngs is not None and self.noise_model is not None:
-            apply_uniforms = getattr(backend, "apply_noise_events_uniforms",
-                                     None)
-            if apply_uniforms is not None and all_path_streams(row_rngs):
-                gate_events = [
-                    self.noise_model.events_for_gate(gate)
-                    for gate in subcircuit
-                ]
-                total = sum(len(events) for events in gate_events)
-                if total and all(
-                    event.channel.is_mixed_unitary
-                    for events in gate_events
-                    for event in events
-                ):
-                    with (
-                        tracer.span("engine.noise_predraw",
-                                    rows=len(row_rngs), draws=total)
-                        if tracer.enabled
-                        else NULL_SPAN
-                    ):
-                        uniforms = draw_block(row_rngs, total)
-                    column = 0
-                    for gate, events in zip(subcircuit, gate_events):
-                        if kernel_interval:
-                            with tracer.kernel_span(
-                                "backend.kernel", gate=gate.name, rows=weight
-                            ):
-                                state = backend.apply_gate(state, gate)
-                        else:
-                            state = backend.apply_gate(state, gate)
-                        cost.gate_applications += weight
-                        if events:
-                            width = len(events)
-                            state = apply_uniforms(
-                                state, events,
-                                uniforms[:, column : column + width],
-                            )
-                            column += width
-                            cost.noise_applications += width * weight
-                    return state
-        for gate in subcircuit:
-            if kernel_interval:
-                with tracer.kernel_span(
-                    "backend.kernel", gate=gate.name, rows=weight
-                ):
-                    state = backend.apply_gate(state, gate)
-            else:
-                state = backend.apply_gate(state, gate)
-            cost.gate_applications += weight
-            if self.noise_model is not None:
-                # One events_for_gate lookup serves both the application and
-                # the cost accounting.
-                events = self.noise_model.events_for_gate(gate)
-                if events:
-                    if row_rngs is None:
-                        state = backend.apply_noise_events(state, events, rng)
-                    else:
-                        state = backend.apply_noise_events_multi(
-                            state, events, row_rngs
-                        )
-                    cost.noise_applications += len(events) * weight
-        return state
-
-    # ------------------------------------------------------------------
-    def _run_tree_batched(
-        self,
-        circuit: Circuit,
-        plan: PartitionPlan,
+        noise: Sequence[_LayerNoise],
         counts: dict[str, int],
         cost: CostCounters,
         entry_keys: Sequence[int],
@@ -840,10 +642,10 @@ class TQSimEngine:
 
         Random streams: every row of a chunk is its own tree node with its
         own :class:`~repro.core.pathrng.PathStream` (``entry_keys`` at the
-        entry layer, the vectorised :func:`~repro.core.pathrng.child_keys`
-        chain below), so the per-row multi-stream backend paths draw all
-        rows' uniforms in one block while the operator application stays
-        vectorised.  Draws therefore depend only on a node's path — never on
+        entry layer, the :func:`~repro.core.pathrng.child_keys` chain
+        below), so a chunk draws all rows' uniforms in one block while the
+        operator application stays vectorised.  Draws therefore depend only
+        on a node's path — never on
         the chunk cap, the arity of sibling layers, or how nodes were
         grouped into batches — which is what makes both the chunking and any
         sharding of the tree bitwise reproducible.
@@ -853,7 +655,7 @@ class TQSimEngine:
         num_layers = plan.tree.num_subcircuits
         subcircuits = plan.subcircuits
         readout = self.noise_model.readout_error if self.noise_model else None
-        cap = self.chunk_cap
+        cap = self.max_batch
 
         def arity_at(layer: int) -> int:
             return len(entry_keys) if layer == start_layer else arities[layer]
@@ -951,13 +753,13 @@ class TQSimEngine:
                 else NULL_SPAN
             ):
                 state = self._apply_subcircuit(
-                    batch, subcircuits[layer], cost, None,
-                    weight=chunk, row_rngs=row_rngs, tracer=tracer,
+                    batch, subcircuits[layer], noise[layer], cost, row_rngs,
+                    tracer,
                 )
             if state is not batch:
-                # Honour the mutation contract for out-of-place batch
-                # backends: leaves are sampled from, and children expanded
-                # out of, the pooled buffer, so the result must land in it.
+                # Honour the mutation contract for out-of-place backends:
+                # leaves are sampled from, and children expanded out of,
+                # the pooled buffer, so the result must land in it.
                 np.copyto(batch, state)
             cursor[layer] = base + chunk
             pending[layer] -= chunk

@@ -74,6 +74,11 @@ _MIX_2 = 0x94D049BB133111EB
 #: Scales a 53-bit integer into [0, 1) exactly like numpy's double path.
 _TO_DOUBLE = 2.0**-53
 
+#: Up to this many outputs the pure-Python scalar path beats the fixed cost
+#: of the vectorised one (both are bitwise identical); the tree traversal's
+#: one-row chunks and leaf draws live below it.
+_SCALAR_CUTOFF = 16
+
 _U64 = np.uint64
 _GOLDEN_U64 = _U64(GOLDEN)
 _MIX_1_U64 = _U64(_MIX_1)
@@ -127,6 +132,14 @@ def uniform_block(
     ``count`` uniforms of the stream at ``keys[i]``, bitwise identical to
     ``count`` scalar :meth:`PathStream.random` calls on that stream.
     """
+    if len(keys) * count <= _SCALAR_CUTOFF:
+        return np.array(
+            [
+                [_uniform_int(int(key), int(counter) + t) for t in range(count)]
+                for key, counter in zip(keys, counters)
+            ],
+            dtype=np.float64,
+        ).reshape(len(keys), count)
     keys = np.asarray(keys, dtype=_U64)
     counters = np.asarray(counters, dtype=_U64)
     with np.errstate(over="ignore"):
@@ -175,9 +188,14 @@ def child_key(parent_key: int, index: int) -> int:
 def child_keys(parent_key: int, start: int, count: int) -> np.ndarray:
     """Keys of children ``start .. start+count-1``, as one uint64 array.
 
-    Vectorised form of :func:`child_key` for the batched traversal's chunk
+    Vectorised form of :func:`child_key` for the tree traversal's chunk
     setup; ``child_keys(p, s, c)[i] == child_key(p, s + i)`` bitwise.
     """
+    if count <= _SCALAR_CUTOFF:
+        return np.array(
+            [child_key(parent_key, i) for i in range(start, start + count)],
+            dtype=_U64,
+        )
     indices = np.arange(start, start + count, dtype=_U64)
     with np.errstate(over="ignore"):
         mixed = _mix64_raw(indices * _GOLDEN_U64 + _MIX_2_U64)
@@ -204,7 +222,7 @@ class PathStream:
     ``random(shape)`` for readout-flip blocks — so it passes through every
     existing sampling helper unchanged.  Scalar draws, shaped draws and
     :func:`draw_block` all advance the counter identically, which is what
-    keeps sequential and batched traversals bitwise interchangeable.
+    keeps every chunk size of the tree traversal bitwise interchangeable.
     """
 
     __slots__ = ("key", "counter")

@@ -40,8 +40,8 @@ class CostCounters:
         """True when every accounted counter equals ``other``'s.
 
         Wall time is excluded: two executions of the same plan (e.g. the
-        sequential and the batched tree traversal) must do identical
-        accounted work while taking different amounts of it.
+        tree traversal at two chunk caps) must do identical accounted work
+        while taking different amounts of it.
         """
         return all(
             getattr(self, field_.name) == getattr(other, field_.name)

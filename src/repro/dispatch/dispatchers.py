@@ -6,12 +6,11 @@ Both dispatchers are drop-in replacements for a single
 :class:`~repro.core.results.SimulationResult` back.  The merged counts are
 bitwise identical to the single-engine run with the same root seed — for the
 :class:`SerialDispatcher` *and* the :class:`PoolDispatcher`, for any shard
-count, any split depth and any backend — because every tree node draws from
-its own path-addressed stream (see :mod:`repro.dispatch.planner` and the
-seeding notes in :mod:`repro.core.engine`; the per-node contract also makes
-the sequential and batched traversals bitwise equal, so the dispatchers'
-``"batched"`` default and the engine's ``"optimized"`` default agree
-exactly).  What changes between the two is only where the shards execute and
+count, any split depth and any ``max_batch`` — because every tree node draws
+from its own path-addressed stream (see :mod:`repro.dispatch.planner` and the
+seeding notes in :mod:`repro.core.engine`).  Every shard runs the engine's
+one chunked traversal; ``max_batch=1`` only changes the chunking.  What
+changes between the two dispatchers is only where the shards execute and
 therefore the wall-clock time.
 
 ``max_depth`` controls how far the shard planner may descend when the
@@ -117,9 +116,8 @@ class Dispatcher(ABC):
         noise_model: NoiseModel | None = None,
         seed: int | np.random.SeedSequence | None = None,
         num_shards: int | None = None,
-        backend: str = "batched",
+        backend: str = "optimized",
         copy_cost_in_gates: float = DEFAULT_COPY_COST_IN_GATES,
-        batch_size: int | None = None,
         max_batch: int = DEFAULT_MAX_TREE_BATCH,
         max_depth: int = 1,
         cost_model: CostModel | None = None,
@@ -130,7 +128,6 @@ class Dispatcher(ABC):
             noise_model=noise_model,
             backend=backend,
             copy_cost_in_gates=copy_cost_in_gates,
-            batch_size=batch_size,
             max_batch=max_batch,
             max_depth=max_depth,
             cost_model=cost_model,
@@ -335,9 +332,8 @@ class PoolDispatcher(Dispatcher):
         seed: int | np.random.SeedSequence | None = None,
         num_workers: int | None = None,
         num_shards: int | None = None,
-        backend: str = "batched",
+        backend: str = "optimized",
         copy_cost_in_gates: float = DEFAULT_COPY_COST_IN_GATES,
-        batch_size: int | None = None,
         max_batch: int = DEFAULT_MAX_TREE_BATCH,
         max_depth: int = 1,
         cost_model: CostModel | None = None,
@@ -359,7 +355,6 @@ class PoolDispatcher(Dispatcher):
             num_shards=num_shards,
             backend=backend,
             copy_cost_in_gates=copy_cost_in_gates,
-            batch_size=batch_size,
             max_batch=max_batch,
             max_depth=max_depth,
             cost_model=cost_model,

@@ -86,9 +86,8 @@ class ShardSpec:
     assignments: tuple[SubtreeAssignment, ...]
     noise_model: NoiseModel | None
     requested_shots: int
-    backend: str = "batched"
+    backend: str = "optimized"
     copy_cost_in_gates: float = DEFAULT_COPY_COST_IN_GATES
-    batch_size: int | None = None
     max_batch: int = DEFAULT_MAX_TREE_BATCH
     estimated_cost: float = field(default=0.0, compare=False)
 
@@ -159,9 +158,8 @@ class ShardPlanner:
     def __init__(
         self,
         noise_model: NoiseModel | None = None,
-        backend: str = "batched",
+        backend: str = "optimized",
         copy_cost_in_gates: float = DEFAULT_COPY_COST_IN_GATES,
-        batch_size: int | None = None,
         max_batch: int = DEFAULT_MAX_TREE_BATCH,
         max_depth: int = 1,
         cost_model: CostModel | None = None,
@@ -171,7 +169,6 @@ class ShardPlanner:
         self.noise_model = noise_model
         self.backend = backend
         self.copy_cost_in_gates = float(copy_cost_in_gates)
-        self.batch_size = batch_size
         self.max_batch = int(max_batch)
         self.max_depth = int(max_depth)
         self.cost_model = cost_model
@@ -265,7 +262,6 @@ class ShardPlanner:
                     requested_shots=shots,
                     backend=self.backend,
                     copy_cost_in_gates=self.copy_cost_in_gates,
-                    batch_size=self.batch_size,
                     max_batch=self.max_batch,
                     estimated_cost=_range_cost(
                         start, stop, children_per_path, unit_cost, prefix_cost

@@ -151,9 +151,8 @@ class ResilientPoolDispatcher(PoolDispatcher):
         seed: int | np.random.SeedSequence | None = None,
         num_workers: int | None = None,
         num_shards: int | None = None,
-        backend: str = "batched",
+        backend: str = "optimized",
         copy_cost_in_gates: float = DEFAULT_COPY_COST_IN_GATES,
-        batch_size: int | None = None,
         max_batch: int = DEFAULT_MAX_TREE_BATCH,
         max_depth: int = 1,
         cost_model: CostModel | None = None,
@@ -210,7 +209,6 @@ class ResilientPoolDispatcher(PoolDispatcher):
             num_shards=num_shards,
             backend=backend,
             copy_cost_in_gates=copy_cost_in_gates,
-            batch_size=batch_size,
             max_batch=max_batch,
             max_depth=max_depth,
             cost_model=cost_model,
@@ -500,10 +498,25 @@ class ResilientPoolDispatcher(PoolDispatcher):
 
                 # Launch whatever backoff has released.
                 now = clock.monotonic_seconds()
+                launch_error: BrokenProcessPool | None = None
                 for shard in sorted(pending):
                     if pending[shard] <= now and shard not in results:
                         del pending[shard]
-                        submit_primary(shard)
+                        try:
+                            submit_primary(shard)
+                        except BrokenProcessPool as error:
+                            # A worker died between two submits (an early
+                            # crash).  Requeue; broken futures in flight
+                            # trigger the rebuild below, else rebuild here.
+                            pending[shard] = now
+                            launch_error = error
+                            break
+                if launch_error is not None and not flights:
+                    record_failure(-1, -1, "pool-rebuild", launch_error)
+                    if not rebuild_pool():
+                        degrade()
+                        break
+                    continue
 
                 if not flights:
                     if pending:

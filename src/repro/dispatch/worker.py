@@ -59,7 +59,6 @@ def run_shard(
         noise_model=spec.noise_model,
         backend=spec.backend,
         copy_cost_in_gates=spec.copy_cost_in_gates,
-        batch_size=spec.batch_size,
         max_batch=spec.max_batch,
         tracer=tracer,
     )

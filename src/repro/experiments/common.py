@@ -131,11 +131,11 @@ DEFAULT_CONFIG = ExperimentConfig()
 class ComparisonRow:
     """Baseline-vs-TQSim comparison for one circuit.
 
-    When the comparison also ran the batched tree engine (see
+    When the comparison also ran the ``"batched"`` leg (see
     :func:`compare_simulators` with ``include_batched_tree=True``) the
-    ``batched_*`` fields hold the same plan executed through the batched
-    sibling-subtree traversal; ``batched_tree_speedup`` is the measured
-    wall-clock ratio of the sequential tree over the batched tree.
+    ``batched_*`` fields hold the same plan executed a second time through
+    the ``"batched"`` registry alias; ``batched_tree_speedup`` is the
+    measured wall-clock ratio of the ``tqsim`` leg over that leg.
     """
 
     name: str
@@ -165,7 +165,7 @@ class ComparisonRow:
 
     @property
     def batched_counters_match(self) -> bool | None:
-        """True when the batched tree's cost counters equal the sequential's.
+        """True when the batched leg's cost counters equal the tqsim leg's.
 
         Wall time is excluded — the whole point is that the same accounted
         work takes less of it.  ``None`` when the batched leg did not run.
@@ -223,12 +223,13 @@ def fuse_for_noise_model(circuit: Circuit,
 
 @dataclass(frozen=True)
 class BatchedTreeMeasurement:
-    """Measured batched-tree vs sequential-tree execution of one plan.
+    """Measured chunked vs one-node-at-a-time execution of one plan.
 
-    Both engines execute the *same* plan with the same seed, so their cost
-    counters must be identical and, without noise, their counts bitwise
-    equal; the speedup is pure execution efficiency from running sibling
-    subtrees through the batched kernels.
+    Both runs execute the *same* plan with the same seed, one at chunk cap
+    1 (the classic depth-first order) and one at the default cap, so their
+    counts are bitwise equal and their cost counters identical; the
+    speedup is pure execution efficiency from running sibling subtrees
+    through the batched kernels.
     """
 
     name: str
@@ -240,7 +241,7 @@ class BatchedTreeMeasurement:
 
     @property
     def batched_tree_speedup(self) -> float:
-        """Measured wall-clock ratio: sequential tree over batched tree."""
+        """Measured wall-clock ratio: cap 1 over the default cap."""
         return self.sequential_seconds / self.batched_seconds
 
 
@@ -250,23 +251,18 @@ def measure_batched_tree(
     config: ExperimentConfig,
     plan,
 ) -> BatchedTreeMeasurement:
-    """Time the sequential vs batched tree engine on one shared plan.
+    """Time the engine at chunk cap 1 and at the default cap on one plan.
 
     The caller picks the plan shape (high-arity plans show the largest
     batching wins); this helper owns the timing methodology so every figure
-    measures the two traversals the same way.
+    measures the chunking the same way.
     """
-    # The comparison isolates *batching*: the sequential leg is pinned to
-    # "optimized" — the kernel family the batched backend extends — so the
-    # ratio never conflates batching with a kernel-family difference (and a
-    # batch-capable configured backend cannot silently turn this into a
-    # batched-vs-batched measurement).
     sequential = TQSimEngine(
-        noise_model, seed=config.seed + 1, backend="optimized",
-        copy_cost_in_gates=config.copy_cost_in_gates,
+        noise_model, seed=config.seed + 1, backend=config.backend,
+        copy_cost_in_gates=config.copy_cost_in_gates, max_batch=1,
     ).run(circuit, config.shots, plan=plan)
     batched = TQSimEngine(
-        noise_model, seed=config.seed + 1, backend="batched",
+        noise_model, seed=config.seed + 1, backend=config.backend,
         copy_cost_in_gates=config.copy_cost_in_gates,
     ).run(circuit, config.shots, plan=plan)
     return BatchedTreeMeasurement(
@@ -601,19 +597,20 @@ def compare_simulators(
     paper's methodology (Section 4.1).
 
     With ``include_batched_tree=True`` the *same* partition plan is executed
-    a second time through the batched tree engine (``backend="batched"``,
-    same seed), populating the row's ``batched_*`` fields; sharing the plan
-    is what makes the cost counters directly comparable.
+    a second time with ``backend="batched"`` and the same seed, populating
+    the row's ``batched_*`` fields.  ``"batched"`` is a registry alias of the
+    optimized backend and every engine runs one chunked traversal, so the
+    leg checks that the alias reproduces the ``tqsim`` leg's counters.
 
     With ``include_calibrated=True`` a third leg plans the circuit with the
     cost-model-priced DCP search (see
     :meth:`ExperimentConfig.calibrated_dcp_partitioner`) and executes the
-    winning plan on the batched engine.  ``calibrated_vs_analytic_speedup``
-    is the measured wall-time ratio of the analytic plan over the calibrated
-    plan *on the same backend* (the batched leg when it ran, the sequential
-    leg otherwise), so it isolates the plan choice from the kernel family.
+    winning plan on the engine.  ``calibrated_vs_analytic_speedup`` is the
+    measured wall-time ratio of the analytic plan over the calibrated plan
+    *on the same backend* (the batched leg when it ran, the ``tqsim`` leg
+    otherwise), so it isolates the plan choice from the kernel family.
     ``cost_model`` defaults to :func:`~repro.core.costmodel.get_cost_model`
-    for the batched backend at the circuit's width.
+    for the default backend at the circuit's width.
     """
     circuit = fuse_for_noise_model(circuit, noise_model)
     ideal = StatevectorSimulator(
@@ -672,7 +669,7 @@ def compare_simulators(
             copy_cost_in_gates=cost_model.copy_cost_in_gates,
         ).run(circuit, config.shots, plan=calibrated_plan)
         # Compare plan against plan on the same backend: the batched leg when
-        # it ran, otherwise the sequential tqsim leg.
+        # it ran, otherwise the tqsim leg.
         analytic_leg = (
             batched_result if batched_result is not None else tqsim_result
         )

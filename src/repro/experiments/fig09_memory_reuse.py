@@ -6,13 +6,14 @@ the node's memory limit — and converts that otherwise idle memory into a
 side is the DCP plan's cost model (BV circuits only ever split into two
 subcircuits, capping the ideal speedup near 1.5x).
 
-The batched tree engine turns the same idle memory into *throughput*: each
+The tree engine's sibling chunks turn the same idle memory into
+*throughput*: each
 width also reports the largest ``max_batch`` whose ``sum_i min(A_i, cap)``
 pooled statevectors still fit half the node, i.e. how far the sibling fan-out
 can be batched before hitting the Figure-9 budget.  A small measured point
 (at a width the harness can actually simulate) runs the identical plan shape
-through the sequential and the batched tree engine to show the batching win
-is real, with matching cost counters.
+at chunk cap 1 and at the default cap to show the batching win is real, with
+matching cost counters.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ class MemoryReuseResult:
 
     points: list[MemoryReusePoint]
     shots: int
-    #: Sequential vs batched tree engine on one feasible-width BV plan.
+    #: Cap 1 vs the default chunk cap on one feasible-width BV plan.
     measured: BatchedTreeMeasurement
 
 

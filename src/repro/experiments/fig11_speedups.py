@@ -81,7 +81,7 @@ class SuiteSweepResult:
 
     @property
     def average_batched_tree_speedup(self) -> float:
-        """Mean measured batched-tree speedup over the sequential tree."""
+        """Mean measured speedup of the default chunk cap over cap 1."""
         return geometric_mean(
             [row.batched_tree_speedup for row in self.batched_rows]
         )
@@ -91,7 +91,7 @@ class SuiteSweepResult:
         """Best measured wall-time win of the calibrated plan pick.
 
         Ratio of the analytic DCP plan's wall time over the calibrated
-        plan's, both on the batched engine — above 1.0 means the measured
+        plan's, both on the same engine — above 1.0 means the measured
         cost model picked a genuinely faster plan for at least one circuit.
         """
         return max(
@@ -112,7 +112,7 @@ class SuiteSweepResult:
 
     @property
     def max_batched_tree_speedup(self) -> float:
-        """Best measured batched-tree speedup over the sequential tree."""
+        """Best measured speedup of the default chunk cap over cap 1."""
         return max(row.batched_tree_speedup for row in self.batched_rows)
 
     def table(self) -> list[dict]:
@@ -131,7 +131,7 @@ class SuiteSweepResult:
 
 def _measure_high_arity(circuit, noise_model,
                         config: ExperimentConfig) -> BatchedTreeMeasurement:
-    """Time both tree traversals on one high-arity plan.
+    """Time chunk cap 1 against the default cap on one high-arity plan.
 
     A two-layer UCP plan puts arity ``~sqrt(shots)`` at the leaf layer, the
     regime where batching sibling subtrees pays the most: the whole second
@@ -145,12 +145,12 @@ def _measure_high_arity(circuit, noise_model,
 def run(config: ExperimentConfig = DEFAULT_CONFIG) -> SuiteSweepResult:
     """Run baseline-vs-TQSim on every suite circuit within the width budget.
 
-    Every row also carries the batched tree engine executing the same DCP
+    Every row also carries the ``"batched"`` alias leg executing the same DCP
     plan (``ComparisonRow.batched_*``) plus the calibrated leg
     (``ComparisonRow.calibrated_*``) — the cost-model-priced plan search
-    executed on the batched engine, with the measured analytic-vs-calibrated
+    executed on the engine, with the measured analytic-vs-calibrated
     wall-time ratio — and ``batched_rows`` holds the dedicated high-arity
-    measurement of the batched vs sequential traversal.  Calibration runs at
+    measurement of the default chunk cap against cap 1.  Calibration runs at
     most once per circuit width (the per-process cost-model cache).
     """
     noise_model = depolarizing_noise_model()

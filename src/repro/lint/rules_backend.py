@@ -2,26 +2,24 @@
 
 Sharded execution is bitwise reproducible only because every registered
 backend honours the same hook surface: the :class:`~repro.backends.base.
-Backend` ABC's abstract methods, the paired per-row multi-stream hooks
+Backend` ABC's abstract methods and the paired per-row multi-stream hooks
 (``apply_noise_events_multi`` / ``sample_outcomes_multi`` — overriding one
-without the other desynchronises the sequential and batched traversals'
-draw order), and a ``supports_batch`` flag consistent with the batch
-allocation/sampling methods batch-aware engines key off.  A backend that
+without the other desynchronises the rows' draw order).  A backend that
 drifts here does not fail loudly — it produces *almost* identical counts,
 which is the worst kind of wrong.
 
 Two passes:
 
-* **Static** (``backend-signature``, ``backend-multi-pair``,
-  ``backend-batch-flag``) — walk every class in the linted tree that
+* **Static** (``backend-signature``, ``backend-multi-pair``) — walk every
+  class in the linted tree that
   (transitively) subclasses ``Backend``, comparing overridden method
   signatures against the ABC's own AST (obtained from the installed
   ``repro.backends.base`` source, so fixture trees are checked against the
   real contract) and enforcing the hook pairings.
 * **Runtime** (``backend-registry``) — import the real registry, resolve
   every registered name and introspect the instance: instantiation works,
-  the instance is a ``Backend``, the multi hooks are overridden in pairs
-  and ``supports_batch`` implies the batch surface.  This pass only runs
+  the instance is a ``Backend`` and the multi hooks are overridden in
+  pairs.  This pass only runs
   when the linted tree contains ``repro.backends`` itself (it is skipped
   for fixture snippets).
 """
@@ -41,12 +39,6 @@ __all__ = [
 
 #: Hooks that must be overridden together (per-row multi-stream surface).
 _MULTI_PAIRS = (("apply_noise_events_multi", "sample_outcomes_multi"),)
-#: Hook -> hook it builds on: overriding the former without the latter means
-#: the pre-drawn-uniforms fast path and the per-row path can disagree.
-_REQUIRES = {"apply_noise_events_uniforms": "apply_noise_events_multi"}
-#: Methods a ``supports_batch = True`` backend must provide somewhere in its
-#: project-visible ancestry (batch-aware engines call all three).
-_BATCH_SURFACE = ("allocate_batch", "sample_outcomes", "broadcast_into")
 
 #: Qualified names under which the ABC is importable.
 _BACKEND_QUALNAMES = {
@@ -93,9 +85,7 @@ def _backend_classes(
     """Classes in the linted tree that transitively subclass ``Backend``.
 
     Keyed by qualified name (``<module>.<Class>``); resolution runs to a
-    fixpoint so ``BatchedNumpyBackend(OptimizedNumpyBackend)`` is found
-    through ``OptimizedNumpyBackend(NumpyBackend)`` through
-    ``NumpyBackend(Backend)``.
+    fixpoint so a subclass of a subclass of ``Backend`` is found too.
     """
     classes: dict[str, tuple[ModuleContext, ast.ClassDef]] = {}
     bases: dict[str, list[str]] = {}
@@ -183,9 +173,6 @@ class BackendStaticConformanceRule(Rule):
             inherited = _ancestor_methods(qualified, classes, bases_of)
             yield from self._check_signatures(ctx, node, methods, base_methods)
             yield from self._check_pairs(ctx, node, methods, inherited)
-            yield from self._check_batch_flag(
-                ctx, node, methods, inherited, base_methods
-            )
 
     # ------------------------------------------------------------------
     def _check_signatures(
@@ -248,76 +235,11 @@ class BackendStaticConformanceRule(Rule):
                         message=(
                             f"{node.name} overrides {present} without "
                             f"{missing}; the per-row multi-stream hooks "
-                            "must be overridden in pairs or the batched "
-                            "and sequential traversals desynchronise"
+                            "must be overridden in pairs or the rows' draw "
+                            "order desynchronises"
                         ),
                         symbol=symbol,
                     )
-        for dependent, prerequisite in _REQUIRES.items():
-            if (
-                dependent in methods
-                and prerequisite not in methods
-                and prerequisite not in inherited
-            ):
-                yield Finding(
-                    path=ctx.relpath,
-                    line=methods[dependent].lineno,
-                    col=methods[dependent].col_offset,
-                    rule_id="backend-multi-pair",
-                    severity="error",
-                    message=(
-                        f"{node.name} defines {dependent} without "
-                        f"{prerequisite}; the pre-drawn-uniforms fast path "
-                        "must shadow a per-row implementation"
-                    ),
-                    symbol=f"{node.name}.{dependent}",
-                )
-
-    def _check_batch_flag(
-        self,
-        ctx: ModuleContext,
-        node: ast.ClassDef,
-        methods: dict[str, ast.FunctionDef],
-        inherited: set[str],
-        base_methods: dict[str, ast.FunctionDef],
-    ) -> Iterator[Finding]:
-        def _is_true_flag(item: ast.stmt) -> bool:
-            if isinstance(item, ast.Assign):
-                targets = item.targets
-                value = item.value
-            elif isinstance(item, ast.AnnAssign):
-                targets = [item.target]
-                value = item.value
-            else:
-                return False
-            return (
-                any(
-                    isinstance(t, ast.Name) and t.id == "supports_batch"
-                    for t in targets
-                )
-                and isinstance(value, ast.Constant)
-                and value.value is True
-            )
-
-        declares_true = any(_is_true_flag(item) for item in node.body)
-        if not declares_true:
-            return
-        available = set(methods) | inherited | set(base_methods)
-        for required in _BATCH_SURFACE:
-            if required not in available:
-                yield Finding(
-                    path=ctx.relpath,
-                    line=node.lineno,
-                    col=node.col_offset,
-                    rule_id="backend-batch-flag",
-                    severity="error",
-                    message=(
-                        f"{node.name} sets supports_batch = True but "
-                        f"provides no {required}; batch-aware engines key "
-                        "off the flag and call the whole batch surface"
-                    ),
-                    symbol=f"{node.name}.supports_batch",
-                )
 
 
 class BackendRegistryRule(Rule):
@@ -326,8 +248,8 @@ class BackendRegistryRule(Rule):
     rule_id = "backend-registry"
     severity = "error"
     description = (
-        "every registered backend must instantiate, subclass Backend, pair "
-        "its multi hooks and honour supports_batch (runtime introspection)"
+        "every registered backend must instantiate, subclass Backend and "
+        "pair its multi hooks (runtime introspection)"
     )
 
     def run(self, project: Project) -> Iterator[Finding]:
@@ -407,14 +329,6 @@ class BackendRegistryRule(Rule):
                         f"{present} but inherits {missing}; the multi-stream "
                         "hooks must be overridden in pairs",
                     )
-            if getattr(instance, "supports_batch", False):
-                for required in _BATCH_SURFACE:
-                    if not callable(getattr(instance, required, None)):
-                        yield self._registry_finding(
-                            name,
-                            f"backend {name!r} ({cls.__name__}) sets "
-                            f"supports_batch but has no callable {required}",
-                        )
 
     def _registry_finding(self, backend_name: str, message: str) -> Finding:
         return Finding(

@@ -1,7 +1,7 @@
 """Determinism rules: every random draw must route through ``pathrng``.
 
 The repository's headline guarantee — bitwise-identical counts across
-sequential, batched, serial-dispatched, pooled and deep-sharded execution —
+chunk sizes, serial-dispatched, pooled and deep-sharded execution —
 holds because a trajectory's draws are a pure function of its tree path (see
 :mod:`repro.core.pathrng`).  One stray ``np.random.default_rng()`` inside a
 traversal silently re-ties results to process-local state and only surfaces

@@ -6,7 +6,7 @@ and those predictions steer the DCP plan search, the shard balancer and
 admission control — but until now nothing ever checked them against what
 the engine actually did.  Tracing closes the loop: every ``engine.run``
 span carries the plan shape (arities, subcircuit lengths, backend, width,
-traversal mode, chunk cap) as attributes, so a traced run can be grouped
+chunk cap) as attributes, so a traced run can be grouped
 by plan and compared against the model's prediction for exactly that
 shape.
 
@@ -37,7 +37,7 @@ class DriftRow:
     tree: str
     backend: str
     num_qubits: int
-    batched: bool
+    chunk_cap: int
     runs: int
     measured_seconds: float
     predicted_seconds: float
@@ -51,7 +51,7 @@ class DriftRow:
 
 
 def _run_spans(source: TraceSource) -> list[SpanRecord]:
-    required = ("tree", "backend", "qubits", "arities", "lengths", "batched")
+    required = ("tree", "backend", "qubits", "arities", "lengths", "chunk_cap")
     spans = []
     for span in _spans_of(source):
         if span.name != "engine.run":
@@ -88,28 +88,24 @@ def drift_report(
             str(attrs["tree"]),
             str(attrs["backend"]),
             int(attrs["qubits"]),
-            bool(attrs["batched"]),
-            int(attrs.get("chunk_cap", 0)),
+            int(attrs["chunk_cap"]),
         )
         grouped.setdefault(key, []).append(span)
 
     rows: list[DriftRow] = []
-    for (tree, backend, qubits, batched, chunk_cap), spans in grouped.items():
+    for (tree, backend, qubits, chunk_cap), spans in grouped.items():
         model = cost_model_for(backend, qubits)
         arities: Sequence[int] = spans[0].attributes["arities"]
         lengths: Sequence[int] = spans[0].attributes["lengths"]
         predicted_one = model.plan_seconds(  # type: ignore[attr-defined]
-            arities,
-            lengths,
-            batched=batched,
-            max_batch=chunk_cap if chunk_cap >= 1 else 64,
+            arities, lengths, max_batch=chunk_cap
         )
         rows.append(
             DriftRow(
                 tree=tree,
                 backend=backend,
                 num_qubits=qubits,
-                batched=batched,
+                chunk_cap=chunk_cap,
                 runs=len(spans),
                 measured_seconds=sum(span.duration for span in spans),
                 predicted_seconds=predicted_one * len(spans),
@@ -124,7 +120,7 @@ def render_drift(rows: Sequence[DriftRow]) -> str:
     if not rows:
         return "no full-tree engine.run spans recorded; drift unavailable"
     header = (
-        "tree", "backend", "qubits", "mode", "runs",
+        "tree", "backend", "qubits", "cap", "runs",
         "measured s", "predicted s", "drift x",
     )
     table = [header]
@@ -134,7 +130,7 @@ def render_drift(rows: Sequence[DriftRow]) -> str:
                 row.tree,
                 row.backend,
                 str(row.num_qubits),
-                "batched" if row.batched else "sequential",
+                str(row.chunk_cap),
                 str(row.runs),
                 f"{row.measured_seconds:.4f}",
                 f"{row.predicted_seconds:.4f}",

@@ -52,7 +52,7 @@ from repro.analysis.memory import (
     admit_plan,
     statevector_bytes,
 )
-from repro.backends import get_backend
+from repro.backends import DEFAULT_BACKEND_NAME, get_backend
 from repro.circuits.circuit import Circuit
 from repro.circuits.qasm import from_qasm
 from repro.circuits.transpile import fuse_single_qubit_runs
@@ -114,8 +114,7 @@ class SimulationRequest:
     #: Root seed of the trajectory ensemble; responses are a pure function
     #: of ``(circuit, noise, shots, seed)``.
     seed: int = 0
-    #: Backend registry name; ``None`` lets admission pick
-    #: ``"batched"``/``"optimized"``.
+    #: Backend registry name; ``None`` runs the registry default.
     backend: str | None = None
 
     def resolve_circuit(self) -> Circuit:
@@ -173,7 +172,6 @@ def _admission_dict(decision: AdmissionDecision) -> dict[str, Any]:
         "fits_memory": decision.fits_memory,
         "max_batch": decision.max_batch,
         "peak_bytes": decision.peak_bytes,
-        "use_batched": decision.use_batched,
         "reason": decision.reason,
     }
 
@@ -197,7 +195,7 @@ class SimulationServer:
         Budgets of the three cross-request caches.
     cost_model:
         Calibrated :class:`~repro.core.costmodel.CostModel` for admission's
-        traversal pick and the pool's shard sizing.
+        chunk-cap pick and the pool's shard sizing.
     tracer:
         When given (and enabled), each request records spans into its own
         :class:`~repro.obs.tracer.Tracer` (tracers are not thread-safe)
@@ -387,9 +385,7 @@ class SimulationServer:
             response.status = "rejected"
             response.error = decision.reason
             return
-        backend_name = request.backend or (
-            "batched" if decision.use_batched else "optimized"
-        )
+        backend_name = request.backend or DEFAULT_BACKEND_NAME
 
         result: SimulationResult | None = None
         if noiseless:
@@ -504,8 +500,8 @@ class SimulationServer:
                 chunk = keys[begin : begin + _WARM_SAMPLE_CHUNK]
                 streams = [PathStream(key) for key in chunk]
                 # One vectorised block draw, bitwise equal to each stream's
-                # scalar ``.random()`` — the same primitive the batched
-                # traversal's leaf sampling consumes.
+                # scalar ``.random()`` — the same primitive the engine's
+                # leaf sampling consumes.
                 uniforms = draw_block(streams, 1)[:, 0]
                 positions = np.minimum(
                     np.searchsorted(

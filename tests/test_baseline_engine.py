@@ -154,14 +154,16 @@ class _CountingNoiseModel:
 
 
 def test_engine_matches_noise_events_once_per_gate(qft5, depolarizing_model):
-    """Regression: the engine used to call events_for_gate twice per gate
-    (once to apply, once just to count the applications)."""
+    """Noise events are matched once per gate per run, not per node or
+    per chunk."""
     plan = UniformCircuitPartitioner(2).plan(qft5, 32, depolarizing_model)
     counting = _CountingNoiseModel(depolarizing_model)
-    engine = TQSimEngine(counting, seed=4)
+    engine = TQSimEngine(counting, seed=4, max_batch=4)
     result = engine.run(qft5, 32, plan=plan)
-    assert counting.lookups == result.cost.gate_applications
+    assert counting.lookups == qft5.num_gates
     assert result.cost.noise_applications > 0
+    engine.run(qft5, 32, plan=plan)
+    assert counting.lookups == 2 * qft5.num_gates
 
 
 def test_baseline_matches_noise_events_once_per_gate(bv6, depolarizing_model):

@@ -1,7 +1,7 @@
-"""Batched-trajectory backend: kernel equivalence, noise semantics, counts.
+"""Batched trajectories: kernel equivalence, noise semantics, counts.
 
-The ``batched`` backend must advance every row of a ``(B, 2**n)`` block
-exactly like the sequential backends advance a single state, and the
+The ``batched`` registry alias (the optimized backend) must advance every
+row of a ``(B, 2**n)`` block exactly like it advances a single state, and the
 :class:`~repro.core.batched.BatchedTrajectorySimulator` built on it must be
 statistically indistinguishable from the per-shot baseline (and *identical*
 to it, same seed, when no randomness beyond outcome sampling is involved).
@@ -12,7 +12,7 @@ import pytest
 from test_backend_equivalence import random_circuit
 
 from repro.backends import (
-    BatchedNumpyBackend,
+    OptimizedNumpyBackend,
     available_backends,
     get_backend,
 )
@@ -43,15 +43,15 @@ def _random_batch(batch: int, num_qubits: int, rng: np.random.Generator
 # Registry
 # ---------------------------------------------------------------------------
 def test_batched_backend_is_registered():
+    # "batched" survives as an alias of the optimized backend.
     assert "batched" in available_backends()
-    backend = get_backend("batched")
-    assert isinstance(backend, BatchedNumpyBackend)
-    assert isinstance(get_backend("batched_numpy"), BatchedNumpyBackend)
-    assert backend.batch_size >= 1
+    assert isinstance(get_backend("batched"), OptimizedNumpyBackend)
+    assert isinstance(get_backend("batched_numpy"), OptimizedNumpyBackend)
+    assert get_backend("batched").name == "optimized"
 
 
 def test_batched_backend_validates_inputs():
-    backend = BatchedNumpyBackend(batch_size=2)
+    backend = get_backend("batched")
     state = backend.reset_state(backend.allocate_batch(3, 2))
     with pytest.raises(ValueError):
         backend.apply_unitary(state, np.eye(2), (5,))
@@ -60,7 +60,7 @@ def test_batched_backend_validates_inputs():
     with pytest.raises(ValueError):
         backend.apply_unitary(state, np.eye(4), (1, 1))
     with pytest.raises(ValueError):
-        BatchedNumpyBackend(batch_size=0)
+        backend.allocate_batch(3, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -116,12 +116,12 @@ def test_batched_backend_works_in_sequential_engines():
     ).run(circuit, 40)
     # Same kernels, same RNG stream: identical counts.
     assert via_batched.counts == via_optimized.counts
-    assert via_batched.metadata["backend"] == "batched"
+    assert via_batched.metadata["backend"] == "optimized"
 
 
 def test_batched_backend_partial_view():
     """Kernels work on a leading view of the pooled block (partial pass)."""
-    backend = BatchedNumpyBackend(batch_size=8)
+    backend = get_backend("batched")
     buffer = backend.allocate_batch(3, 8)
     state = backend.reset_state(buffer[:3])
     backend.apply_gate(state, Gate.standard("h", (1,)))
@@ -144,7 +144,7 @@ def test_mixture_indices_sampled_per_trajectory(rng):
 
 def test_groupwise_noise_application_partitions_the_batch(rng):
     """Each trajectory gets its own sampled branch, applied group-wise."""
-    backend = BatchedNumpyBackend(batch_size=64)
+    backend = get_backend("batched")
     state = backend.reset_state(backend.allocate_batch(1, 64))
     channel = PauliChannel({"X": 0.5})
     event = NoiseModel(single_qubit_channels=[channel]).events_for_gate(
@@ -163,7 +163,7 @@ def test_batched_noise_without_identity_first_branch(rng):
     """Branch 0 of an identity-not-first mixture must be applied, batched too."""
     x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     always_x = KrausChannel([x], name="always_x", mixture=([1.0], [x]))
-    backend = BatchedNumpyBackend(batch_size=4)
+    backend = get_backend("batched")
     state = backend.reset_state(backend.allocate_batch(1, 4))
     event = NoiseModel(single_qubit_channels=[always_x]).events_for_gate(
         Gate.standard("h", (0,))
@@ -175,7 +175,7 @@ def test_batched_noise_without_identity_first_branch(rng):
 def test_batched_general_kraus_keeps_norm_per_trajectory(rng):
     from repro.noise import AmplitudeDampingChannel
 
-    backend = BatchedNumpyBackend(batch_size=8)
+    backend = get_backend("batched")
     state = _random_batch(8, 3, rng)
     event = NoiseModel(
         single_qubit_channels=[AmplitudeDampingChannel(0.4)]
@@ -190,14 +190,14 @@ def test_batched_general_kraus_keeps_norm_per_trajectory(rng):
 # Batched outcome sampling
 # ---------------------------------------------------------------------------
 def test_sample_outcomes_one_per_trajectory(rng):
-    backend = BatchedNumpyBackend(batch_size=5)
+    backend = get_backend("batched")
     state = backend.reset_state(backend.allocate_batch(2, 5))
     backend.apply_gate(state, Gate.standard("x", (1,)))
     assert backend.sample_outcomes(state, rng) == ["10"] * 5
 
 
 def test_sample_outcomes_vectorized_readout_flips(rng):
-    backend = BatchedNumpyBackend(batch_size=6)
+    backend = get_backend("batched")
     state = backend.reset_state(backend.allocate_batch(2, 6))
     backend.apply_gate(state, Gate.standard("x", (0,)))
     outcomes = backend.sample_outcomes(state, rng, ReadoutError(1.0))
@@ -205,7 +205,7 @@ def test_sample_outcomes_vectorized_readout_flips(rng):
 
 
 def test_sample_outcome_on_batched_state_raises(rng):
-    backend = BatchedNumpyBackend(batch_size=3)
+    backend = get_backend("batched")
     state = backend.reset_state(backend.allocate_batch(2, 3))
     with pytest.raises(ValueError, match="sample_outcomes"):
         backend.sample_outcome(state, rng)
@@ -322,5 +322,3 @@ def test_batched_simulator_validation(ghz3):
         BatchedTrajectorySimulator().run(ghz3, 0)
     with pytest.raises(ValueError):
         BatchedTrajectorySimulator(batch_size=0)
-    with pytest.raises(TypeError, match="batched"):
-        BatchedTrajectorySimulator(backend="optimized")

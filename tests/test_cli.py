@@ -86,7 +86,7 @@ def test_calibrate_prints_table_and_caches(capsys, tmp_path):
                   "batch_row_ns", "sample_ns", "copy_cost_in_gates"):
         assert field in output
     assert f"cached to {cache}" in output
-    assert ("batched", 5) in load_cost_model_cache(str(cache))
+    assert ("optimized", 5) in load_cost_model_cache(str(cache))
 
 
 def test_calibrate_rejects_unknown_backend(capsys):

@@ -126,23 +126,12 @@ def test_dict_round_trip():
 # ----------------------------------------------------------------------
 def test_calibrate_measures_positive_costs():
     model = calibrate_cost_model("batched", num_qubits=4, repeats=4, rounds=1)
-    assert model.backend == "batched"
+    assert model.backend == "optimized"  # "batched" is an alias
     assert model.num_qubits == 4
     for value in (model.gate_ns, model.copy_ns, model.batch_row_ns,
                   model.sample_ns):
         assert value > 0
     assert model.batch_overhead_ns >= 0
-
-
-def test_calibrate_non_batch_backend_degenerate_fit():
-    model = calibrate_cost_model("optimized", num_qubits=4, repeats=4,
-                                 rounds=1)
-    assert model.batch_overhead_ns == 0.0
-    assert model.batch_row_ns == model.gate_ns
-    # The degenerate fit makes both traversal predictions coincide.
-    assert model.plan_seconds((4,), (3,), batched=True) == pytest.approx(
-        model.plan_seconds((4,), (3,), batched=False)
-    )
 
 
 def test_calibrate_validation():
@@ -288,7 +277,7 @@ def test_admit_plan_memory_only_path():
     assert isinstance(decision, AdmissionDecision)
     assert decision.fits_memory
     assert decision.max_batch == 8
-    assert decision.use_batched
+    assert decision.predicted_seconds is None
 
 
 def test_admit_plan_shrinks_batch_under_tight_budget():
@@ -362,8 +351,8 @@ def test_admit_plan_validates_prefix_states():
 
 
 def test_admit_plan_consults_cost_model():
-    # Make batching catastrophically expensive: the model should veto it
-    # even though memory admits the full batch.
+    # Make batching catastrophically expensive: the model should drop the
+    # cap to 1 even though memory admits the full batch.
     slow_batch = synthetic_model(
         batch_overhead_ns=1e9, batch_row_ns=1e9, gate_ns=10.0
     )
@@ -374,7 +363,8 @@ def test_admit_plan_consults_cost_model():
         memory_bytes=8 * 2**30,
         cost_model=slow_batch,
     )
-    assert not decision.use_batched
+    assert decision.max_batch == 1
+    assert "cap 1" in decision.reason
     assert decision.predicted_sequential_seconds is not None
     assert decision.predicted_seconds == pytest.approx(
         decision.predicted_sequential_seconds
@@ -390,7 +380,30 @@ def test_admit_plan_consults_cost_model():
         memory_bytes=8 * 2**30,
         cost_model=fast_batch,
     )
-    assert decision.use_batched
+    assert decision.max_batch == 16
     assert decision.predicted_seconds == pytest.approx(
         decision.predicted_batched_seconds
     )
+
+
+def test_cap_one_verdict_reproduces_default_cap_counts():
+    """A model pricing cap 1 cheaper only changes the chunking: the server
+    hands the admitted cap to the engine and the counts stay bitwise."""
+    from repro.serve import SimulationRequest, SimulationServer
+
+    slow_batch = synthetic_model(
+        num_qubits=4, batch_overhead_ns=1e9, batch_row_ns=1e9, gate_ns=10.0
+    )
+    request = SimulationRequest(
+        circuit=qft_circuit(4), noise=depolarizing_noise_model(), shots=64,
+        seed=3,
+    )
+    with SimulationServer(cost_model=slow_batch) as server:
+        capped = server.handle(request)
+    with SimulationServer() as server:
+        default = server.handle(request)
+    assert capped.ok and default.ok
+    assert capped.admission["max_batch"] == 1
+    assert capped.metadata["max_batch"] == 1
+    assert default.admission["max_batch"] > 1
+    assert capped.counts == default.counts

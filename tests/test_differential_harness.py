@@ -1,20 +1,22 @@
 """Randomized differential testing across every execution path.
 
-Five ways to execute one plan all claim *bitwise-identical* counts and cost
+Six ways to execute one plan all claim *bitwise-identical* counts and cost
 counters under the per-node-path seeding contract (see
 :mod:`repro.core.engine`):
 
-1. sequential tree traversal (``TQSimEngine`` on the ``"optimized"`` backend)
-2. batched tree traversal (``TQSimEngine`` on the ``"batched"`` backend)
-3. in-process sharded dispatch (``SerialDispatcher``)
-4. multiprocess sharded dispatch (``PoolDispatcher``)
-5. deep path-based sharding (``max_depth=2``, splitting below the first layer)
+1. one node at a time (``TQSimEngine(max_batch=1)``, the classic
+   depth-first order)
+2. sibling chunks at the default cap (``TQSimEngine()``)
+3. the reference tensordot kernels (``TQSimEngine(backend="numpy")``)
+4. in-process sharded dispatch (``SerialDispatcher``)
+5. multiprocess sharded dispatch (``PoolDispatcher``)
+6. deep path-based sharding (``max_depth=2``, splitting below the first layer)
 
 This harness keeps that invariant honest with a seeded randomized matrix:
 each case draws a benchmark circuit from the paper suite, a random
 ``(arity, layers)`` manual plan, a random noise model (none / depolarizing /
 depolarizing + readout error / amplitude damping, i.e. a general Kraus
-channel) and random shard counts, then asserts all five paths agree
+channel) and random shard counts, then asserts all six paths agree
 bit-for-bit.  Cases are deterministic per seed, so any failure reproduces
 with ``-k case_NN``.
 """
@@ -43,7 +45,7 @@ def _noise_model(choice: int) -> NoiseModel | None:
         model = depolarizing_noise_model()
         model.readout_error = ReadoutError(0.02, 0.01)
         return model
-    # General Kraus channels exercise the state-dependent per-row fallback.
+    # General Kraus channels exercise the vectorised state-dependent update.
     return NoiseModel(
         single_qubit_channels=[AmplitudeDampingChannel(0.04)],
         two_qubit_channels=[AmplitudeDampingChannel(0.02)],
@@ -89,10 +91,11 @@ def test_all_execution_paths_bitwise_identical(case_seed):
     )
     shots = plan.total_outcomes
 
-    sequential = TQSimEngine(noise, seed=run_seed, backend="optimized").run(
+    sequential = TQSimEngine(noise, seed=run_seed, max_batch=1).run(
         circuit, shots, plan=plan
     )
-    batched = TQSimEngine(noise, seed=run_seed, backend="batched").run(
+    batched = TQSimEngine(noise, seed=run_seed).run(circuit, shots, plan=plan)
+    reference = TQSimEngine(noise, seed=run_seed, backend="numpy").run(
         circuit, shots, plan=plan
     )
     serial = SerialDispatcher(
@@ -117,6 +120,7 @@ def test_all_execution_paths_bitwise_identical(case_seed):
     results = {
         "sequential": sequential,
         "batched": batched,
+        "reference": reference,
         "serial": serial,
         "pooled": pooled,
         "deep": deep,
@@ -141,13 +145,14 @@ def test_all_execution_paths_bitwise_identical(case_seed):
 # Pinned seeding-contract-v2 cases (non-random, exact expected draws)
 # ---------------------------------------------------------------------------
 def test_pinned_general_kraus_five_way_identity(qft5):
-    """A pure general-Kraus model runs all five paths bitwise identically.
+    """A pure general-Kraus model runs every path bitwise identically.
 
-    Amplitude damping's branch probabilities depend on the state, so every
-    path takes the per-row fallback (one uniform per row per application
-    from the row's own path-keyed stream) — the case the vectorised
-    pre-draw must *not* capture.  Pinned (not drawn) so it runs on every
-    invocation, including the multiprocess leg.
+    Amplitude damping's branch probabilities depend on the state; each row
+    still consumes one uniform per application from its own path-keyed
+    stream, pre-drawn with the rest of the subcircuit's noise, and the
+    vectorised Kraus update picks the branch the per-state sampler would.
+    Pinned (not drawn) so it runs on every invocation, including the
+    multiprocess leg.
     """
     noise = NoiseModel(
         single_qubit_channels=[AmplitudeDampingChannel(0.05)],
@@ -155,11 +160,12 @@ def test_pinned_general_kraus_five_way_identity(qft5):
         name="amplitude-damping",
     )
     plan = ManualPartitioner((3, 4, 4)).plan(qft5, 48, noise)
-    reference = TQSimEngine(noise, seed=1234, backend="optimized").run(
+    reference = TQSimEngine(noise, seed=1234, max_batch=1).run(
         qft5, 48, plan=plan
     )
     others = {
-        "batched": TQSimEngine(noise, seed=1234, backend="batched").run(
+        "batched": TQSimEngine(noise, seed=1234).run(qft5, 48, plan=plan),
+        "numpy": TQSimEngine(noise, seed=1234, backend="numpy").run(
             qft5, 48, plan=plan
         ),
         "serial": SerialDispatcher(noise, seed=1234, num_shards=3).run(
@@ -180,11 +186,11 @@ def test_pinned_general_kraus_five_way_identity(qft5):
 def test_pinned_mixed_channel_kinds_interleave_identically(qft5):
     """Mixed-unitary and general-Kraus events inside one subcircuit.
 
-    Depolarizing (mixed-unitary) events draw one uniform per row and
-    amplitude-damping (general-Kraus) applications interleave their draws
-    on the *same* per-row counters, so the all-mixed-unitary pre-draw fast
-    path must decline and the fallback must still match the sequential
-    traversal draw for draw.
+    Depolarizing (mixed-unitary) events and amplitude-damping
+    (general-Kraus) applications each take one uniform per row from the
+    *same* per-row counters, in event order, so one pre-drawn block serves
+    both kinds and every chunk size matches one node at a time draw for
+    draw.
     """
     noise = NoiseModel(
         single_qubit_channels=depolarizing_noise_model()
@@ -193,14 +199,16 @@ def test_pinned_mixed_channel_kinds_interleave_identically(qft5):
         name="depolarizing+damping",
     )
     plan = ManualPartitioner((4, 6)).plan(qft5, 24, noise)
-    sequential = TQSimEngine(noise, seed=77, backend="optimized").run(
+    sequential = TQSimEngine(noise, seed=77, max_batch=1).run(
         qft5, 24, plan=plan
     )
-    batched = TQSimEngine(noise, seed=77, backend="batched").run(
-        qft5, 24, plan=plan
-    )
-    assert batched.counts == sequential.counts
-    assert _counter_tuple(batched) == _counter_tuple(sequential)
+    for batched in (
+        TQSimEngine(noise, seed=77, max_batch=4).run(qft5, 24, plan=plan),
+        TQSimEngine(noise, seed=77).run(qft5, 24, plan=plan),
+        TQSimEngine(noise, seed=77, backend="numpy").run(qft5, 24, plan=plan),
+    ):
+        assert batched.counts == sequential.counts
+        assert _counter_tuple(batched) == _counter_tuple(sequential)
 
 
 def test_pinned_path_keyed_draws_are_reproducible(qft5):

@@ -3,7 +3,7 @@
 The load-bearing contract: sharded execution is *exact*.  Serial dispatch,
 pooled dispatch and a single engine run with the same root seed produce
 bitwise-identical merged counts and cost counters, for any shard count and
-any split depth, on both the sequential and the batched traversal.
+any split depth, through both registry names of the optimized backend.
 """
 
 import pytest

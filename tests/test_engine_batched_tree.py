@@ -1,15 +1,14 @@
-"""Batched-tree vs sequential-tree equivalence for the TQSim engine.
+"""Chunk-size independence of the TQSim engine's sibling-chunk traversal.
 
-The batched traversal must be a pure *execution* change: same plan, same
-seed, same accounted work — identical counts without noise, statistically
-consistent counts with noise, and identical cost counters at every chunk
-size.
+Chunking must be a pure *execution* change: same plan, same seed, same
+accounted work — bitwise identical counts and cost counters at every chunk
+cap, with or without noise.  Cap 1 is the classic one-node-at-a-time order.
 """
 
 import numpy as np
 import pytest
 
-from repro.backends import get_backend
+from repro.backends import OptimizedNumpyBackend, get_backend
 from repro.core import (
     DynamicCircuitPartitioner,
     ManualPartitioner,
@@ -17,9 +16,7 @@ from repro.core import (
     UniformCircuitPartitioner,
 )
 from repro.core.engine import DEFAULT_MAX_TREE_BATCH
-from repro.metrics import total_variation_distance
 from repro.noise import NoiseModel, ReadoutError, depolarizing_noise_model
-from repro.statevector import StatevectorSimulator
 
 
 def _counter_tuple(result):
@@ -40,45 +37,38 @@ def _run(circuit, shots, plan, noise_model=None, seed=7, **engine_kwargs):
 # ---------------------------------------------------------------------------
 # Noiseless equivalence: bitwise-identical counts
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("batch_size", [1, 4, None])
-def test_noiseless_counts_identical_to_sequential(qft5, batch_size):
+@pytest.mark.parametrize("max_batch", [1, 4, None])
+def test_noiseless_counts_identical_to_sequential(qft5, max_batch):
     shots = 96
     plan = UniformCircuitPartitioner(3).plan(qft5, shots, None)
-    sequential = _run(qft5, shots, plan, backend="optimized")
-    batched = _run(qft5, shots, plan, backend="batched", batch_size=batch_size)
+    sequential = _run(qft5, shots, plan, max_batch=1)
+    caps = {} if max_batch is None else {"max_batch": max_batch}
+    batched = _run(qft5, shots, plan, **caps)
     assert batched.counts == sequential.counts
-    assert batched.metadata["execution"] == "tree-batched"
-    assert sequential.metadata["execution"] == "tree-sequential"
+    assert batched.metadata["max_batch"] == (max_batch or DEFAULT_MAX_TREE_BATCH)
 
 
 def test_noiseless_counts_identical_with_full_arity_chunks(qft5):
     shots = 64
     plan = ManualPartitioner((16, 4)).plan(qft5, shots, None)
-    sequential = _run(qft5, shots, plan, backend="optimized")
-    # Full-arity chunks: batch_size set to the largest layer arity.
-    batched = _run(qft5, shots, plan, backend="batched", batch_size=16)
+    sequential = _run(qft5, shots, plan, max_batch=1)
+    # Full-arity chunks: the cap equals the largest layer arity.
+    batched = _run(qft5, shots, plan, max_batch=16)
     assert batched.counts == sequential.counts
 
 
 # ---------------------------------------------------------------------------
-# Noisy equivalence: TVD-consistent counts
+# Noisy equivalence: identical counts
 # ---------------------------------------------------------------------------
 def test_noisy_counts_tvd_consistent(bv6):
     noise_model = depolarizing_noise_model()
     noise_model.readout_error = ReadoutError(0.02)
     shots = 1200
     plan = ManualPartitioner((300, 4)).plan(bv6, shots, noise_model)
-    ideal = StatevectorSimulator().probabilities(bv6)
-    sequential = _run(bv6, shots, plan, noise_model, backend="optimized")
-    batched = _run(bv6, shots, plan, noise_model, backend="batched")
-    # Same physics, different RNG consumption order: both trajectory
-    # ensembles must sit close to the same distribution.
-    tvd_between = total_variation_distance(
-        sequential.probabilities(), batched.probabilities()
-    )
-    assert tvd_between < 0.1
-    assert total_variation_distance(ideal, batched.probabilities()) < \
-        total_variation_distance(ideal, sequential.probabilities()) + 0.05
+    sequential = _run(bv6, shots, plan, noise_model, max_batch=1)
+    batched = _run(bv6, shots, plan, noise_model)
+    # Per-node streams: chunking never changes a draw.
+    assert batched.counts == sequential.counts
 
 
 def test_noisy_counts_mixed_kraus_channels(ghz3):
@@ -90,14 +80,12 @@ def test_noisy_counts_mixed_kraus_channels(ghz3):
     )
     shots = 200
     plan = UniformCircuitPartitioner(2).plan(ghz3, shots, noise_model)
-    sequential = _run(ghz3, shots, plan, noise_model, backend="optimized")
-    batched = _run(ghz3, shots, plan, noise_model, backend="batched")
-    # General Kraus channels take the per-trajectory fallback; the ensembles
-    # still agree and the accounted work is identical.
+    sequential = _run(ghz3, shots, plan, noise_model, max_batch=1)
+    batched = _run(ghz3, shots, plan, noise_model)
+    # The vectorised Kraus update picks every row's branch from that row's
+    # own uniform, so chunking changes neither counts nor accounted work.
+    assert batched.counts == sequential.counts
     assert _counter_tuple(batched) == _counter_tuple(sequential)
-    assert total_variation_distance(
-        sequential.probabilities(), batched.probabilities()
-    ) < 0.15
 
 
 # ---------------------------------------------------------------------------
@@ -109,13 +97,12 @@ def test_cost_counters_identical_across_batch_sizes(qft5, depolarizing_model):
         qft5, shots, depolarizing_model
     )
     full_arity = max(plan.tree.arities)
-    sequential = _run(qft5, shots, plan, depolarizing_model, backend="optimized")
+    sequential = _run(qft5, shots, plan, depolarizing_model, max_batch=1)
     counters = {
-        batch_size: _counter_tuple(
-            _run(qft5, shots, plan, depolarizing_model,
-                 backend="batched", batch_size=batch_size)
+        max_batch: _counter_tuple(
+            _run(qft5, shots, plan, depolarizing_model, max_batch=max_batch)
         )
-        for batch_size in (1, 4, full_arity)
+        for max_batch in (1, 4, full_arity)
     }
     assert counters[1] == counters[4] == counters[full_arity]
     assert counters[1] == _counter_tuple(sequential)
@@ -139,23 +126,12 @@ def test_shots_records_actual_leaves_and_requested_in_metadata(qft5):
 # ---------------------------------------------------------------------------
 # Engine configuration and backend plumbing
 # ---------------------------------------------------------------------------
-def test_batch_size_implies_batched_backend():
-    engine = TQSimEngine(batch_size=8)
-    assert engine.backend.name == "batched"
-    assert engine.chunk_cap == 8
+def test_max_batch_sets_the_chunk_cap():
+    assert TQSimEngine(max_batch=8).max_batch == 8
+    assert TQSimEngine(backend="batched").max_batch == DEFAULT_MAX_TREE_BATCH
 
 
-def test_batch_size_clamped_by_max_batch():
-    engine = TQSimEngine(batch_size=32, max_batch=8)
-    assert engine.chunk_cap == 8
-    assert TQSimEngine(backend="batched").chunk_cap == DEFAULT_MAX_TREE_BATCH
-
-
-def test_batch_size_rejected_on_sequential_backend():
-    with pytest.raises(TypeError):
-        TQSimEngine(backend="optimized", batch_size=4)
-    with pytest.raises(ValueError):
-        TQSimEngine(batch_size=0)
+def test_max_batch_must_be_positive():
     with pytest.raises(ValueError):
         TQSimEngine(max_batch=0)
 
@@ -169,17 +145,10 @@ def test_broadcast_into_copies_state_to_every_row():
     assert np.array_equal(batch, np.broadcast_to(state, (5, 8)))
 
 
-def test_supports_batch_flags():
-    assert get_backend("batched").supports_batch
-    assert not get_backend("optimized").supports_batch
-    assert not get_backend("numpy").supports_batch
-
-
 def test_batched_traversal_honours_out_of_place_backends(qft5):
     """An out-of-place batch backend must still land results in the pool."""
-    from repro.backends import BatchedNumpyBackend
 
-    class OutOfPlaceBatched(BatchedNumpyBackend):
+    class OutOfPlaceBatched(OptimizedNumpyBackend):
         def apply_unitary(self, state, matrix, targets):
             fresh = state.copy()
             super().apply_unitary(fresh, matrix, targets)
@@ -197,8 +166,8 @@ def test_single_layer_plan_runs_batched(ghz3):
     from repro.core import SingleShotPartitioner
 
     plan = SingleShotPartitioner().plan(ghz3, 40, None)
-    sequential = _run(ghz3, 40, plan, backend="optimized")
-    batched = _run(ghz3, 40, plan, backend="batched")
+    sequential = _run(ghz3, 40, plan, max_batch=1)
+    batched = _run(ghz3, 40, plan)
     assert batched.counts == sequential.counts
     assert batched.cost.state_copies == 0
     assert batched.cost.gate_applications == 40 * ghz3.num_gates

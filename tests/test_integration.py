@@ -70,9 +70,11 @@ def test_wall_clock_speedup_tracks_cost_speedup():
     partitioner = DynamicCircuitPartitioner(copy_cost_in_gates=6.0,
                                             margin_of_error=0.2,
                                             min_first_layer_shots=50)
-    tqsim = TQSimEngine(noise, seed=6, copy_cost_in_gates=6.0).run(
-        circuit, shots, partitioner=partitioner
-    )
+    # One node at a time: the execution the per-trajectory counters model
+    # (larger chunks add a batching win on top).
+    tqsim = TQSimEngine(
+        noise, seed=6, copy_cost_in_gates=6.0, max_batch=1
+    ).run(circuit, shots, partitioner=partitioner)
     cost_speedup = tqsim.speedup_over(baseline, copy_cost_in_gates=6.0)
     wall_speedup = tqsim.speedup_over(baseline, use_wall_time=True)
     assert cost_speedup > 1.2

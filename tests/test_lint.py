@@ -252,29 +252,6 @@ def test_backend_signature_violation(tmp_path):
     assert report.findings[0].symbol == "SwappedArgsBackend.apply_unitary"
 
 
-def test_backend_batch_flag_violation(tmp_path):
-    report = lint_fixture(
-        tmp_path,
-        {
-            "src/repro/mybackend.py": """
-            from repro.backends.base import Backend
-
-            class FlagOnlyBackend(Backend):
-                supports_batch = True
-
-                def apply_unitary(self, state, matrix, targets):
-                    return state
-            """
-        },
-        [BackendStaticConformanceRule()],
-    )
-    # broadcast_into comes from the ABC; allocate_batch and sample_outcomes
-    # must be provided by the subclass.
-    assert rule_ids(report) == ["backend-batch-flag", "backend-batch-flag"]
-    missing = " ".join(f.message for f in report.findings)
-    assert "allocate_batch" in missing and "sample_outcomes" in missing
-
-
 def test_backend_registry_lambda_factory(tmp_path):
     report = lint_fixture(
         tmp_path,

@@ -6,8 +6,8 @@ Two families of guarantees:
   buffers, cross-process merge ordering, Chrome/JSONL export schemas,
   summary and drift aggregation, the ambient-tracer context manager.
 * **Inertness** — the load-bearing claim that enabling tracing cannot
-  change results: the five-way bitwise identity (sequential and batched
-  engines, Serial/Pool/Resilient dispatch — the resilient leg with an
+  change results: the five-way bitwise identity (the engine under both
+  registry names, Serial/Pool/Resilient dispatch — the resilient leg with an
   injected worker crash) re-run traced and untraced, plus the
   backward-compatible telemetry views that keep the legacy metadata keys
   byte-for-byte while the counters live on the obs schema.
@@ -523,7 +523,7 @@ def test_serial_dispatch_replayed_prefix_gates_view(qft5):
 def test_engine_spans_carry_path_attributes(qft5):
     plan = _plan(qft5)
     tracer = Tracer()
-    TQSimEngine(_noise(), seed=SEED, backend="optimized", tracer=tracer).run(
+    TQSimEngine(_noise(), seed=SEED, max_batch=1, tracer=tracer).run(
         qft5, SHOTS, plan=plan
     )
     run_span = next(s for s in tracer.spans if s.name == "engine.run")
@@ -531,9 +531,16 @@ def test_engine_spans_carry_path_attributes(qft5):
     assert run_span.attributes["tree"] == str(plan.tree)
     subcircuits = [s for s in tracer.spans if s.name == "engine.subcircuit"]
     assert subcircuits
-    paths = {s.attributes["path"] for s in subcircuits}
-    assert any("/" not in p for p in paths)  # first-layer nodes
-    assert any("/" in p for p in paths)  # second-layer nodes
+    # A chunk's path is its parent node's: the root ("") for first-layer
+    # chunks, a first-layer node for second-layer ones; ``first_child``
+    # names the chunk's first row among the parent's children.
+    parents = {
+        layer: {s.attributes["path"] for s in subcircuits
+                if s.attributes["layer"] == layer}
+        for layer in (0, 1)
+    }
+    assert parents[0] == {""}
+    assert parents[1] == {str(j) for j in range(plan.tree.arities[0])}
     layers = {s.attributes["layer"] for s in subcircuits}
     assert layers == {0, 1}
     leaf_samples = [s for s in tracer.spans if s.name == "engine.leaf_sample"]

@@ -42,11 +42,13 @@ def test_root_key_accepts_seed_sequence_without_mutating_it():
 
 def test_child_keys_matches_scalar_chain():
     parent = run_root_key(13)
-    vectorised = child_keys(parent, 3, 5)
-    assert vectorised.dtype == np.uint64
-    assert [int(k) for k in vectorised] == [
-        child_key(parent, 3 + i) for i in range(5)
-    ]
+    # Small counts take the scalar path, large ones the vectorised hash.
+    for count in (5, 40):
+        vectorised = child_keys(parent, 3, count)
+        assert vectorised.dtype == np.uint64
+        assert [int(k) for k in vectorised] == [
+            child_key(parent, 3 + i) for i in range(count)
+        ]
 
 
 def test_run_root_key_separates_runs():
@@ -66,23 +68,26 @@ def test_sibling_keys_are_decorrelated():
 # ----------------------------------------------------------------------
 def test_uniform_block_matches_scalar_draws():
     key = run_root_key(99)
-    scalar = PathStream(key)
-    values = [scalar.random() for _ in range(6)]
-    block = uniform_block([key], [0], 6)
-    assert block.shape == (1, 6)
-    assert block[0].tolist() == values
+    # Small blocks take the scalar path, large ones the vectorised one.
+    for count in (6, 40):
+        scalar = PathStream(key)
+        values = [scalar.random() for _ in range(count)]
+        block = uniform_block([key], [0], count)
+        assert block.shape == (1, count)
+        assert block[0].tolist() == values
 
 
 def test_uniform_block_single_column_fast_path_consistency():
-    keys = [run_root_key(1), run_root_key(2), run_root_key(3)]
-    counters = [0, 4, 17]
-    wide = uniform_block(keys, counters, 3)
-    for column in range(3):
-        narrow = uniform_block(
-            keys, [c + column for c in counters], 1
-        )
-        assert narrow.shape == (3, 1)
-        assert narrow[:, 0].tolist() == wide[:, column].tolist()
+    for rows in (3, 20):
+        keys = [run_root_key(seed) for seed in range(1, rows + 1)]
+        counters = [(4 * row) % 19 for row in range(rows)]
+        wide = uniform_block(keys, counters, 3)
+        for column in range(3):
+            narrow = uniform_block(
+                keys, [c + column for c in counters], 1
+            )
+            assert narrow.shape == (rows, 1)
+            assert narrow[:, 0].tolist() == wide[:, column].tolist()
 
 
 def test_draw_block_advances_every_stream_like_scalar_draws():

@@ -15,6 +15,7 @@ from __future__ import annotations
 import multiprocessing
 import pickle
 import time
+from concurrent.futures import ProcessPoolExecutor, wait
 
 import pytest
 
@@ -138,6 +139,34 @@ def test_worker_crash_recovers_bitwise(qft5, workers):
         for f in telemetry["failures"]
     )
     assert telemetry["attempts"][1] >= 2
+
+
+def test_crash_before_next_submit_recovers_bitwise(qft5, monkeypatch):
+    """A worker that dies before the next shard is submitted breaks the pool
+    inside ``submit``; the shard is requeued and the pool rebuilt."""
+
+    class SubmitsAfterPreviousFinished(ProcessPoolExecutor):
+        last = None
+
+        def submit(self, fn, /, *args, **kwargs):
+            if self.last is not None:
+                wait([self.last])
+            self.last = super().submit(fn, *args, **kwargs)
+            return self.last
+
+    def make_pool(self, num_workers):
+        context = multiprocessing.get_context(self.mp_context)
+        return SubmitsAfterPreviousFinished(num_workers, mp_context=context)
+
+    monkeypatch.setattr(ResilientPoolDispatcher, "_make_pool", make_pool)
+    result = _resilient(qft5, 2, FaultInjector(crashes=((0, 0),)))
+    _assert_bitwise(result, _serial(qft5))
+    telemetry = _telemetry(result)
+    assert telemetry["pool_rebuilds"] == 1
+    assert any(
+        f["kind"] == "pool-broken" and f["shard"] == 0 and f["attempt"] == 0
+        for f in telemetry["failures"]
+    )
 
 
 # ---------------------------------------------------------------------------
