@@ -22,7 +22,6 @@ def test_fig11_suite_speedups(benchmark, bench_config):
                 "tree": row["tree"],
                 "cost_speedup": row["cost_speedup"],
                 "wall_clock_speedup": row["wall_clock_speedup"],
-                "batched_wall_speedup": row["batched_wall_clock_speedup"],
                 "paper_class_avg": row["paper_class_speedup"],
             }
             for row in result.table()
@@ -66,7 +65,6 @@ def test_fig11_suite_speedups(benchmark, bench_config):
     # Every chunk cap must do exactly the accounted work of cap 1 —
     # always, even on a noisy CI runner.
     assert all(row.counters_match for row in result.batched_rows)
-    assert all(row.batched_counters_match for row in result.rows)
     print(f"default chunk cap vs cap 1: average "
           f"{result.average_batched_tree_speedup:.2f}x, max "
           f"{result.max_batched_tree_speedup:.2f}x")

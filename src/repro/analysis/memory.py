@@ -6,6 +6,7 @@ in this package uses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -72,18 +73,22 @@ def tqsim_simulation_bytes(num_qubits: int, num_subcircuits: int) -> float:
 
 
 def batched_tree_pool_states(arities, max_batch: int) -> int:
-    """Pooled statevectors of the tree engine: ``sum_i min(A_i, cap)``.
+    """Pooled statevectors of the tree engine: ``sum_i min(frontier_i, cap)``.
 
-    The traversal holds one ``(min(A_i, max_batch), 2**n)`` buffer per
-    layer (see :class:`~repro.core.engine.TQSimEngine`); this is its total
-    row count, one state per layer at cap 1.
+    ``frontier_i = A_0 * ... * A_i`` is layer ``i``'s node count.  The
+    traversal's frontier chunks span the children of several parents, so
+    it holds one ``(min(frontier_i, max_batch), 2**n)`` buffer per layer
+    (see :class:`~repro.core.engine.TQSimEngine`); this is their total row
+    count — at most ``layers * cap``, and one state per layer at cap 1.
     """
     if max_batch < 1:
         raise ValueError("max_batch must be >= 1")
     arities = tuple(int(a) for a in arities)
     if not arities or any(a < 1 for a in arities):
         raise ValueError("arities must be a non-empty sequence of >= 1")
-    return sum(min(a, max_batch) for a in arities)
+    return sum(
+        min(math.prod(arities[: i + 1]), max_batch) for i in range(len(arities))
+    )
 
 
 def batched_tree_simulation_bytes(num_qubits: int, arities,
@@ -99,19 +104,21 @@ def max_batch_for_budget(num_qubits: int, arities,
     """Largest ``max_batch`` whose batched-tree pool fits the memory budget.
 
     This is the Figure-9 trade-off knob: a larger cap amortises more
-    per-gate dispatch across sibling trajectories, a smaller one shrinks the
-    ``sum_i min(A_i, cap)`` statevector footprint toward one state per
-    layer.  Returns at least 1 (that footprint) even when the budget is
-    smaller than that.
+    per-gate dispatch across trajectories, a smaller one shrinks the
+    ``sum_i min(frontier_i, cap)`` statevector footprint toward one state
+    per layer.  The pool grows with the cap up to the largest frontier (the
+    leaf count), so the search bisects that range.  Returns at least 1
+    (that footprint) even when the budget is smaller than that.
     """
-    best = 1
-    ceiling = max(int(a) for a in arities)
-    for candidate in range(2, ceiling + 1):
+    low, high = 1, math.prod(int(a) for a in arities)
+    while low < high:
+        middle = (low + high + 1) // 2
         if batched_tree_simulation_bytes(num_qubits, arities,
-                                         candidate) > memory_bytes:
-            break
-        best = candidate
-    return best
+                                         middle) <= memory_bytes:
+            low = middle
+        else:
+            high = middle - 1
+    return low
 
 
 def max_statevector_qubits(memory_bytes: float) -> int:
@@ -134,7 +141,7 @@ def max_density_matrix_qubits(memory_bytes: float) -> int:
 class AdmissionDecision:
     """Outcome of admitting one partition plan under a memory budget.
 
-    ``max_batch`` is the admitted sibling-chunk cap of the engine's
+    ``max_batch`` is the admitted frontier-chunk cap of the engine's
     traversal (1 runs one node at a time, the one-state-per-layer
     footprint) and ``peak_bytes`` the pool size at that cap.  When a
     calibrated :class:`~repro.core.costmodel.CostModel` was supplied, the
@@ -193,7 +200,8 @@ def admit_plan(
         raise ValueError("need one arity per subcircuit")
     prefix_bytes = prefix_states * statevector_bytes(num_qubits)
     pool_budget = memory_bytes - prefix_bytes
-    requested = min(max_batch, max(int(a) for a in arities))
+    # No chunk is wider than the largest frontier, the plan's leaf count.
+    requested = min(max_batch, math.prod(int(a) for a in arities))
     if batched_tree_simulation_bytes(num_qubits, arities, requested) <= pool_budget:
         cap = requested
         reason = "requested batch cap fits the budget"

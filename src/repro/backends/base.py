@@ -20,7 +20,7 @@ both honour this contract.
 Batch axis
 ----------
 Every state method also accepts a ``(B, 2**n)`` block whose rows are
-independent trajectories — the sibling chunks of the engine's tree
+independent trajectories — the frontier chunks of the engine's tree
 traversal.  The kernels of the optimized backend absorb the leading axis;
 the reference backend loops over rows.  The batch helpers below (branch
 sampling, general-Kraus updates, outcome sampling) are written once against
@@ -94,12 +94,24 @@ class Backend(ABC):
     def broadcast_into(self, batch: np.ndarray, state: np.ndarray) -> np.ndarray:
         """Copy one statevector into every row of a ``(B, 2**n)`` batch.
 
-        This is the reuse copy of the engine's tree traversal: a parent's
-        pooled state fans out to ``B`` sibling trajectories in one write.
+        The engine's reuse copy into a deep shard's entry chunk: the
+        replayed prefix state fans out to ``B`` trajectories in one write.
         Each row is a full copy, so callers account ``B`` state copies.
         """
         np.copyto(batch, state.reshape(1, -1) if state.ndim == 1 else state)
         return batch
+
+    def gather_into(
+        self, batch: np.ndarray, parents: np.ndarray, rows: np.ndarray
+    ) -> np.ndarray:
+        """Copy row ``rows[k]`` of ``parents`` into row ``k`` of ``batch``.
+
+        The reuse copy of a frontier chunk whose rows span the children of
+        several parents; callers account ``len(rows)`` state copies.
+        """
+        # "clip" writes straight into ``out``; the default "raise" mode
+        # buffers the whole gather first.  The rows are in range anyway.
+        return np.take(parents, rows, axis=0, out=batch, mode="clip")
 
     # ------------------------------------------------------------------
     # Evolution

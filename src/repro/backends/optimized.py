@@ -24,7 +24,7 @@ Every kernel also advances a ``(B, 2**n)`` block of trajectories in one
 call: the slice views address qubit ``t`` through a trailing
 ``(..., 2, 2**t)`` reshape whose leading axis absorbs the batch dimension,
 so each row evolves bit for bit like a single state.  That is the batch
-axis the engine's sibling-chunk traversal runs on (Figure 8: one small
+axis the engine's frontier-chunk traversal runs on (Figure 8: one small
 statevector update does not fill the machine, so trajectories advance
 together).
 """

@@ -126,11 +126,13 @@ class CostModel:
         """Predicted wall seconds of one tree traversal of the plan.
 
         Mirrors the engine's execution shape layer by layer: layer ``i``
-        runs ``prod(arities[:i+1])`` nodes, each reuse node costs one copy,
-        and siblings execute in chunks of at most ``max_batch`` rows, each
-        gate costing one kernel call at the affine batched rate.
-        ``batched=False`` prices one node at a time (cap 1) at the
-        single-state ``gate_ns`` instead.  Leaves add one outcome draw each.
+        runs ``frontier_i = prod(arities[:i+1])`` nodes, each reuse node
+        costs one copy, and the nodes execute in ``ceil(frontier_i /
+        max_batch)`` frontier chunks (a chunk spans the children of several
+        parents), each gate costing one kernel call per chunk at the affine
+        batched rate.  ``batched=False`` prices one node at a time (cap 1)
+        at the single-state ``gate_ns`` instead.  Leaves add one outcome
+        draw each.
         """
         arities = [int(a) for a in arities]
         lengths = [int(length) for length in subcircuit_lengths]
@@ -141,20 +143,12 @@ class CostModel:
         total_ns = 0.0
         nodes = 1
         for layer, (arity, length) in enumerate(zip(arities, lengths)):
-            parents = nodes
             nodes *= arity
             if batched:
-                full, rest = divmod(arity, max_batch)
-                per_parent_ns = length * (
-                    full
-                    * (self.batch_overhead_ns + max_batch * self.batch_row_ns)
-                    + (
-                        self.batch_overhead_ns + rest * self.batch_row_ns
-                        if rest
-                        else 0.0
-                    )
+                chunks = -(-nodes // max_batch)
+                total_ns += length * (
+                    chunks * self.batch_overhead_ns + nodes * self.batch_row_ns
                 )
-                total_ns += parents * per_parent_ns
             else:
                 total_ns += nodes * length * self.gate_ns
             if layer >= 1:

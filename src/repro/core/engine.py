@@ -6,14 +6,20 @@ layer ``i`` copies its parent's intermediate state, applies subcircuit ``i``
 with freshly sampled noise, and hands the resulting state to its ``A_{i+1}``
 children; leaves sample one measurement outcome each.
 
-One traversal implements that contract: the ``A_{i+1}`` sibling subtrees
-below a reuse node execute *together*, in chunks of at most ``max_batch``
-rows.  The parent's state is broadcast into a ``(B, 2**n)`` block and the
+One traversal implements that contract, over *frontier chunks*.  The
+layer-``i+1`` nodes below a chunk of layer-``i`` nodes are the chunk's
+flattened children (row ``r``'s child ``c`` is flat index
+``r * A_{i+1} + c``), and they execute *together*, the next at most
+``max_batch`` of them per chunk — so one chunk spans the children of
+several parents, and layer ``i`` runs about ``ceil(frontier_i / cap)``
+chunks, where ``frontier_i = A_0 * ... * A_i`` is its node count.  One row
+gather copies every row's parent state into a ``(B, 2**n)`` block and the
 child subcircuit runs once through the backend's batched kernels instead of
 ``B`` separate passes (the paper's Figure-8 argument: one small statevector
 update does not fill the machine).  At the leaf layer all ``B`` outcomes are
-drawn in one inverse-CDF pass.  The pool holds one ``(min(A_i, cap), 2**n)``
-buffer per layer, so peak memory is ``sum_i min(A_i, cap)`` statevectors;
+drawn in one inverse-CDF pass.  The pool holds one
+``(min(frontier_i, cap), 2**n)`` buffer per layer, so peak memory is
+``sum_i min(frontier_i, cap)`` statevectors, at most ``layers * cap``;
 ``max_batch=1`` is the classic depth-first order with one statevector per
 layer (the Figure-9 footprint).  Every backend runs this traversal — the
 reference backend by looping its kernels over rows — and ``"batched"`` is
@@ -22,7 +28,7 @@ only a registry alias of the optimized backend.
 Cost counters keep per-trajectory semantics at every chunk size
 (``gate_applications``, ``state_copies``, ``leaf_samples``,
 ``noise_applications``): a kernel advancing ``B`` rows counts as ``B``
-applications, and a broadcast into ``B`` rows counts as ``B`` reuse copies.
+applications, and a gather into ``B`` rows counts as ``B`` reuse copies.
 
 Seeding (contract v2)
 ---------------------
@@ -74,6 +80,7 @@ from repro.core.pathrng import (
     PathStream,
     child_key,
     child_keys,
+    child_keys_multi,
     draw_block,
     root_key_from_seed,
 )
@@ -98,9 +105,10 @@ def _path_label(path: Sequence[int]) -> str:
     """Span-attribute form of a tree path: ``"1/3"``; the root is ``""``."""
     return "/".join(str(component) for component in path)
 
-#: Default ceiling on the sibling-chunk size of the traversal.  Each layer's
-#: pooled buffer holds ``min(A_i, max_batch)`` statevectors, so this bounds
-#: peak memory at ``num_layers * max_batch`` states regardless of arity.
+#: Default ceiling on the frontier-chunk size of the traversal.  Each
+#: layer's pooled buffer holds ``min(frontier_i, max_batch)`` statevectors,
+#: so this bounds peak memory at ``num_layers * max_batch`` states
+#: regardless of arity.
 DEFAULT_MAX_TREE_BATCH = 64
 
 
@@ -226,6 +234,32 @@ class _LayerNoise(NamedTuple):
     draws: int
 
 
+class _Walk(NamedTuple):
+    """What every chunk of one :meth:`TQSimEngine._run_tree` call shares."""
+
+    plan: PartitionPlan
+    noise: Sequence[_LayerNoise]
+    #: ``pool[i]``: layer ``i``'s ``(min(frontier_i, cap), 2**n)`` buffer.
+    pool: dict[int, np.ndarray]
+    counts: dict[str, int]
+    cost: CostCounters
+    tracer: AnyTracer
+    assignment: SubtreeAssignment
+
+
+def _chunk_labels(walk: _Walk, layer: int, first: int) -> tuple[str, int]:
+    """Span labels of a chunk: the path of its first row's parent, and that
+    row's child index.  ``first`` is the row's index among ``layer``'s
+    nodes under the traversed slice; both labels are exact at cap 1."""
+    assignment = walk.assignment
+    digits = []
+    for arity in reversed(walk.plan.tree.arities[assignment.depth + 1 : layer + 1]):
+        first, digit = divmod(first, arity)
+        digits.append(digit)
+    path = (*assignment.path, assignment.child_start + first, *reversed(digits))
+    return _path_label(path[:-1]), path[-1]
+
+
 class TQSimEngine:
     """Tree-based quantum circuit simulator (the paper's TQSim)."""
 
@@ -254,10 +288,13 @@ class TQSimEngine:
             ``SeedSequence`` may be passed (shared-root dispatch); it is
             folded without being mutated.
         max_batch:
-            Sibling-chunk cap: the per-layer pooled buffers hold
-            ``min(A_i, max_batch)`` statevectors.  Larger values amortise
-            more Python dispatch per kernel call; ``1`` runs one node at a
-            time with one statevector per layer.  Counts never depend on it.
+            Frontier-chunk cap: a chunk runs at most ``max_batch`` nodes of
+            one layer, spanning the children of several parents, and the
+            per-layer pooled buffers hold ``min(frontier_i, max_batch)``
+            statevectors (``frontier_i`` is layer ``i``'s node count).
+            Larger values amortise more Python dispatch per kernel call;
+            ``1`` runs one node at a time with one statevector per layer.
+            Counts never depend on it.
         tracer:
             Observability hook (see :mod:`repro.obs`).  ``None`` — the
             default — defers to the process-wide tracer from
@@ -432,12 +469,8 @@ class TQSimEngine:
                     tracer,
                 )
                 self._run_tree(
-                    circuit, plan, noise, counts, cost, assignment.child_keys,
-                    start_layer=assignment.depth,
-                    parent_state=prefix_state,
-                    tracer=tracer,
-                    entry_path=assignment.path,
-                    child_start=assignment.child_start,
+                    circuit, plan, noise, counts, cost, assignment,
+                    prefix_state, tracer,
                 )
             run_span.set(shots=produced)
         cost.wall_time_seconds = clock.perf_seconds() - start
@@ -618,165 +651,134 @@ class TQSimEngine:
         noise: Sequence[_LayerNoise],
         counts: dict[str, int],
         cost: CostCounters,
-        entry_keys: Sequence[int],
-        start_layer: int = 0,
-        parent_state: np.ndarray | None = None,
+        assignment: SubtreeAssignment,
+        parent_state: np.ndarray | None,
         tracer: AnyTracer = NULL_TRACER,
-        entry_path: tuple[int, ...] = (),
-        child_start: int = 0,
     ) -> None:
-        """Depth-first traversal over chunks of sibling subtrees.
+        """Depth-first traversal over frontier chunks.
 
-        Runs the ``len(entry_keys)`` subtrees rooted at ``start_layer``
-        (the whole tree when ``start_layer`` is 0).  ``pool[i]`` is a
-        ``(min(A_i, cap), 2**n)`` buffer whose live rows are the layer-``i``
-        siblings of the current chunk.  Per layer, ``pending`` counts
-        siblings of the current parent not yet simulated, ``cursor`` the
-        child index the next chunk starts at, ``loaded`` the rows of the
-        live chunk, and ``expanded`` how many of those rows have already had
-        their own subtrees executed.  A chunk is simulated with one batched
-        kernel call per gate; leaf chunks sample all their outcomes in one
-        batched call and are consumed immediately, while interior chunks are
-        expanded row by row before the next sibling chunk overwrites the
-        buffer.
+        Runs the subtrees ``assignment`` covers (the whole tree for the root
+        path).  The nodes of layer ``i`` below the live layer-``i-1`` chunk
+        are that chunk's flattened children — row ``r``'s child ``c`` is
+        flat index ``r * A_i + c`` — and each chunk takes the next at most
+        ``max_batch`` of them, so one chunk spans the children of several
+        parents and layer ``i`` runs about ``ceil(frontier_i / cap)``
+        chunks, where ``frontier_i`` is the layer's node count.  ``pool[i]``
+        is a ``(min(frontier_i, cap), 2**n)`` buffer.  A chunk runs one
+        batched kernel call per gate; leaf chunks sample all their outcomes
+        in one batched call, and interior chunks run all their children
+        (:meth:`_run_chunk` recurses once per layer) before the next chunk
+        overwrites the buffer.
 
         Random streams: every row of a chunk is its own tree node with its
-        own :class:`~repro.core.pathrng.PathStream` (``entry_keys`` at the
-        entry layer, the :func:`~repro.core.pathrng.child_keys` chain
+        own :class:`~repro.core.pathrng.PathStream` (the assignment's child
+        keys at the entry layer, :func:`~repro.core.pathrng.child_keys_multi`
         below), so a chunk draws all rows' uniforms in one block while the
         operator application stays vectorised.  Draws therefore depend only
-        on a node's path — never on
-        the chunk cap, the arity of sibling layers, or how nodes were
-        grouped into batches — which is what makes both the chunking and any
-        sharding of the tree bitwise reproducible.
+        on a node's path — never on the chunk cap or how nodes were grouped
+        into chunks — which is what makes both the chunking and any sharding
+        of the tree bitwise reproducible.
         """
-        backend = self.backend
-        arities = plan.tree.arities
-        num_layers = plan.tree.num_subcircuits
-        subcircuits = plan.subcircuits
-        readout = self.noise_model.readout_error if self.noise_model else None
+        start = assignment.depth
         cap = self.max_batch
-
-        def arity_at(layer: int) -> int:
-            return len(entry_keys) if layer == start_layer else arities[layer]
-
-        pool: dict[int, np.ndarray] = {
-            layer: backend.allocate_batch(
-                circuit.num_qubits, min(arity_at(layer), cap)
+        pool: dict[int, np.ndarray] = {}
+        frontier = 1
+        fanout = (assignment.child_count, *plan.tree.arities[start + 1 :])
+        for layer, arity in enumerate(fanout, start):
+            frontier *= arity
+            pool[layer] = self.backend.allocate_batch(
+                circuit.num_qubits, min(frontier, cap)
             )
-            for layer in range(start_layer, num_layers)
-        }
-        leaf = num_layers - 1
-
-        pending = [0] * num_layers
-        cursor = [0] * num_layers  # children consumed for the current parent
-        loaded = [0] * num_layers
-        expanded = [0] * num_layers
-        parent: list[np.ndarray | None] = [None] * num_layers
-        parent_key: list[int] = [0] * num_layers
-        chunk_keys: list[list[int]] = [[] for _ in range(num_layers)]
-        traced = tracer.enabled
-        # Span labels only: the tree path of the parent node whose children
-        # run at each layer, and the node id of each live chunk's first row.
-        node_label: list[str] = [""] * num_layers
-        chunk_first_id = [0] * num_layers
-        node_label[start_layer] = _path_label(entry_path)
-        pending[start_layer] = len(entry_keys)
-        layer = start_layer
-        while layer >= start_layer:
-            if expanded[layer] < loaded[layer]:
-                # Descend into the next unexpanded row of the live chunk.
-                row = pool[layer][expanded[layer]]
-                row_key = chunk_keys[layer][expanded[layer]]
-                if traced:
-                    row_id = chunk_first_id[layer] + expanded[layer]
-                    node_label[layer + 1] = (
-                        f"{node_label[layer]}/{row_id}" if node_label[layer]
-                        else str(row_id)
-                    )
-                expanded[layer] += 1
-                layer += 1
-                parent[layer] = row
-                parent_key[layer] = row_key
-                pending[layer] = arities[layer]
-                cursor[layer] = 0
-                loaded[layer] = 0
-                expanded[layer] = 0
-                continue
-            if pending[layer] == 0:
-                # Every sibling at this layer is done; pop back up.
-                layer -= 1
-                continue
-            chunk = min(pool[layer].shape[0], pending[layer])
-            batch = pool[layer][:chunk]
-            base = cursor[layer]
-            if traced:
-                chunk_first_id[layer] = (
-                    child_start + base if layer == start_layer else base
-                )
-            if layer == start_layer:
-                key_slice = [int(k) for k in entry_keys[base : base + chunk]]
-                if parent_state is None:
-                    # Root-path chunks start from |0...0> like the baseline;
-                    # resets are not reuse copies.
-                    backend.reset_state(batch)
-                else:
-                    with (
-                        tracer.span("engine.copy", path=node_label[layer],
-                                    layer=layer, rows=chunk)
-                        if traced
-                        else NULL_SPAN
-                    ):
-                        backend.broadcast_into(batch, parent_state)
-                    cost.state_copies += chunk
+        walk = _Walk(plan, noise, pool, counts, cost, tracer, assignment)
+        keys = np.asarray(assignment.child_keys, dtype=np.uint64)
+        for first in range(0, len(keys), cap):
+            batch = pool[start][: min(cap, len(keys) - first)]
+            if parent_state is None:
+                # Root-path chunks start from |0...0> like the baseline;
+                # resets are not reuse copies.
+                self.backend.reset_state(batch)
             else:
-                # One vectorised hash derives the whole chunk's node keys.
-                key_slice = [
-                    int(k) for k in child_keys(parent_key[layer], base, chunk)
-                ]
                 with (
-                    tracer.span("engine.copy", path=node_label[layer],
-                                layer=layer, rows=chunk)
-                    if traced
+                    tracer.span("engine.copy", path=_path_label(assignment.path),
+                                layer=start, rows=len(batch))
+                    if tracer.enabled
                     else NULL_SPAN
                 ):
-                    backend.broadcast_into(batch, parent[layer])
-                cost.state_copies += chunk
-            row_rngs = [PathStream(key) for key in key_slice]
+                    self.backend.broadcast_into(batch, parent_state)
+                cost.state_copies += len(batch)
+            self._run_chunk(
+                walk, start, batch, keys[first : first + len(batch)], first
+            )
+
+    def _run_chunk(
+        self,
+        walk: _Walk,
+        layer: int,
+        batch: np.ndarray,
+        keys: np.ndarray,
+        first: int,
+    ) -> None:
+        """Apply subcircuit ``layer`` to one loaded chunk, then sample its
+        leaves or run its children.  ``first`` is row 0's index among the
+        layer's nodes under the traversed slice."""
+        tracer = walk.tracer
+        plan = walk.plan
+        path, first_child = (
+            _chunk_labels(walk, layer, first) if tracer.enabled else ("", 0)
+        )
+        row_rngs = [PathStream(key) for key in keys.tolist()]
+        with (
+            tracer.span(
+                "engine.subcircuit", path=path, layer=layer,
+                gates=len(plan.subcircuits[layer]), rows=len(batch),
+                first_child=first_child,
+            )
+            if tracer.enabled
+            else NULL_SPAN
+        ):
+            state = self._apply_subcircuit(
+                batch, plan.subcircuits[layer], walk.noise[layer], walk.cost,
+                row_rngs, tracer,
+            )
+        if state is not batch:
+            # Honour the mutation contract for out-of-place backends:
+            # leaves are sampled from, and children gathered out of, the
+            # pooled buffer, so the result must land in it.
+            np.copyto(batch, state)
+        if layer + 1 == plan.tree.num_subcircuits:
+            readout = self.noise_model.readout_error if self.noise_model else None
             with (
-                tracer.span(
-                    "engine.subcircuit", path=node_label[layer], layer=layer,
-                    gates=len(subcircuits[layer]), rows=chunk,
-                    first_child=chunk_first_id[layer],
-                )
-                if traced
+                tracer.span("engine.leaf_sample", path=path, rows=len(batch))
+                if tracer.enabled
                 else NULL_SPAN
             ):
-                state = self._apply_subcircuit(
-                    batch, subcircuits[layer], noise[layer], cost, row_rngs,
-                    tracer,
+                outcomes = self.backend.sample_outcomes_multi(
+                    batch, row_rngs, readout
                 )
-            if state is not batch:
-                # Honour the mutation contract for out-of-place backends:
-                # leaves are sampled from, and children expanded out of,
-                # the pooled buffer, so the result must land in it.
-                np.copyto(batch, state)
-            cursor[layer] = base + chunk
-            pending[layer] -= chunk
-            if layer == leaf:
-                with (
-                    tracer.span("engine.leaf_sample",
-                                path=node_label[layer], rows=chunk)
-                    if traced
-                    else NULL_SPAN
-                ):
-                    outcomes = backend.sample_outcomes_multi(
-                        batch, row_rngs, readout
-                    )
-                for bitstring in outcomes:
-                    counts[bitstring] = counts.get(bitstring, 0) + 1
-                cost.leaf_samples += chunk
-            else:
-                chunk_keys[layer] = key_slice
-                loaded[layer] = chunk
-                expanded[layer] = 0
+            for bitstring in outcomes:
+                walk.counts[bitstring] = walk.counts.get(bitstring, 0) + 1
+            walk.cost.leaf_samples += len(batch)
+            return
+        # The children run in frontier chunks: one row gather copies each
+        # chunk's parent rows in, and one vectorised hash derives its keys.
+        layer += 1
+        arity = plan.tree.arities[layer]
+        buffer = walk.pool[layer]
+        total = len(batch) * arity
+        for begin in range(0, total, len(buffer)):
+            rows, children = np.divmod(
+                np.arange(begin, min(begin + len(buffer), total)), arity
+            )
+            child_first = first * arity + begin
+            with (
+                tracer.span("engine.copy", layer=layer, rows=len(rows),
+                            path=_chunk_labels(walk, layer, child_first)[0])
+                if tracer.enabled
+                else NULL_SPAN
+            ):
+                self.backend.gather_into(buffer[: len(rows)], batch, rows)
+            walk.cost.state_copies += len(rows)
+            self._run_chunk(
+                walk, layer, buffer[: len(rows)],
+                child_keys_multi(keys[rows], children), child_first,
+            )

@@ -44,6 +44,7 @@ __all__ = [
     "all_path_streams",
     "child_key",
     "child_keys",
+    "child_keys_multi",
     "draw_block",
     "root_key_from_seed",
     "run_root_key",
@@ -188,18 +189,37 @@ def child_key(parent_key: int, index: int) -> int:
 def child_keys(parent_key: int, start: int, count: int) -> np.ndarray:
     """Keys of children ``start .. start+count-1``, as one uint64 array.
 
-    Vectorised form of :func:`child_key` for the tree traversal's chunk
-    setup; ``child_keys(p, s, c)[i] == child_key(p, s + i)`` bitwise.
+    ``child_keys(p, s, c)[i] == child_key(p, s + i)`` bitwise.
     """
-    if count <= _SCALAR_CUTOFF:
+    return child_keys_multi(
+        np.full(count, parent_key & _MASK, dtype=_U64),
+        np.arange(start, start + count, dtype=_U64),
+    )
+
+
+def child_keys_multi(
+    parent_keys: np.ndarray | Sequence[int],
+    indices: np.ndarray | Sequence[int],
+) -> np.ndarray:
+    """Keys of child ``indices[k]`` of the node keyed ``parent_keys[k]``.
+
+    Vectorised form of :func:`child_key` for the tree traversal's frontier
+    chunks, whose rows span the children of several parents:
+    ``child_keys_multi(p, c)[k] == child_key(p[k], c[k])`` bitwise.
+    """
+    parents = np.asarray(parent_keys, dtype=_U64)
+    positions = np.asarray(indices, dtype=_U64)
+    if positions.size <= _SCALAR_CUTOFF:
         return np.array(
-            [child_key(parent_key, i) for i in range(start, start + count)],
+            [
+                child_key(parent, index)
+                for parent, index in zip(parents.tolist(), positions.tolist())
+            ],
             dtype=_U64,
         )
-    indices = np.arange(start, start + count, dtype=_U64)
     with np.errstate(over="ignore"):
-        mixed = _mix64_raw(indices * _GOLDEN_U64 + _MIX_2_U64)
-        return _mix64_raw(_U64(parent_key & _MASK) ^ mixed)
+        mixed = _mix64_raw(positions * _GOLDEN_U64 + _MIX_2_U64)
+        return _mix64_raw(parents ^ mixed)
 
 
 def run_root_key(

@@ -129,14 +129,7 @@ DEFAULT_CONFIG = ExperimentConfig()
 
 @dataclass
 class ComparisonRow:
-    """Baseline-vs-TQSim comparison for one circuit.
-
-    When the comparison also ran the ``"batched"`` leg (see
-    :func:`compare_simulators` with ``include_batched_tree=True``) the
-    ``batched_*`` fields hold the same plan executed a second time through
-    the ``"batched"`` registry alias; ``batched_tree_speedup`` is the
-    measured wall-clock ratio of the ``tqsim`` leg over that leg.
-    """
+    """Baseline-vs-TQSim comparison for one circuit."""
 
     name: str
     num_qubits: int
@@ -149,9 +142,6 @@ class ComparisonRow:
     cost_speedup: float
     wall_clock_speedup: float
     tree: str
-    tqsim_batched: SimulationResult | None = None
-    batched_wall_clock_speedup: float | None = None
-    batched_tree_speedup: float | None = None
     tqsim_calibrated: SimulationResult | None = None
     calibrated_tree: str | None = None
     calibrated_wall_clock_speedup: float | None = None
@@ -162,17 +152,6 @@ class ComparisonRow:
     def fidelity_difference(self) -> float:
         """|NF_baseline - NF_tqsim| (the Figure-14 metric)."""
         return abs(self.baseline_normalized_fidelity - self.tqsim_normalized_fidelity)
-
-    @property
-    def batched_counters_match(self) -> bool | None:
-        """True when the batched leg's cost counters equal the tqsim leg's.
-
-        Wall time is excluded — the whole point is that the same accounted
-        work takes less of it.  ``None`` when the batched leg did not run.
-        """
-        if self.tqsim_batched is None:
-            return None
-        return self.tqsim.cost.matches(self.tqsim_batched.cost)
 
     def as_dict(self) -> dict[str, Any]:
         """Flat representation for report tables."""
@@ -188,10 +167,6 @@ class ComparisonRow:
             "tqsim_nf": self.tqsim_normalized_fidelity,
             "fidelity_difference": self.fidelity_difference,
         }
-        if self.tqsim_batched is not None:
-            row["batched_wall_clock_speedup"] = self.batched_wall_clock_speedup
-            row["batched_tree_speedup"] = self.batched_tree_speedup
-            row["batched_counters_match"] = self.batched_counters_match
         if self.tqsim_calibrated is not None:
             row["calibrated_tree"] = self.calibrated_tree
             row["calibrated_wall_clock_speedup"] = (
@@ -228,7 +203,7 @@ class BatchedTreeMeasurement:
     Both runs execute the *same* plan with the same seed, one at chunk cap
     1 (the classic depth-first order) and one at the default cap, so their
     counts are bitwise equal and their cost counters identical; the
-    speedup is pure execution efficiency from running sibling subtrees
+    speedup is pure execution efficiency from running whole frontier chunks
     through the batched kernels.
     """
 
@@ -583,7 +558,6 @@ def compare_simulators(
     noise_model: NoiseModel | None,
     config: ExperimentConfig = DEFAULT_CONFIG,
     partitioner: CircuitPartitioner | None = None,
-    include_batched_tree: bool = False,
     include_calibrated: bool = False,
     cost_model: CostModel | None = None,
 ) -> ComparisonRow:
@@ -596,19 +570,13 @@ def compare_simulators(
     used as the reference for both normalized-fidelity values, mirroring the
     paper's methodology (Section 4.1).
 
-    With ``include_batched_tree=True`` the *same* partition plan is executed
-    a second time with ``backend="batched"`` and the same seed, populating
-    the row's ``batched_*`` fields.  ``"batched"`` is a registry alias of the
-    optimized backend and every engine runs one chunked traversal, so the
-    leg checks that the alias reproduces the ``tqsim`` leg's counters.
-
-    With ``include_calibrated=True`` a third leg plans the circuit with the
+    With ``include_calibrated=True`` a further leg plans the circuit with the
     cost-model-priced DCP search (see
     :meth:`ExperimentConfig.calibrated_dcp_partitioner`) and executes the
     winning plan on the engine.  ``calibrated_vs_analytic_speedup`` is the
-    measured wall-time ratio of the analytic plan over the calibrated plan
-    *on the same backend* (the batched leg when it ran, the ``tqsim`` leg
-    otherwise), so it isolates the plan choice from the kernel family.
+    measured wall-time ratio of the analytic plan (the ``tqsim`` leg) over
+    the calibrated plan on the same backend, so it isolates the plan
+    choice from the kernel family.
     ``cost_model`` defaults to :func:`~repro.core.costmodel.get_cost_model`
     for the default backend at the circuit's width.
     """
@@ -633,24 +601,6 @@ def compare_simulators(
     plan = partitioner.plan(circuit, config.shots, noise_model)
     tqsim_result = engine.run(circuit, config.shots, plan=plan)
 
-    batched_result = None
-    batched_wall_clock_speedup = None
-    batched_tree_speedup = None
-    if include_batched_tree:
-        batched_engine = TQSimEngine(
-            noise_model,
-            seed=config.seed + 1,
-            backend="batched",
-            copy_cost_in_gates=config.copy_cost_in_gates,
-        )
-        batched_result = batched_engine.run(circuit, config.shots, plan=plan)
-        batched_wall_clock_speedup = batched_result.speedup_over(
-            baseline_result, use_wall_time=True
-        )
-        batched_tree_speedup = batched_result.speedup_over(
-            tqsim_result, use_wall_time=True
-        )
-
     calibrated_result = None
     calibrated_tree = None
     calibrated_wall_clock_speedup = None
@@ -668,17 +618,12 @@ def compare_simulators(
             backend="batched",
             copy_cost_in_gates=cost_model.copy_cost_in_gates,
         ).run(circuit, config.shots, plan=calibrated_plan)
-        # Compare plan against plan on the same backend: the batched leg when
-        # it ran, otherwise the tqsim leg.
-        analytic_leg = (
-            batched_result if batched_result is not None else tqsim_result
-        )
         calibrated_tree = str(calibrated_plan.tree)
         calibrated_wall_clock_speedup = calibrated_result.speedup_over(
             baseline_result, use_wall_time=True
         )
         calibrated_vs_analytic_speedup = (
-            analytic_leg.cost.wall_time_seconds
+            tqsim_result.cost.wall_time_seconds
             / calibrated_result.cost.wall_time_seconds
         )
         calibrated_predicted_seconds = calibrated_plan.parameters.get(
@@ -703,9 +648,6 @@ def compare_simulators(
             baseline_result, use_wall_time=True
         ),
         tree=tqsim_result.metadata.get("tree", "(?)"),
-        tqsim_batched=batched_result,
-        batched_wall_clock_speedup=batched_wall_clock_speedup,
-        batched_tree_speedup=batched_tree_speedup,
         tqsim_calibrated=calibrated_result,
         calibrated_tree=calibrated_tree,
         calibrated_wall_clock_speedup=calibrated_wall_clock_speedup,

@@ -6,11 +6,11 @@ the node's memory limit — and converts that otherwise idle memory into a
 side is the DCP plan's cost model (BV circuits only ever split into two
 subcircuits, capping the ideal speedup near 1.5x).
 
-The tree engine's sibling chunks turn the same idle memory into
+The tree engine's frontier chunks turn the same idle memory into
 *throughput*: each
-width also reports the largest ``max_batch`` whose ``sum_i min(A_i, cap)``
-pooled statevectors still fit half the node, i.e. how far the sibling fan-out
-can be batched before hitting the Figure-9 budget.  A small measured point
+width also reports the largest ``max_batch`` whose ``sum_i min(frontier_i,
+cap)`` pooled statevectors still fit half the node, i.e. how far each tree
+layer can be batched before hitting the Figure-9 budget.  A small measured point
 (at a width the harness can actually simulate) runs the identical plan shape
 at chunk cap 1 and at the default cap to show the batching win is real, with
 matching cost counters.

@@ -145,8 +145,7 @@ def _measure_high_arity(circuit, noise_model,
 def run(config: ExperimentConfig = DEFAULT_CONFIG) -> SuiteSweepResult:
     """Run baseline-vs-TQSim on every suite circuit within the width budget.
 
-    Every row also carries the ``"batched"`` alias leg executing the same DCP
-    plan (``ComparisonRow.batched_*``) plus the calibrated leg
+    Every row also carries the calibrated leg
     (``ComparisonRow.calibrated_*``) — the cost-model-priced plan search
     executed on the engine, with the measured analytic-vs-calibrated
     wall-time ratio — and ``batched_rows`` holds the dedicated high-arity
@@ -158,7 +157,6 @@ def run(config: ExperimentConfig = DEFAULT_CONFIG) -> SuiteSweepResult:
     for spec, circuit in benchmark_suite(max_qubits=config.max_qubits,
                                          seed=config.seed):
         row = compare_simulators(circuit, noise_model, config,
-                                 include_batched_tree=True,
                                  include_calibrated=True)
         result.specs.append(spec)
         result.rows.append(row)

@@ -64,6 +64,7 @@ from repro.core.pathrng import (
     PathStream,
     child_key,
     child_keys,
+    child_keys_multi,
     draw_block,
     run_root_key,
 )
@@ -450,15 +451,15 @@ class SimulationServer:
     # -- the warm fast path ---------------------------------------------
     def _leaf_keys(self, seed: int, arities: Sequence[int]) -> list[int]:
         """Every leaf's path key, exactly as run 0 of a fresh engine derives
-        them: first-layer keys from the run key, each deeper layer by the
-        vectorised ``child_keys`` chain."""
-        run_key = run_root_key(seed)
-        level = [int(k) for k in child_keys(run_key, 0, arities[0])]
+        them: first-layer keys from the run key, then each deeper layer's
+        whole frontier in one ``child_keys_multi`` call, the engine's own
+        derivation."""
+        level = child_keys(run_root_key(seed), 0, arities[0])
         for arity in arities[1:]:
-            level = [
-                int(c) for key in level for c in child_keys(key, 0, arity)
-            ]
-        return level
+            level = child_keys_multi(
+                np.repeat(level, arity), np.tile(np.arange(arity), len(level))
+            )
+        return level.tolist()
 
     def _try_warm(
         self,

@@ -23,7 +23,13 @@ from repro.analysis import (
     tqsim_memory_utilization,
     tqsim_simulation_bytes,
 )
-from repro.analysis.memory import EL_CAPITAN_MEMORY_BYTES, LAPTOP_MEMORY_BYTES
+from repro.analysis.memory import (
+    EL_CAPITAN_MEMORY_BYTES,
+    LAPTOP_MEMORY_BYTES,
+    batched_tree_pool_states,
+    batched_tree_simulation_bytes,
+    max_batch_for_budget,
+)
 from repro.circuits.library import qft_circuit
 from repro.core import UniformCircuitPartitioner
 from repro.noise import depolarizing_noise_model
@@ -65,6 +71,32 @@ def test_tqsim_memory_linear_in_subcircuits():
     assert many == pytest.approx(single + 6 * statevector_bytes(20))
     with pytest.raises(ValueError):
         tqsim_simulation_bytes(20, 0)
+
+
+def test_batched_tree_pool_sums_capped_frontiers():
+    # sum_i min(A_0 * ... * A_i, cap): frontier chunks span parents, so a
+    # layer's buffer fills up to the cap even when its arity is small.
+    assert batched_tree_pool_states((1024, 4), 64) == 64 + 64
+    assert batched_tree_pool_states((3,) * 7, 64) == 3 + 9 + 27 + 4 * 64
+    assert batched_tree_pool_states((3, 10), 4) == 3 + 4
+    assert batched_tree_pool_states((3, 10), 1) == 2
+    with pytest.raises(ValueError):
+        batched_tree_pool_states((3, 0), 4)
+
+
+@pytest.mark.parametrize("arities", [(8, 8), (3,) * 7, (1024, 4), (5,)])
+def test_max_batch_for_budget_bisects_to_the_largest_fitting_cap(arities):
+    leaves = 1
+    for arity in arities:
+        leaves *= arity
+    for states in (1, 2, 7, 40, 150, 10**6):
+        budget = states * statevector_bytes(6)
+        fitting = [
+            cap for cap in range(1, leaves + 1)
+            if batched_tree_simulation_bytes(6, arities, cap) <= budget
+        ]
+        assert max_batch_for_budget(6, arities, budget) == max(fitting,
+                                                               default=1)
 
 
 # ---------------------------------------------------------------------------

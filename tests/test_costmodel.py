@@ -73,6 +73,18 @@ def test_plan_seconds_batched_mirrors_engine_chunking():
                               max_batch=4) == pytest.approx(expected_ns * 1e-9)
 
 
+def test_plan_seconds_prices_frontier_chunks():
+    model = synthetic_model()
+    # Tree (3, 10) at cap 4: layer 0 is one 3-row chunk; layer 1's 30 nodes
+    # run in ceil(30 / 4) = 8 frontier chunks spanning parents, not
+    # 3 * ceil(10 / 4) = 9 per-parent chunks.
+    layer0 = 2 * (900 + 3 * 100)
+    layer1 = 5 * (8 * 900 + 30 * 100)
+    expected_ns = layer0 + layer1 + 30 * 100 + 30 * 500
+    assert model.plan_seconds((3, 10), (2, 5), batched=True,
+                              max_batch=4) == pytest.approx(expected_ns * 1e-9)
+
+
 def test_plan_seconds_batched_beats_sequential_when_overhead_dominates():
     model = synthetic_model()
     assert model.plan_seconds((16, 16), (10, 10), batched=True, max_batch=16) \
@@ -276,7 +288,8 @@ def test_admit_plan_memory_only_path():
     )
     assert isinstance(decision, AdmissionDecision)
     assert decision.fits_memory
-    assert decision.max_batch == 8
+    # Frontier chunks span parents: the cap reaches the largest frontier.
+    assert decision.max_batch == 64
     assert decision.predicted_seconds is None
 
 

@@ -6,7 +6,7 @@ counters under the per-node-path seeding contract (see
 
 1. one node at a time (``TQSimEngine(max_batch=1)``, the classic
    depth-first order)
-2. sibling chunks at the default cap (``TQSimEngine()``)
+2. frontier chunks at the default cap (``TQSimEngine()``)
 3. the reference tensordot kernels (``TQSimEngine(backend="numpy")``)
 4. in-process sharded dispatch (``SerialDispatcher``)
 5. multiprocess sharded dispatch (``PoolDispatcher``)
@@ -25,7 +25,8 @@ import numpy as np
 import pytest
 
 from repro.circuits.library.suite import PAPER_SUITE, build_circuit
-from repro.core import ManualPartitioner, TQSimEngine
+from repro.core import ManualPartitioner, SubtreeAssignment, TQSimEngine
+from repro.core.pathrng import child_key, child_keys, run_root_key
 from repro.dispatch import PoolDispatcher, SerialDispatcher
 from repro.noise import NoiseModel, ReadoutError, depolarizing_noise_model
 from repro.noise.channels import AmplitudeDampingChannel
@@ -209,6 +210,77 @@ def test_pinned_mixed_channel_kinds_interleave_identically(qft5):
     ):
         assert batched.counts == sequential.counts
         assert _counter_tuple(batched) == _counter_tuple(sequential)
+
+
+def _frontier_case(qft5):
+    noise = NoiseModel(
+        single_qubit_channels=depolarizing_noise_model()
+        .single_qubit_channels,
+        two_qubit_channels=[AmplitudeDampingChannel(0.04)],
+        readout_error=ReadoutError(0.02, 0.01),
+        name="depolarizing+damping+readout",
+    )
+    plan = ManualPartitioner((3, 5, 2)).plan(qft5, 30, noise)
+    sequential = TQSimEngine(noise, seed=31, max_batch=1).run(
+        qft5, 30, plan=plan
+    )
+    return noise, plan, sequential
+
+
+def test_pinned_frontier_chunks_straddle_parents(qft5):
+    """Chunks spanning several parents change nothing a row draws.
+
+    On a (3, 5, 2) tree, caps 2, 4 and 7 cut layers 1 and 2 mid-parent
+    (layer 1's 15 nodes run as 8, 4 and 3 chunks), yet each row's draws
+    depend only on its path key, so every cap and backend matches one node
+    at a time bitwise.
+    """
+    noise, plan, sequential = _frontier_case(qft5)
+    for options in ({"max_batch": 2}, {"max_batch": 4}, {"max_batch": 7}, {},
+                    {"backend": "numpy"}):
+        chunked = TQSimEngine(noise, seed=31, **options).run(
+            qft5, 30, plan=plan
+        )
+        assert chunked.counts == sequential.counts, options
+        assert _counter_tuple(chunked) == _counter_tuple(sequential), options
+
+
+def test_pinned_deep_shards_split_mid_parent(qft5):
+    """Deep-shard slices that start mid-parent merge back bitwise."""
+    noise, plan, sequential = _frontier_case(qft5)
+    run_key = run_root_key(31)
+    node_key = child_key(run_key, 1)
+
+    def root_slice(start):
+        return SubtreeAssignment(
+            path=(), child_start=start, child_count=1, prefix_keys=(),
+            child_keys=(child_key(run_key, start),), counted_prefix_layers=(),
+        )
+
+    def node_slice(start, count, counted):
+        return SubtreeAssignment(
+            path=(1,), child_start=start, child_count=count,
+            prefix_keys=(node_key,),
+            child_keys=tuple(int(k) for k in child_keys(node_key, start, count)),
+            counted_prefix_layers=(counted,),
+        )
+
+    shards = [root_slice(0), node_slice(0, 2, True), node_slice(2, 3, False),
+              root_slice(2)]
+    for cap in (1, 2, 4, 64):
+        counts: dict[str, int] = {}
+        counters = (0, 0, 0, 0)
+        for shard in shards:
+            result = TQSimEngine(noise, seed=31, max_batch=cap).run(
+                qft5, 30, plan=plan, assignments=[shard]
+            )
+            for bitstring, tally in result.counts.items():
+                counts[bitstring] = counts.get(bitstring, 0) + tally
+            counters = tuple(
+                a + b for a, b in zip(counters, _counter_tuple(result))
+            )
+        assert counts == sequential.counts, cap
+        assert counters == _counter_tuple(sequential), cap
 
 
 def test_pinned_path_keyed_draws_are_reproducible(qft5):

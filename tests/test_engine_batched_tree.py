@@ -1,13 +1,17 @@
-"""Chunk-size independence of the TQSim engine's sibling-chunk traversal.
+"""Chunk-size independence of the TQSim engine's frontier-chunk traversal.
 
 Chunking must be a pure *execution* change: same plan, same seed, same
 accounted work — bitwise identical counts and cost counters at every chunk
 cap, with or without noise.  Cap 1 is the classic one-node-at-a-time order.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from repro.analysis.memory import batched_tree_pool_states
 from repro.backends import OptimizedNumpyBackend, get_backend
 from repro.core import (
     DynamicCircuitPartitioner,
@@ -171,3 +175,64 @@ def test_single_layer_plan_runs_batched(ghz3):
     assert batched.counts == sequential.counts
     assert batched.cost.state_copies == 0
     assert batched.cost.gate_applications == 40 * ghz3.num_gates
+
+
+def test_gather_into_copies_each_row_from_its_parent():
+    backend = get_backend("batched")
+    parents = np.arange(3 * 8, dtype=complex).reshape(3, 8)
+    rows = np.array([0, 0, 2, 1, 2])
+    batch = backend.gather_into(backend.allocate_batch(3, 5), parents, rows)
+    assert np.array_equal(batch, parents[rows])
+
+
+# ---------------------------------------------------------------------------
+# Frontier chunks: the pool the traversal allocates, and its lifetime
+# ---------------------------------------------------------------------------
+class _RecordingBackend(OptimizedNumpyBackend):
+    """Records every pooled buffer the engine allocates."""
+
+    def __init__(self):
+        super().__init__()
+        self.rows: list[int] = []
+        self.buffers: list[weakref.ref] = []
+
+    def allocate_batch(self, num_qubits, rows):
+        block = super().allocate_batch(num_qubits, rows)
+        self.rows.append(rows)
+        self.buffers.append(weakref.ref(block))
+        return block
+
+
+@pytest.mark.parametrize(
+    "arities, cap, pooled",
+    [
+        ((1024, 4), 64, 128),
+        ((3,) * 7, 64, 295),
+        ((3, 10), 4, 7),
+        ((3, 10), 1, 2),
+        ((3,) * 7, 1, 7),
+        ((4, 2, 2), 1, 3),
+    ],
+)
+def test_pool_holds_capped_frontiers(qft5, arities, cap, pooled):
+    """The engine allocates exactly ``sum_i min(frontier_i, cap)`` rows."""
+    backend = _RecordingBackend()
+    shots = int(np.prod(arities))
+    plan = ManualPartitioner(arities).plan(qft5, shots, None)
+    _run(qft5, shots, plan, backend=backend, max_batch=cap)
+    assert sum(backend.rows) == pooled
+    assert batched_tree_pool_states(arities, cap) == pooled
+    assert len(backend.rows) == len(arities)
+
+
+def test_pool_is_freed_when_run_returns(qft5, depolarizing_model):
+    """No reference cycle keeps a run's pool alive for the cyclic GC."""
+    backend = _RecordingBackend()
+    plan = ManualPartitioner((3, 5, 2)).plan(qft5, 30, depolarizing_model)
+    gc.disable()
+    try:
+        _run(qft5, 30, plan, depolarizing_model, backend=backend, max_batch=4)
+        assert len(backend.buffers) == 3
+        assert all(buffer() is None for buffer in backend.buffers)
+    finally:
+        gc.enable()

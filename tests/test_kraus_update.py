@@ -141,8 +141,9 @@ def test_one_noise_predraw_per_chunk_for_mixed_kinds(qft5):
     assert all(draws)
     chunks = [s for s in tracer.spans if s.name == "engine.subcircuit"]
     predraws = [s for s in tracer.spans if s.name == "engine.noise_predraw"]
-    # (3,) first-layer rows in one chunk, then ceil(10 / 4) chunks per node.
-    assert len(chunks) == 1 + 3 * 3
+    # (3,) first-layer rows in one chunk, then the 30 second-layer nodes in
+    # ceil(30 / 4) frontier chunks that span parents.
+    assert len(chunks) == 1 + 8
     assert len(predraws) == len(chunks)
     for chunk in chunks:
         (predraw,) = [s for s in predraws if s.parent == chunk.index]

@@ -15,6 +15,7 @@ from repro.core.pathrng import (
     all_path_streams,
     child_key,
     child_keys,
+    child_keys_multi,
     draw_block,
     root_key_from_seed,
     run_root_key,
@@ -48,6 +49,20 @@ def test_child_keys_matches_scalar_chain():
         assert vectorised.dtype == np.uint64
         assert [int(k) for k in vectorised] == [
             child_key(parent, 3 + i) for i in range(count)
+        ]
+
+
+def test_child_keys_multi_matches_scalar_chain():
+    parents = [int(k) for k in child_keys(run_root_key(21), 0, 9)]
+    # Small counts take the scalar path, large ones the vectorised hash.
+    for count in (7, 45):
+        parent_keys = [parents[k % len(parents)] for k in range(count)]
+        indices = [(5 * k) % 11 for k in range(count)]
+        keys = child_keys_multi(np.array(parent_keys, dtype=np.uint64), indices)
+        assert keys.dtype == np.uint64
+        assert keys.tolist() == [
+            child_key(parent, index)
+            for parent, index in zip(parent_keys, indices)
         ]
 
 
