@@ -86,11 +86,6 @@ class Backend(ABC):
         """Deep copy of a statevector (the operation TQSim pays for reuse)."""
         return state.copy()
 
-    def copy_into(self, dest: np.ndarray, src: np.ndarray) -> np.ndarray:
-        """Copy ``src`` into the preallocated ``dest`` buffer and return it."""
-        np.copyto(dest, src)
-        return dest
-
     def broadcast_into(self, batch: np.ndarray, state: np.ndarray) -> np.ndarray:
         """Copy one statevector into every row of a ``(B, 2**n)`` batch.
 

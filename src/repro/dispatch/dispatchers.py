@@ -33,6 +33,8 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import threading
+import weakref
 from abc import ABC, abstractmethod
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -88,8 +90,15 @@ def _reap_executor_processes(
     ``_processes`` reference), so this helper owns the shutdown call too.
     Workers that already exited are skipped; races with the executor's own
     cleanup (process gone, handle closed) are tolerated.
+
+    The pool's manager thread is joined last.  A failed run's pool can
+    outlive the run as cyclic garbage (an exception traceback holds it);
+    if a process forked later collects that garbage, the pool's weakref
+    callback takes the pool's shutdown lock in the child.  A manager thread
+    that held the lock at the fork would leave the child blocked forever.
     """
     processes = list((getattr(pool, "_processes", None) or {}).values())
+    manager = getattr(pool, "_executor_manager_thread", None)
     pool.shutdown(wait=False, cancel_futures=True)
     for process in processes:
         with suppress(OSError, ValueError, AttributeError):
@@ -103,6 +112,8 @@ def _reap_executor_processes(
             if process.is_alive():
                 process.kill()
                 process.join()
+    if manager is not None:
+        manager.join(timeout=grace_seconds)
 
 
 class Dispatcher(ABC):
@@ -322,6 +333,11 @@ class PoolDispatcher(Dispatcher):
         resolves the ambient tracer (:func:`~repro.obs.tracer.get_tracer`)
         per run.  When tracing is enabled every worker ships its span
         buffer back and the dispatcher merges them into one timeline.
+
+    The worker pool outlives a run, so a repeated run with the same worker
+    count pays no process start-up or teardown; a failed run discards it.
+    ``close()``, leaving a ``with`` block or dropping the dispatcher shuts
+    the workers down.  Runs on one dispatcher take turns.
     """
 
     mode = "pool"
@@ -349,6 +365,10 @@ class PoolDispatcher(Dispatcher):
             mp_context = "fork" if "fork" in methods else None
         self.mp_context = mp_context
         self.fault_injector = fault_injector
+        self._pool: ProcessPoolExecutor | None = None
+        self._pool_workers = 0
+        self._pool_shutdown: weakref.finalize | None = None
+        self._pool_lock = threading.RLock()
         super().__init__(
             noise_model=noise_model,
             seed=seed,
@@ -383,10 +403,36 @@ class PoolDispatcher(Dispatcher):
         )
         return ProcessPoolExecutor(max_workers=num_workers, mp_context=context)
 
+    def close(self) -> None:
+        """Shut down the workers kept between runs."""
+        with self._pool_lock:
+            if self._pool_shutdown is not None:
+                self._pool_shutdown()
+            self._pool = self._pool_shutdown = None
+
+    def __enter__(self) -> PoolDispatcher:
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
     def _execute(
         self, shards: list[ShardSpec], tracer: AnyTracer
     ) -> list[SimulationResult]:
-        with self._make_pool(self._num_workers_used(len(shards))) as pool:
+        num_workers = self._num_workers_used(len(shards))
+        with self._pool_lock:
+            pool = self._pool
+            if (
+                pool is None
+                or self._pool_workers != num_workers
+                or getattr(pool, "_broken", False)  # a worker died idle
+            ):
+                self.close()
+                pool = self._pool = self._make_pool(num_workers)
+                self._pool_workers = num_workers
+                # Shut the workers down when the dispatcher is dropped; the
+                # callback holds the pool, never the dispatcher.
+                self._pool_shutdown = weakref.finalize(self, pool.shutdown)
             futures = [
                 pool.submit(
                     run_shard, spec, 0, self.fault_injector, tracer.enabled
@@ -399,13 +445,12 @@ class PoolDispatcher(Dispatcher):
                 # result.
                 return [future.result() for future in futures]
             except BaseException as error:
-                # Cancel everything still queued before teardown: without
-                # this, the context manager's shutdown(wait=True) would run
-                # every remaining shard to completion just to throw the
-                # results away.  Cancellation never stops an already-running
-                # shard, so reap the workers too — otherwise a hung shard
-                # outlives the dispatcher as an orphaned process.
+                # Cancel everything still queued: cancellation never stops
+                # an already-running shard, so reap the workers too —
+                # otherwise a hung shard outlives the dispatcher as an
+                # orphaned process.  The next run starts a fresh pool.
                 _reap_executor_processes(pool)
+                self.close()
                 if isinstance(error, BrokenProcessPool):
                     raise PoolBrokenError(
                         "a worker process died mid-run; "

@@ -1,22 +1,25 @@
 """Fault-tolerant pool dispatch: timeouts, retries, and straggler re-shard.
 
 :class:`ResilientPoolDispatcher` keeps the drop-in ``run(circuit, shots)``
-contract of :class:`~repro.dispatch.dispatchers.PoolDispatcher` and wraps
-the worker pool in a supervision loop:
+contract of :class:`~repro.dispatch.dispatchers.PoolDispatcher` and runs
+each worker in a single-worker pool of its own, under a supervision loop
+that hands the next attempt to whichever worker is idle:
 
 * **Timeouts** — every shard attempt gets a deadline derived from the
   planner's cost estimate (``timeout_factor ×`` the estimated seconds,
-  clamped to a configurable floor/ceiling).  A running future cannot be
-  killed, so a timed-out attempt is *abandoned* (its worker becomes a
-  zombie until it returns or the pool is rebuilt) and the shard is retried.
+  clamped to a configurable floor/ceiling), counted from the moment a
+  worker takes it.  A timed-out attempt is *abandoned*: its worker is
+  terminated and replaced at once, and the shard is retried.
 * **Retries with deterministic backoff** — failed and timed-out attempts
   requeue with exponential backoff whose jitter is drawn from a
   :mod:`repro.core.pathrng` stream keyed by ``(shard, attempt)``: no
   wall-clock entropy, so a fault scenario schedules identically on every
   run and the determinism lint stays green.
-* **Pool rebuilds** — a :class:`BrokenProcessPool` (worker crash/OOM) tears
-  the pool down, builds a fresh one and requeues *only* the incomplete
-  shards; completed results are never re-executed.
+* **Pool rebuilds** — a :class:`BrokenProcessPool` (worker crash/OOM)
+  breaks only the pool of the attempt that crashed: that worker is
+  replaced and that shard requeued, while the attempts on the other
+  workers run on.  A crash is therefore charged to the shard that caused
+  it, and the telemetry of a fault schedule does not depend on timing.
 * **Speculative re-shard** — a shard that runs past ``straggler_factor ×``
   its estimate while workers sit idle is re-split over the idle capacity
   via :func:`~repro.dispatch.planner.split_shard_spec`.  First full
@@ -95,25 +98,24 @@ _MAX_POLL_SECONDS = 0.5
 
 @dataclass
 class _Flight:
-    """One in-flight shard attempt (primary or speculative part)."""
+    """One shard attempt (primary or speculative part) and its worker."""
 
     shard: int
     attempt: int
     spec: ShardSpec
-    submitted_at: float
-    deadline: float
     speculative: bool = False
     part: int = -1
+    slot: int = -1
+    submitted_at: float = 0.0
+    deadline: float = 0.0
 
 
 @dataclass
 class _SpeculationGroup:
     """The speculative re-shard racing one straggling primary attempt."""
 
-    shard: int
     parts: int
     results: dict[int, SimulationResult] = field(default_factory=dict)
-    futures: list[Future] = field(default_factory=list)
 
 
 class ResilientPoolDispatcher(PoolDispatcher):
@@ -139,8 +141,8 @@ class ResilientPoolDispatcher(PoolDispatcher):
     speculate:
         Master switch for speculative re-sharding.
     max_pool_rebuilds:
-        Pool rebuilds (crash recoveries / zombie purges) before degrading
-        to in-process serial execution of the remaining shards.
+        Crash recoveries (pools rebuilt after a worker died) before
+        degrading to in-process serial execution of the remaining shards.
     """
 
     mode = "resilient-pool"
@@ -299,26 +301,42 @@ class ResilientPoolDispatcher(PoolDispatcher):
         attempts = [0] * len(shards)
         #: shard -> monotonic instant it may (re)submit.
         pending: dict[int, float] = {}
+        #: Speculative parts waiting for an idle worker, in launch order.
+        queued_parts: list[_Flight] = []
         flights: dict[Future, _Flight] = {}
-        #: Abandoned futures still occupying a worker (cannot be killed).
-        zombies: set[Future] = set()
+        #: One single-worker pool per worker slot: a crash breaks only the
+        #: pool of the attempt that crashed, never the attempts beside it.
+        slots: list[ProcessPoolExecutor | None] = [
+            self._make_pool(1) for _ in range(num_workers)
+        ]
         groups: dict[int, _SpeculationGroup] = {}
         speculated: set[int] = set()
-        pool: ProcessPoolExecutor | None = self._make_pool(num_workers)
 
         # -- helpers (closures over the supervision state) ---------------
-        def stop_pool(force: bool) -> None:
+        def stop_slot(slot: int, reap: bool) -> None:
+            pool, slots[slot] = slots[slot], None
             if pool is None:
                 return
-            if force:
-                # Abandoned attempts keep their worker processes busy past
-                # shutdown; terminating through the executor's process table
-                # is the only way to reclaim them.  Reap for real (TERM →
-                # join → KILL → join) so a hung worker can't outlive the
-                # dispatcher as an orphan holding a statevector's memory.
+            if reap:
+                # A running attempt keeps its worker past shutdown; reap
+                # for real (TERM → join → KILL → join) so a hung worker
+                # can't outlive the dispatcher holding a statevector.
                 _reap_executor_processes(pool)
             else:
                 pool.shutdown(wait=False, cancel_futures=True)
+
+        def rebuild(replaced: list[int]) -> bool:
+            """Replace crashed workers' pools; False = budget gone."""
+            nonlocal pool_rebuilds
+            for slot in replaced:
+                stop_slot(slot, reap=False)
+            if pool_rebuilds >= self.max_pool_rebuilds:
+                return False
+            pool_rebuilds += 1
+            metrics.count(RESILIENCE_PREFIX + "pool_rebuilds")
+            for slot in replaced:
+                slots[slot] = self._make_pool(1)
+            return True
 
         def record_failure(
             shard: int, attempt: int, kind: str, error: BaseException | None
@@ -333,32 +351,41 @@ class ResilientPoolDispatcher(PoolDispatcher):
             )
 
         def abandon(future: Future) -> None:
-            """Drop a future we no longer want; track it if still running."""
-            flights.pop(future, None)
+            """Drop a future we no longer want.  A running attempt cannot be
+            cancelled, so its worker is terminated and replaced."""
+            flight = flights.pop(future)
             if not future.cancel() and not future.done():
-                zombies.add(future)
+                stop_slot(flight.slot, reap=True)
+                slots[flight.slot] = self._make_pool(1)
 
         def discard_group(shard: int, won: bool) -> None:
             group = groups.pop(shard, None)
             if group is None:
                 return
-            for future in group.futures:
-                if future in flights:
+            queued_parts[:] = [f for f in queued_parts if f.shard != shard]
+            for future, flight in list(flights.items()):
+                if flight.speculative and flight.shard == shard:
                     abandon(future)
             if not won:
                 metrics.count(RESILIENCE_PREFIX + "speculative.lost")
 
-        def submit_primary(shard: int) -> None:
+        def launch(flight: _Flight, slot: int) -> None:
+            pool = slots[slot]
             assert pool is not None
-            attempt = attempts[shard]
             future = pool.submit(
-                run_shard, shards[shard], attempt, self.fault_injector, trace
+                run_shard, flight.spec, flight.attempt, self.fault_injector,
+                trace,
             )
-            now = clock.monotonic_seconds()
-            flights[future] = _Flight(
-                shard, attempt, shards[shard], now, now + timeouts[shard]
+            flight.slot = slot
+            flight.submitted_at = clock.monotonic_seconds()
+            flight.deadline = flight.submitted_at + (
+                self._timeout_for(flight.spec)
+                if flight.speculative
+                else timeouts[flight.shard]
             )
-            attempts_made[shard] += 1
+            flights[future] = flight
+            if not flight.speculative:
+                attempts_made[flight.shard] += 1
 
         def schedule_retry(
             shard: int, kind: str, error: BaseException | None
@@ -393,6 +420,11 @@ class ResilientPoolDispatcher(PoolDispatcher):
             attempts[flight.shard] = max(
                 attempts[flight.shard], flight.attempt + 1
             )
+            if kind == "pool-broken":
+                # A crash is paid for by the rebuild budget, not by retries.
+                if flight.shard not in results:
+                    pending.setdefault(flight.shard, clock.monotonic_seconds())
+                return
             schedule_retry(flight.shard, kind, error)
 
         def handle_success(flight: _Flight, result: SimulationResult) -> None:
@@ -435,30 +467,17 @@ class ResilientPoolDispatcher(PoolDispatcher):
             results[flight.shard] = result
             pending.pop(flight.shard, None)
 
-        def rebuild_pool() -> bool:
-            """Replace the pool and requeue incomplete work; False = budget gone."""
-            nonlocal pool, pool_rebuilds
-            for shard in list(groups):
-                discard_group(shard, won=False)
-            for future in list(flights):
-                flight = flights.pop(future)
-                if not flight.speculative:
-                    attempts[flight.shard] = max(
-                        attempts[flight.shard], flight.attempt + 1
-                    )
-            stop_pool(force=True)
-            pool = None
-            zombies.clear()
-            if pool_rebuilds >= self.max_pool_rebuilds:
-                return False
-            pool_rebuilds += 1
-            metrics.count(RESILIENCE_PREFIX + "pool_rebuilds")
-            pool = self._make_pool(num_workers)
-            now = clock.monotonic_seconds()
-            for shard in range(len(shards)):
-                if shard not in results:
-                    pending.setdefault(shard, now)
-            return True
+        def next_work(now: float) -> _Flight | None:
+            """The next attempt for an idle worker: a queued speculative
+            part first, else the lowest released shard."""
+            if queued_parts:
+                return queued_parts.pop(0)
+            ready = [s for s, at in pending.items() if at <= now]
+            if not ready:
+                return None
+            shard = min(ready)
+            del pending[shard]
+            return _Flight(shard, attempts[shard], shards[shard])
 
         def degrade() -> None:
             """Finish the remaining shards in-process, serially.
@@ -467,13 +486,11 @@ class ResilientPoolDispatcher(PoolDispatcher):
             injected crash or hang in-process would take the supervising
             process down with it, and degraded mode exists to terminate.
             """
-            nonlocal pool
             for shard in list(groups):
                 discard_group(shard, won=False)
+            for slot in range(num_workers):
+                stop_slot(slot, reap=True)
             flights.clear()
-            stop_pool(force=True)
-            pool = None
-            zombies.clear()
             metrics.gauge(RESILIENCE_DEGRADED, 1)
             for shard in range(len(shards)):
                 if shard in results:
@@ -492,28 +509,30 @@ class ResilientPoolDispatcher(PoolDispatcher):
                 pending[shard] = now
 
             while len(results) < len(shards):
-                if pool is None:
-                    degrade()
-                    break
-
-                # Launch whatever backoff has released.
+                # Launch whatever is ready onto the idle workers.
                 now = clock.monotonic_seconds()
-                launch_error: BrokenProcessPool | None = None
-                for shard in sorted(pending):
-                    if pending[shard] <= now and shard not in results:
-                        del pending[shard]
-                        try:
-                            submit_primary(shard)
-                        except BrokenProcessPool as error:
-                            # A worker died between two submits (an early
-                            # crash).  Requeue; broken futures in flight
-                            # trigger the rebuild below, else rebuild here.
-                            pending[shard] = now
-                            launch_error = error
-                            break
-                if launch_error is not None and not flights:
-                    record_failure(-1, -1, "pool-rebuild", launch_error)
-                    if not rebuild_pool():
+                running = {flight.slot for flight in flights.values()}
+                broken_slot = -1
+                for slot in range(num_workers):
+                    if slot in running:
+                        continue
+                    flight = next_work(now)
+                    if flight is None:
+                        break
+                    try:
+                        launch(flight, slot)
+                    except BrokenProcessPool as error:
+                        # The idle worker died before this submit: requeue
+                        # and replace its pool.
+                        if flight.speculative:
+                            queued_parts.insert(0, flight)
+                        else:
+                            pending[flight.shard] = now
+                        record_failure(-1, -1, "pool-rebuild", error)
+                        broken_slot = slot
+                        break
+                if broken_slot >= 0:
+                    if not rebuild([broken_slot]):
                         degrade()
                         break
                     continue
@@ -547,40 +566,29 @@ class ResilientPoolDispatcher(PoolDispatcher):
                     list(flights), timeout=poll, return_when=FIRST_COMPLETED
                 )
 
-                pool_broken = False
-                broken_error: BaseException | None = None
+                crashed: list[int] = []
+                crash: BaseException | None = None
                 for future in done:
                     flight = flights.pop(future, None)
                     if flight is None:
                         continue
-                    if flight.shard in results and not flight.speculative:
-                        continue  # stale loser of a speculation race
                     try:
                         result = future.result()
                     except BrokenProcessPool as error:
-                        pool_broken = True
-                        broken_error = error
-                        if not flight.speculative:
-                            record_failure(
-                                flight.shard,
-                                flight.attempt,
-                                "pool-broken",
-                                error,
-                            )
-                            attempts[flight.shard] = max(
-                                attempts[flight.shard], flight.attempt + 1
-                            )
+                        # The pool held this attempt alone: the crash is its
+                        # own, and no other attempt is lost with it.
+                        handle_failure(flight, "pool-broken", error)
+                        crashed.append(flight.slot)
+                        crash = error
                     except Exception as error:
                         handle_failure(flight, "error", error)
                     else:
                         handle_success(flight, result)
-
-                if pool_broken:
-                    record_failure(-1, -1, "pool-rebuild", broken_error)
-                    if not rebuild_pool():
+                if crashed:
+                    record_failure(-1, -1, "pool-rebuild", crash)
+                    if not rebuild(crashed):
                         degrade()
                         break
-                    continue
 
                 # Deadlines: abandon and retry timed-out attempts.
                 now = clock.monotonic_seconds()
@@ -598,71 +606,44 @@ class ResilientPoolDispatcher(PoolDispatcher):
                         ),
                     )
 
-                # Reclaim workers whose abandoned attempts finally returned.
-                for future in [z for z in zombies if z.done()]:
-                    zombies.discard(future)
-                if (
-                    len(zombies) >= num_workers
-                    and len(results) < len(shards)
-                ):
-                    # Every worker is wedged on an abandoned attempt; only a
-                    # rebuild can free capacity for the retries.
-                    if not rebuild_pool():
-                        degrade()
-                        break
-                    continue
-
                 # Stragglers: re-shard over idle capacity, race the primary.
-                idle = num_workers - len(zombies) - len(flights)
+                idle = num_workers - len(flights) - len(queued_parts)
                 if not self.speculate or idle < 1:
                     continue
                 now = clock.monotonic_seconds()
-                for future, flight in list(flights.items()):
+                for flight in list(flights.values()):
                     if idle < 1:
                         break
                     if (
                         flight.speculative
                         or flight.shard in speculated
-                        or flight.shard in groups
                         or now - flight.submitted_at
                         < straggler_after[flight.shard]
                     ):
                         continue
+                    speculated.add(flight.shard)
                     parts = split_shard_spec(flight.spec, idle + 1)
                     if len(parts) < 2:
-                        speculated.add(flight.shard)  # unsplittable
-                        continue
-                    speculated.add(flight.shard)
-                    group = _SpeculationGroup(
-                        shard=flight.shard, parts=len(parts)
-                    )
-                    groups[flight.shard] = group
-                    spec_attempt = flight.attempt + 1
-                    for part_index, part in enumerate(parts):
-                        part_future = pool.submit(
-                            run_shard,
-                            part,
-                            spec_attempt,
-                            self.fault_injector,
-                            trace,
-                        )
-                        submitted = clock.monotonic_seconds()
-                        flights[part_future] = _Flight(
+                        continue  # unsplittable
+                    groups[flight.shard] = _SpeculationGroup(parts=len(parts))
+                    queued_parts.extend(
+                        _Flight(
                             flight.shard,
-                            spec_attempt,
+                            flight.attempt + 1,
                             part,
-                            submitted,
-                            submitted + self._timeout_for(part),
                             speculative=True,
                             part=part_index,
                         )
-                        group.futures.append(part_future)
+                        for part_index, part in enumerate(parts)
+                    )
                     metrics.count(RESILIENCE_PREFIX + "speculative.launched")
                     idle -= len(parts)
 
             return [results[index] for index in range(len(shards))]
         finally:
-            stop_pool(force=bool(zombies or flights))
+            running = {flight.slot for flight in flights.values()}
+            for slot in range(len(slots)):
+                stop_slot(slot, reap=slot in running)
             # Rebuild the legacy telemetry dict from the obs counters even
             # on failure paths, so a raising run still reports what it did.
             if trace:

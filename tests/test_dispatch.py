@@ -6,6 +6,9 @@ bitwise-identical merged counts and cost counters, for any shard count and
 any split depth, through both registry names of the optimized backend.
 """
 
+import multiprocessing
+import time
+
 import pytest
 
 from repro.core import (
@@ -16,6 +19,8 @@ from repro.core import (
 from repro.core.engine import SubtreeAssignment
 from repro.core.pathrng import child_key, child_keys, run_root_key
 from repro.dispatch import (
+    FaultInjector,
+    PoolBrokenError,
     PoolDispatcher,
     SerialDispatcher,
     ShardPlanner,
@@ -214,6 +219,69 @@ def test_pool_dispatch_run_to_run_deterministic(qft5):
     assert first.cost.matches(second.cost)
     shards = first.metadata["shards"]
     assert [s["shard_index"] for s in shards] == [0, 1, 2, 3]
+
+
+def _child_pids():
+    return {process.pid for process in multiprocessing.active_children()}
+
+
+def _exited(pids, seconds=5.0):
+    """True once none of ``pids`` is a live child (polled briefly)."""
+    deadline = time.monotonic() + seconds
+    while pids & _child_pids():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.02)
+    return True
+
+
+def test_pool_dispatcher_keeps_its_workers_between_runs(qft5):
+    """A repeated run reuses the pool, so it pays no process start-up or
+    teardown; leaving the ``with`` block shuts the workers down."""
+    noise = _noise()
+    serial = SerialDispatcher(noise, seed=29, num_shards=2).run(
+        qft5, SHOTS, partitioner=PARTITIONER
+    )
+    before = _child_pids()
+    with PoolDispatcher(
+        noise, seed=29, num_workers=2, num_shards=2
+    ) as dispatcher:
+        first = dispatcher.run(qft5, SHOTS, partitioner=PARTITIONER)
+        workers = _child_pids() - before
+        second = dispatcher.run(qft5, SHOTS, partitioner=PARTITIONER)
+        assert len(workers) == 2
+        assert _child_pids() - before == workers
+    assert _exited(workers)
+    for result in (first, second):
+        assert result.counts == serial.counts
+        assert result.cost.matches(serial.cost)
+
+
+def test_dropping_a_pool_dispatcher_shuts_its_workers_down(qft5):
+    before = _child_pids()
+    dispatcher = PoolDispatcher(_noise(), seed=29, num_workers=2, num_shards=2)
+    dispatcher.run(qft5, SHOTS, partitioner=PARTITIONER)
+    workers = _child_pids() - before
+    assert len(workers) == 2
+    del dispatcher
+    assert _exited(workers)
+
+
+def test_pool_dispatcher_starts_a_fresh_pool_after_a_failed_run(qft5):
+    noise = _noise()
+    dispatcher = PoolDispatcher(
+        noise, seed=29, num_workers=2, num_shards=2,
+        fault_injector=FaultInjector(crashes=((0, 0),)),
+    )
+    with pytest.raises(PoolBrokenError):
+        dispatcher.run(qft5, SHOTS, partitioner=PARTITIONER)
+    dispatcher.fault_injector = None
+    result = dispatcher.run(qft5, SHOTS, partitioner=PARTITIONER)
+    serial = SerialDispatcher(noise, seed=29, num_shards=2).run(
+        qft5, SHOTS, partitioner=PARTITIONER
+    )
+    assert result.counts == serial.counts
+    dispatcher.close()
 
 
 def test_pool_dispatch_tvd_consistent_under_noise(bv6):

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import multiprocessing
 import pickle
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -167,6 +169,53 @@ def test_crash_before_next_submit_recovers_bitwise(qft5, monkeypatch):
         f["kind"] == "pool-broken" and f["shard"] == 0 and f["attempt"] == 0
         for f in telemetry["failures"]
     )
+
+
+@pytest.mark.parametrize("workers", WORKER_COUNTS)
+def test_crash_is_charged_to_the_crashed_shard_alone(qft5, workers):
+    """Each worker runs in a pool of its own, so a crash loses no attempt
+    beside it: the telemetry of a fault schedule is exact, whatever the
+    timing.  Shard 2's fault on attempt 1 never fires, because the crash
+    of shard 1 does not cost shard 2 its first attempt."""
+    injector = FaultInjector(crashes=((1, 0),), raises=((2, 1),))
+    result = _resilient(qft5, workers, injector)
+    _assert_bitwise(result, _serial(qft5))
+    telemetry = _telemetry(result)
+    assert telemetry["attempts"] == [1, 2, 1]
+    assert telemetry["pool_rebuilds"] == 1
+    assert telemetry["retries"] == 0
+    assert [
+        (f["shard"], f["attempt"], f["kind"]) for f in telemetry["failures"]
+    ] == [(1, 0, "pool-broken"), (-1, -1, "pool-rebuild")]
+
+
+def test_worker_death_while_idle_recovers_without_charging_a_shard(
+    qft5, monkeypatch
+):
+    """A worker that died while idle breaks its pool inside ``submit``:
+    nothing ran, so no attempt is charged; the pool is rebuilt and the
+    shard runs on the fresh one."""
+    submits = []
+
+    class BreaksOnSecondSubmit(ProcessPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            submits.append(args[0].index)
+            if len(submits) == 2:
+                raise BrokenProcessPool("worker died while idle")
+            return super().submit(fn, *args, **kwargs)
+
+    def make_pool(self, num_workers):
+        context = multiprocessing.get_context(self.mp_context)
+        return BreaksOnSecondSubmit(num_workers, mp_context=context)
+
+    monkeypatch.setattr(ResilientPoolDispatcher, "_make_pool", make_pool)
+    result = _resilient(qft5, 1)
+    _assert_bitwise(result, _serial(qft5))
+    telemetry = _telemetry(result)
+    assert submits == [0, 1, 1, 2]
+    assert telemetry["attempts"] == [1, 1, 1]
+    assert telemetry["pool_rebuilds"] == 1
+    assert [f["kind"] for f in telemetry["failures"]] == ["pool-rebuild"]
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +380,24 @@ def test_pool_dispatcher_cancels_pending_on_failure(qft5):
         dispatcher.run(qft5, SHOTS, partitioner=PARTITIONER)
     elapsed = time.monotonic() - start
     assert elapsed < 1.5, "pending shards were not cancelled on failure"
+
+
+def test_failed_pool_run_leaves_no_pool_thread_behind(qft5):
+    """A failed run's pool can outlive the run as cyclic garbage (the
+    exception's traceback holds it).  A pool thread still running could
+    then hold the lock that a later forked worker takes when its garbage
+    collector frees that pool, and the worker would block forever."""
+    injector = FaultInjector(
+        raises=((0, 0),), slowdowns=((1, 0, 2.0), (2, 0, 2.0))
+    )
+    dispatcher = PoolDispatcher(
+        _noise(), seed=SEED, num_shards=3, num_workers=1,
+        fault_injector=injector,
+    )
+    before = set(threading.enumerate())
+    with pytest.raises(DispatchError):
+        dispatcher.run(qft5, SHOTS, partitioner=PARTITIONER)
+    assert set(threading.enumerate()) <= before
 
 
 def test_pool_dispatcher_wraps_worker_crash_as_typed_error(qft5):
