@@ -25,7 +25,11 @@ traversal.  The kernels of the optimized backend absorb the leading axis;
 the reference backend loops over rows.  The batch helpers below (branch
 sampling, general-Kraus updates, outcome sampling) are written once against
 ``apply_unitary`` on such blocks, so every backend shares one
-implementation.  1-D single-state calls keep their scalar paths.
+implementation.  A general-Kraus update prices every row's branches from
+the channel's effect operators ``K_i†K_i`` without applying any operator,
+then applies only the operators the rows drew: the most-drawn one to the
+whole block in place, a diagonal one as a multiply with no kernel call.
+1-D single-state calls keep their scalar paths.
 """
 
 from __future__ import annotations
@@ -36,9 +40,14 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro.circuits.gate import Gate
-from repro.noise.channels import ReadoutError
+from repro.noise.channels import KrausChannel, ReadoutError
 from repro.noise.model import NoiseEvent, NoiseModel
-from repro.statevector.sampling import index_to_bitstring, inverse_cdf_index
+from repro.statevector.apply import local_indices
+from repro.statevector.sampling import (
+    index_to_bitstring,
+    inverse_cdf_index,
+    inverse_cdf_rows,
+)
 
 if TYPE_CHECKING:
     from repro.core.pathrng import UniformStream
@@ -190,8 +199,9 @@ class Backend(ABC):
         ``uniforms`` is a ``(B, len(events))`` block whose column ``j``
         holds each row's uniform for ``events[j]``.  Mixed-unitary events map
         it to a mixture branch and apply each branch to the rows that drew
-        it; general Kraus events take the vectorised trajectory update of
-        :meth:`_apply_kraus_from_uniforms`.  Either way the branch is the
+        it; general Kraus events price each row's branches from the
+        channel's effect operators and apply only the drawn operators
+        (:meth:`_apply_kraus_from_uniforms`).  Either way the branch is the
         one the per-state path (:func:`~repro.noise.trajectory.
         sample_channel_on_state`) picks from the same uniform, which is
         what lets the engine pre-draw a whole subcircuit's noise in one
@@ -240,39 +250,68 @@ class Backend(ABC):
     ) -> np.ndarray:
         """One quantum-trajectory step of a general Kraus channel per row.
 
-        Each Kraus operator is applied to its own copy of the block, row
-        ``b`` takes branch ``i`` with probability ``||K_i psi_b||^2`` by an
-        inverse-CDF lookup of ``uniforms[b]``, and the chosen rows are
-        renormalised.  Returns the branch index of every row.  A row whose
-        weights sum to zero raises before ``batched`` is written.
+        Row ``b``'s branch weights ``||K_i psi_b||^2 = <psi_b|E_i|psi_b>``
+        come from the channel's effect operators ``E_i = K_i†K_i`` in one
+        read of the block, and an inverse-CDF lookup of ``uniforms[b]``
+        picks its branch (:meth:`~repro.noise.channels.KrausChannel.
+        sample_branches`); a row whose weights are not finite and positive
+        raises before ``batched`` is written.  The most-drawn branch is then
+        applied to the whole block in place and every other branch only to
+        the rows that drew it, copied out before that write.  Each row ends
+        as ``K_i psi_b / sqrt(w_bi)``, computed row by row the same way
+        whichever rows share its block.  Returns the branch index of every
+        row.
         """
         channel = event.channel
-        operators = channel.kraus_operators
-        candidates = np.empty((len(operators),) + batched.shape, dtype=complex)
-        candidates[...] = batched
-        for candidate, operator in zip(candidates, operators):
-            out = self.apply_unitary(candidate, operator, event.qubits)
-            if out is not candidate:
-                candidate[...] = out
-        # weights[b, i] = ||K_i psi_b||^2, summed over re/im parts.
-        real = candidates.view(np.float64)
-        weights = np.einsum("kbj,kbj->bk", real, real)
-        cumulative = weights.cumsum(axis=1)
-        totals = cumulative[:, -1]
-        if totals.min() <= 0:
-            raise ValueError(f"channel {channel.name!r} annihilated the state")
-        # Counting the interior bounds at or below the draw is
-        # searchsorted(side="right") clamped to the last branch, the lookup
-        # inverse_cdf_index performs on a single state.
-        draws = (uniforms * totals)[:, None]
-        indices = (cumulative[:, :-1] <= draws).sum(axis=1)
-        rows = np.arange(batched.shape[0])
-        np.divide(
-            candidates[indices, rows],
-            np.sqrt(weights[rows, indices])[:, None],
-            out=batched,
+        weights, indices = channel.sample_branches(
+            batched, event.qubits, uniforms
         )
+        chosen = weights[np.arange(len(indices)), indices]
+        scales = (1.0 / np.sqrt(chosen))[:, None]
+        counts = np.bincount(indices)
+        major = int(counts.argmax())
+        # The rows of every other drawn branch are copied out before the
+        # in-place write below.
+        others: list[tuple[int, np.ndarray, np.ndarray]] = []
+        for branch in np.flatnonzero(counts).tolist():
+            if branch != major:
+                rows = np.flatnonzero(indices == branch)
+                others.append((branch, rows, batched[rows]))
+        out = self._apply_branch(batched, channel, major, event.qubits, scales)
+        if out is not batched:
+            np.copyto(batched, out)
+        for branch, rows, saved in others:
+            batched[rows] = self._apply_branch(
+                saved, channel, branch, event.qubits, scales[rows]
+            )
         return indices
+
+    def _apply_branch(
+        self,
+        block: np.ndarray,
+        channel: KrausChannel,
+        branch: int,
+        qubits: Sequence[int],
+        scales: np.ndarray,
+    ) -> np.ndarray:
+        """Apply Kraus operator ``branch`` to ``block``, row ``b`` scaled by
+        ``scales[b]`` (a ``(B, 1)`` column).
+
+        A diagonal operator is one in-place multiply of the block by each
+        row's scaled diagonal, spread over the row by local index; any
+        other goes through :meth:`apply_unitary`.  Returns the array holding
+        the result.
+        """
+        diagonal = channel.operator_diagonals[branch]
+        if diagonal is None:
+            out = self.apply_unitary(
+                block, channel.kraus_operators[branch], qubits
+            )
+            out *= scales
+            return out
+        local = local_indices(tuple(qubits), _num_qubits(block))
+        block *= np.take(diagonal * scales, local, axis=1)
+        return block
 
     def sample_outcomes(
         self,
@@ -326,18 +365,15 @@ class Backend(ABC):
     ) -> list[str]:
         """Vectorised inverse-CDF pass over pre-drawn uniforms.
 
-        ``sum(cumulative <= draw)`` per row is ``searchsorted(cumulative,
-        draw, side="right")``, so outcomes are bitwise those of
-        :meth:`sample_outcome` on each row.
+        :func:`~repro.statevector.sampling.inverse_cdf_rows` draws, per
+        row, the outcome :meth:`sample_outcome` draws from the same
+        uniform, and rejects rows whose probabilities are not finite and
+        positive.
         """
-        cumulative = self.probabilities(batched).cumsum(axis=1)
-        totals = cumulative[:, -1]
-        if totals.min() <= 0:
-            raise ValueError("cumulative probabilities sum to zero")
+        outcomes = inverse_cdf_rows(
+            self.probabilities(batched).cumsum(axis=1), draws
+        )
         num_qubits = _num_qubits(batched)
-        # Counting the interior bounds at or below the draw clamps to the
-        # last index like inverse_cdf_index does.
-        outcomes = (cumulative[:, :-1] <= (draws * totals)[:, None]).sum(axis=1)
         if readout_error is not None and flips is not None:
             outcomes = self._readout_flips_from_uniforms(
                 outcomes, num_qubits, readout_error, flips

@@ -11,7 +11,10 @@ Every channel used by the paper's evaluation (Section 4.3) is implemented:
 
 Channels expose their Kraus operators, and, when the channel is a
 probabilistic mixture of unitaries, the (probability, unitary) decomposition
-that the trajectory sampler can use as a fast path.
+that the trajectory sampler can use as a fast path.  Every channel also
+holds its *effect operators* ``E_i = K_i† K_i``, whose expectation value on a
+state is the weight of Kraus branch ``i``: the trajectory samplers price all
+branches from them and apply only the operator a trajectory draws.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.circuits import stdgates
-from repro.statevector.sampling import inverse_cdf_index
+from repro.statevector.apply import local_indices
+from repro.statevector.sampling import inverse_cdf_index, inverse_cdf_rows
 
 __all__ = [
     "KrausChannel",
@@ -72,10 +76,28 @@ class KrausChannel:
         for operator in operators:
             if operator.shape != (dim, dim):
                 raise ValueError("all Kraus operators must share the same shape")
-        completeness = sum(op.conj().T @ op for op in operators)
-        if not np.allclose(completeness, np.eye(dim), atol=1e-8):
+        stack = np.array(operators)
+        effects = stack.conj().transpose(0, 2, 1) @ stack
+        if not np.allclose(effects.sum(axis=0), np.eye(dim), atol=1e-8):
             raise ValueError("Kraus operators do not satisfy sum K†K = I")
+        off_diagonal = ~np.eye(dim, dtype=bool)
         self._kraus = operators
+        self._effects = effects
+        # Diagonal effects (every damping channel and their products) weigh
+        # a branch as a sum of basis probabilities; see branch_weights.
+        self._effect_diagonals: np.ndarray | None = (
+            None
+            if effects[:, off_diagonal].any()
+            else np.ascontiguousarray(effects.diagonal(axis1=1, axis2=2).real)
+        )
+        # A diagonal operator is applied as one multiply, with no kernel call.
+        is_diagonal = ~stack[:, off_diagonal].any(axis=1)
+        self._operator_diagonals = tuple(
+            diagonal if flag else None
+            for diagonal, flag in zip(
+                stack.diagonal(axis1=1, axis2=2), is_diagonal.tolist()
+            )
+        )
         self.name = name
         self.num_qubits = num_qubits
         self._mixture = mixture
@@ -98,6 +120,68 @@ class KrausChannel:
     def num_kraus(self) -> int:
         """Number of Kraus operators."""
         return len(self._kraus)
+
+    @property
+    def operator_diagonals(self) -> tuple[np.ndarray | None, ...]:
+        """The diagonal of each Kraus operator, or None where it has
+        off-diagonal entries."""
+        return self._operator_diagonals
+
+    def branch_weights(
+        self, states: np.ndarray, qubits: Sequence[int]
+    ) -> np.ndarray:
+        """Weight ``||K_i psi_b||^2 = <psi_b|E_i|psi_b>`` of every branch.
+
+        ``states`` is a ``(B, 2**n)`` block and ``qubits`` the operands of
+        the event; returns ``(B, num_kraus)`` weights clamped at zero.  With
+        diagonal effects a weight is a sum of the row's basis probabilities
+        weighted by ``E_i`` at each amplitude's local index; otherwise it is
+        ``Re tr(E_i rho_b)`` of the row's reduced density matrix on
+        ``qubits``.  Either way each row is reduced on its own, so its
+        weights are bitwise the same in any block.
+        """
+        local = local_indices(tuple(qubits), int(states.shape[-1]).bit_length() - 1)
+        if self._effect_diagonals is not None:
+            probabilities = np.square(states.real)
+            probabilities += np.square(states.imag)
+            table = np.take(self._effect_diagonals, local, axis=1)
+            weights = np.einsum("bj,kj->bk", probabilities, table)
+        else:
+            # Amplitudes grouped by local index: positions[l] lists the
+            # basis states whose operand bits read l, in ascending order.
+            positions = np.argsort(local, kind="stable").reshape(
+                self._effects.shape[1], -1
+            )
+            weights = np.empty((states.shape[0], self.num_kraus))
+            for row, state in zip(weights, states):
+                amplitudes = state[positions]
+                rho = np.einsum("lr,mr->lm", amplitudes, amplitudes.conj())
+                row[:] = np.einsum("klm,ml->k", self._effects, rho).real
+            # Rounding can leave -1e-17 on an empty branch.
+            np.maximum(weights, 0.0, out=weights)
+        return weights
+
+    def sample_branches(
+        self,
+        states: np.ndarray,
+        qubits: Sequence[int],
+        uniforms: np.ndarray | float,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's branch weights and the branch ``uniforms[b]`` draws.
+
+        The draw is the inverse-CDF lookup of
+        :func:`~repro.statevector.sampling.inverse_cdf_rows`.  Raises
+        ``ValueError`` when a row's weights are not finite and positive (a
+        state the channel annihilates, or one holding NaN or inf).
+        """
+        weights = self.branch_weights(states, qubits)
+        try:
+            indices = inverse_cdf_rows(weights.cumsum(axis=1), uniforms)
+        except ValueError as error:
+            raise ValueError(
+                f"channel {self.name!r} annihilated the state: branch {error}"
+            ) from None
+        return weights, indices
 
     @property
     def is_mixed_unitary(self) -> bool:

@@ -5,7 +5,9 @@ channels are sampled.  Mixed-unitary channels (Pauli / depolarizing) use the
 state-independent fast path; general Kraus channels sample the operator index
 with probability ``||K_i |psi>||^2`` and renormalise — the standard quantum
 trajectories method (Dalibard et al. 1992; Mølmer & Castin 1996) that the
-paper relies on.
+paper relies on.  The weights come from the channel's effect operators,
+``||K_i |psi>||^2 = <psi|K_i†K_i|psi>``, so only the drawn operator is
+applied; the backend's block step uses the same weights and lookup.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from repro.circuits.gate import Gate
 from repro.noise.channels import KrausChannel
 from repro.noise.model import NoiseModel
 from repro.statevector.apply import apply_unitary
-from repro.statevector.sampling import inverse_cdf_index
 
 __all__ = [
     "sample_channel_on_state",
@@ -54,25 +55,19 @@ def sample_channel_on_state(
             return apply_unitary(state, unitary, qubits), index
         return backend.apply_unitary(state, unitary, qubits), index
 
-    # General Kraus channel: branch probabilities depend on the state, so
-    # every candidate is computed out of place before one is selected.
-    branch_states = []
-    branch_probabilities = []
-    for operator in channel.kraus_operators:
-        if backend is None:
-            candidate = apply_unitary(state, operator, qubits)
-        else:
-            candidate = backend.apply_unitary(
-                backend.copy_state(state), operator, qubits
-            )
-        probability = float(np.real(np.vdot(candidate, candidate)))
-        branch_states.append(candidate)
-        branch_probabilities.append(max(probability, 0.0))
-    if sum(branch_probabilities) <= 0:
-        raise ValueError(f"channel {channel.name!r} annihilated the state")
-    index = inverse_cdf_index(np.cumsum(branch_probabilities), rng)
-    chosen = branch_states[index]
-    chosen /= np.linalg.norm(chosen)
+    # General Kraus channel: the effect operators price every branch from
+    # the state itself, with the block step's weight helper and lookup, so
+    # only the drawn operator is applied.
+    weights, indices = channel.sample_branches(
+        state.reshape(1, -1), qubits, rng.random()
+    )
+    index = int(indices[0])
+    operator = channel.kraus_operators[index]
+    if backend is None:
+        chosen = apply_unitary(state, operator, qubits)
+    else:
+        chosen = backend.apply_unitary(state, operator, qubits)
+    chosen *= 1.0 / np.sqrt(weights[0, index])
     return chosen, index
 
 

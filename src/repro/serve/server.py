@@ -493,7 +493,8 @@ class SimulationServer:
         ):
             cumulative = np.cumsum(backend.probabilities(state))
             total = cumulative[-1]
-            if total <= 0:
+            # NaN fails too; the cold run then reports the bad state.
+            if not 0 < total < np.inf:
                 return None
             keys = self._leaf_keys(request.seed, arities)
             num_qubits = int(cumulative.size).bit_length() - 1

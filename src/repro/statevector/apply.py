@@ -11,6 +11,7 @@ significant bit of the gate's local index space.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -21,6 +22,7 @@ __all__ = [
     "apply_gate",
     "apply_unitary_to_density",
     "apply_kraus_to_density",
+    "local_indices",
 ]
 
 
@@ -72,6 +74,23 @@ def apply_unitary(
     destinations = [num_qubits - 1 - targets[k - 1 - i] for i in range(k)]
     result = np.moveaxis(contracted, list(range(k)), destinations)
     return np.ascontiguousarray(result).reshape(num_amplitudes)
+
+
+@lru_cache(maxsize=64)
+def local_indices(qubits: tuple[int, ...], num_qubits: int) -> np.ndarray:
+    """The local index on ``qubits`` of every basis state of ``num_qubits``.
+
+    Entry ``b`` is ``sum_m ((b >> qubits[m]) & 1) << m``: the row or column
+    of a gate matrix on ``qubits`` that amplitude ``b`` meets.  The table
+    depends only on its arguments, so it is cached (bounded, in the
+    smallest integer type that holds ``2**len(qubits) - 1``) and shared
+    read-only.
+    """
+    basis = np.arange(2**num_qubits)
+    local = sum(((basis >> qubit) & 1) << m for m, qubit in enumerate(qubits))
+    table = np.asarray(local, dtype=np.min_scalar_type(2 ** len(qubits) - 1))
+    table.flags.writeable = False
+    return table
 
 
 def apply_gate(state: np.ndarray, gate) -> np.ndarray:

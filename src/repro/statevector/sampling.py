@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import math
 from typing import Mapping
 
 import numpy as np
 
 __all__ = [
     "inverse_cdf_index",
+    "inverse_cdf_rows",
     "sample_from_probabilities",
     "counts_to_probability_vector",
     "merge_counts",
@@ -23,14 +25,34 @@ def inverse_cdf_index(
     """Draw one index from an (unnormalised) cumulative probability array.
 
     Equivalent in distribution to ``rng.choice(len(p), p=p)`` but costs one
-    uniform draw plus a binary search.  This is the single sampling primitive
-    behind backend outcome sampling and noise-branch selection.
+    uniform draw plus a binary search.  This is the single-state sampling
+    primitive behind outcome sampling and mixture-branch selection;
+    :func:`inverse_cdf_rows` is its block form.  Raises ``ValueError`` when
+    the total is not finite and positive.
     """
-    total = cumulative[-1]
-    if total <= 0:
-        raise ValueError("cumulative probabilities sum to zero")
+    total = float(cumulative[-1])
+    # Written so NaN fails too: every comparison with NaN is false.
+    if not 0.0 < total < math.inf:
+        raise ValueError("weights are not finite and positive")
     position = np.searchsorted(cumulative, rng.random() * total, side="right")
     return int(min(position, cumulative.size - 1))
+
+
+def inverse_cdf_rows(
+    cumulative: np.ndarray, uniforms: np.ndarray | float
+) -> np.ndarray:
+    """Draw one index per row of a ``(B, K)`` cumulative weight block.
+
+    Row ``b`` takes the number of its interior bounds at or below
+    ``uniforms[b] * total_b``: ``searchsorted(side="right")`` clamped to the
+    last index, so each row draws the index :func:`inverse_cdf_index`
+    draws from the same uniform.  Raises ``ValueError`` when a row's total
+    is not finite and positive.
+    """
+    totals = cumulative[:, -1]
+    if not (totals.min() > 0 and totals.max() < np.inf):
+        raise ValueError("weights are not finite and positive")
+    return (cumulative[:, :-1] <= (uniforms * totals)[:, None]).sum(axis=1)
 
 
 def index_to_bitstring(index: int, num_qubits: int) -> str:
@@ -60,8 +82,8 @@ def sample_from_probabilities(
     probabilities = np.asarray(probabilities, dtype=float)
     probabilities = np.clip(probabilities, 0.0, None)
     total = probabilities.sum()
-    if total <= 0:
-        raise ValueError("probability vector sums to zero")
+    if not 0 < total < np.inf:
+        raise ValueError("probabilities are not finite and positive")
     probabilities = probabilities / total
     draws = rng.multinomial(shots, probabilities)
     counts: dict[str, int] = {}

@@ -14,6 +14,7 @@ from repro.statevector import (
     apply_unitary,
     apply_unitary_to_density,
 )
+from repro.statevector.apply import local_indices
 
 
 def test_apply_unitary_matches_dense_expansion(rng):
@@ -25,6 +26,20 @@ def test_apply_unitary_matches_dense_expansion(rng):
         gate = Gate.from_matrix(matrix, targets)
         expected = _expand_gate(gate, num_qubits) @ state
         assert np.allclose(apply_unitary(state, matrix, targets), expected)
+
+
+def test_local_indices_follow_the_gate_matrix_convention(rng):
+    """A diagonal matrix scales amplitude b by its entry at local index b."""
+    num_qubits = 4
+    state = rng.normal(size=2**num_qubits) + 1j * rng.normal(size=2**num_qubits)
+    for targets in [(0,), (2,), (0, 3), (3, 1), (1, 2, 0)]:
+        diagonal = rng.normal(size=2 ** len(targets)) + 1j
+        local = local_indices(targets, num_qubits)
+        assert not local.flags.writeable
+        np.testing.assert_allclose(
+            state * diagonal[local],
+            apply_unitary(state, np.diag(diagonal), targets),
+        )
 
 
 def test_apply_unitary_validates_inputs(rng):
