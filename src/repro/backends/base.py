@@ -21,15 +21,22 @@ Batch axis
 ----------
 Every state method also accepts a ``(B, 2**n)`` block whose rows are
 independent trajectories — the frontier chunks of the engine's tree
-traversal.  The kernels of the optimized backend absorb the leading axis;
-the reference backend loops over rows.  The batch helpers below (branch
-sampling, general-Kraus updates, outcome sampling) are written once against
-``apply_unitary`` on such blocks, so every backend shares one
-implementation.  A general-Kraus update prices every row's branches from
-the channel's effect operators ``K_i†K_i`` without applying any operator,
-then applies only the operators the rows drew: the most-drawn one to the
-whole block in place, a diagonal one as a multiply with no kernel call.
-1-D single-state calls keep their scalar paths.
+traversal.  :meth:`Backend.allocate_batch` stores a block *row-inner*: it
+is the transpose of a C-contiguous ``(2**n, B)`` buffer, so the ``B``
+values of one amplitude index sit next to each other in memory while the
+block keeps its ``(B, 2**n)`` shape and indexing.  The kernels of the
+optimized backend view any state amplitude-major with the rows innermost,
+so a gate on any target qubit runs inner loops over the whole chunk;
+C-ordered blocks (fancy-indexed rows, user arrays) go through the same view
+and give bitwise the same rows.  The reference backend loops over rows.
+The batch helpers below (branch sampling, general-Kraus updates, outcome
+sampling) are written once against ``apply_unitary`` on such blocks, so
+every backend shares one implementation.  A general-Kraus update prices
+every row's branches from the channel's effect operators ``K_i†K_i``
+without applying any operator, then applies only the operators the rows
+drew: the most-drawn one to the whole block in place, a diagonal one as a
+multiply with no kernel call.  1-D single-state calls keep their scalar
+paths.
 """
 
 from __future__ import annotations
@@ -76,10 +83,16 @@ class Backend(ABC):
         return np.empty(2**num_qubits, dtype=complex)
 
     def allocate_batch(self, num_qubits: int, rows: int) -> np.ndarray:
-        """Allocate an uninitialised ``(rows, 2**n)`` block of statevectors."""
+        """Allocate an uninitialised ``(rows, 2**n)`` block of statevectors.
+
+        The block is row-inner: the transpose of a C-contiguous
+        ``(2**n, rows)`` buffer, so ``strides[0]`` is one item and a kernel
+        that views it amplitude-major loops over all rows at once.  This is
+        the one place that decides the layout of a trajectory block.
+        """
         if rows < 1:
             raise ValueError("rows must be >= 1")
-        return np.empty((rows, 2**num_qubits), dtype=complex)
+        return np.empty((2**num_qubits, rows), dtype=complex).T
 
     def initial_state(self, num_qubits: int) -> np.ndarray:
         """Allocate |0...0>."""
@@ -101,6 +114,8 @@ class Backend(ABC):
         The engine's reuse copy into a deep shard's entry chunk: the
         replayed prefix state fans out to ``B`` trajectories in one write.
         Each row is a full copy, so callers account ``B`` state copies.
+        On a row-inner batch each amplitude is written to ``B`` adjacent
+        slots; ``batch`` may have any layout.
         """
         np.copyto(batch, state.reshape(1, -1) if state.ndim == 1 else state)
         return batch
@@ -111,11 +126,16 @@ class Backend(ABC):
         """Copy row ``rows[k]`` of ``parents`` into row ``k`` of ``batch``.
 
         The reuse copy of a frontier chunk whose rows span the children of
-        several parents; callers account ``len(rows)`` state copies.
+        several parents; callers account ``len(rows)`` state copies.  The
+        gather runs along the rows of the amplitude-major transposes, which
+        is a gather of adjacent items for row-inner blocks and works for any
+        other layout.
         """
-        # "clip" writes straight into ``out``; the default "raise" mode
-        # buffers the whole gather first.  The rows are in range anyway.
-        return np.take(parents, rows, axis=0, out=batch, mode="clip")
+        # "clip" writes straight into a C-contiguous ``out`` (a whole
+        # row-inner block); the default "raise" mode buffers the whole
+        # gather first.  The rows are in range anyway.
+        np.take(parents.T, rows, axis=1, out=batch.T, mode="clip")
+        return batch
 
     # ------------------------------------------------------------------
     # Evolution
@@ -298,9 +318,10 @@ class Backend(ABC):
         ``scales[b]`` (a ``(B, 1)`` column).
 
         A diagonal operator is one in-place multiply of the block by each
-        row's scaled diagonal, spread over the row by local index; any
-        other goes through :meth:`apply_unitary`.  Returns the array holding
-        the result.
+        row's scaled diagonal, spread over the row by local index into an
+        amplitude-major factor table (the layout of an allocated block);
+        any other goes through :meth:`apply_unitary`.  Returns the array
+        holding the result.
         """
         diagonal = channel.operator_diagonals[branch]
         if diagonal is None:
@@ -310,7 +331,7 @@ class Backend(ABC):
             out *= scales
             return out
         local = local_indices(tuple(qubits), _num_qubits(block))
-        block *= np.take(diagonal * scales, local, axis=1)
+        block *= np.take(diagonal[:, None] * scales.T, local, axis=0).T
         return block
 
     def sample_outcomes(

@@ -138,14 +138,20 @@ class KrausChannel:
         weighted by ``E_i`` at each amplitude's local index; otherwise it is
         ``Re tr(E_i rho_b)`` of the row's reduced density matrix on
         ``qubits``.  Either way each row is reduced on its own, so its
-        weights are bitwise the same in any block.
+        weights are bitwise the same in any block.  The diagonal case
+        reduces a C-ordered copy of the probabilities: on a row-inner block
+        (:meth:`~repro.backends.base.Backend.allocate_batch`) the reduction
+        would run in a different order for a 64-row block than for a
+        one-row block, which can change the last bit of a weight.
         """
         local = local_indices(tuple(qubits), int(states.shape[-1]).bit_length() - 1)
         if self._effect_diagonals is not None:
             probabilities = np.square(states.real)
             probabilities += np.square(states.imag)
             table = np.take(self._effect_diagonals, local, axis=1)
-            weights = np.einsum("bj,kj->bk", probabilities, table)
+            weights = np.einsum(
+                "bj,kj->bk", np.ascontiguousarray(probabilities), table
+            )
         else:
             # Amplitudes grouped by local index: positions[l] lists the
             # basis states whose operand bits read l, in ascending order.

@@ -587,6 +587,8 @@ async def _handle_connection(
                 break
             try:
                 payload = json.loads(line)
+                if not isinstance(payload, dict):
+                    raise TypeError("a request must be a JSON object")
                 request = SimulationRequest(
                     qasm=payload.get("qasm"),
                     noise=payload.get("noise"),
@@ -598,7 +600,9 @@ async def _handle_connection(
                     seed=int(payload.get("seed", 0)),
                     backend=payload.get("backend"),
                 )
-            except (ValueError, TypeError, json.JSONDecodeError) as error:
+            # OverflowError: int() of a number beyond the float range
+            # (JSON "1e400" parses as inf).
+            except (ValueError, TypeError, OverflowError) as error:
                 writer.write(
                     (json.dumps({"status": "error",
                                  "error": str(error)}) + "\n").encode()

@@ -62,6 +62,36 @@ def random_circuit(num_qubits: int, num_gates: int, rng: np.random.Generator) ->
     return circuit
 
 
+#: Storage layouts of a trajectory block that the bitwise tests run over: a
+#: block from ``allocate_batch`` (row-inner), the leading rows of a wider
+#: ``allocate_batch`` buffer (the engine's last chunk of a layer), a
+#: C-ordered array, and rows fancy-indexed out of a row-inner buffer (a
+#: C-ordered copy, as the noise steps make of the rows that drew a branch).
+BLOCK_LAYOUTS = ("allocated", "partial", "c_order", "fancy")
+
+
+def in_layout(block: np.ndarray, layout: str) -> np.ndarray:
+    """A copy of the ``(B, 2**n)`` ``block`` stored in ``layout``."""
+    rows, dim = block.shape
+    num_qubits = dim.bit_length() - 1
+    backend = OptimizedNumpyBackend()
+    if layout == "allocated":
+        out = backend.allocate_batch(num_qubits, rows)
+    elif layout == "partial":
+        out = backend.allocate_batch(num_qubits, rows + 3)[:rows]
+    elif layout == "c_order":
+        out = np.empty((rows, dim), dtype=complex)
+    elif layout == "fancy":
+        wide = backend.allocate_batch(num_qubits, 2 * rows)
+        picked = 2 * np.arange(rows) + 1
+        wide[picked] = block
+        return wide[picked]
+    else:
+        raise ValueError(f"unknown layout {layout!r}")
+    out[...] = block
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------
@@ -128,11 +158,29 @@ def test_library_circuits_agree_through_simulator(builder):
     np.testing.assert_allclose(optimized.data, reference.data, atol=ATOL, rtol=0)
 
 
-def test_optimized_backend_applies_in_place():
+@pytest.mark.parametrize("layout", ["single", *BLOCK_LAYOUTS])
+def test_optimized_backend_applies_in_place(layout):
+    """Every kernel branch writes the caller's array, whatever its layout."""
     backend = OptimizedNumpyBackend()
-    state = backend.initial_state(4)
-    result = backend.apply_gate(state, Gate.standard("h", (2,)))
-    assert result is state
+    reference = NumpyBackend()
+    rng = np.random.default_rng(3)
+    rows = rng.normal(size=(3, 16)) + 1j * rng.normal(size=(3, 16))
+    state = rows[0].copy() if layout == "single" else in_layout(rows, layout)
+    dense, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    gates = [
+        Gate.standard("h", (2,)),
+        Gate.standard("x", (0,)),
+        Gate.standard("rz", (1,), 0.4),
+        Gate.standard("cx", (3, 1)),
+        Gate.standard("cz", (0, 2)),
+        Gate.from_matrix(dense, (1, 3)),
+        Gate.standard("ccx", (0, 1, 3)),
+    ]
+    for gate in gates:
+        expected = reference.apply_gate(np.array(state), gate)
+        result = backend.apply_gate(state, gate)
+        assert result is state
+        np.testing.assert_allclose(state, expected, atol=ATOL, rtol=0)
 
 
 def test_reference_backend_does_not_mutate_input():

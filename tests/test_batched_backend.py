@@ -9,7 +9,7 @@ to it, same seed, when no randomness beyond outcome sampling is involved).
 
 import numpy as np
 import pytest
-from test_backend_equivalence import random_circuit
+from test_backend_equivalence import BLOCK_LAYOUTS, in_layout, random_circuit
 
 from repro.backends import (
     OptimizedNumpyBackend,
@@ -66,20 +66,21 @@ def test_batched_backend_validates_inputs():
 # ---------------------------------------------------------------------------
 # Kernel equivalence (every kernel path, batched vs sequential)
 # ---------------------------------------------------------------------------
+@pytest.mark.parametrize("layout", BLOCK_LAYOUTS)
 @pytest.mark.parametrize("seed", range(6))
-def test_batched_random_circuits_match_sequential_backends(seed):
+def test_batched_random_circuits_match_sequential_backends(seed, layout):
     rng = np.random.default_rng(2000 + seed)
     num_qubits = int(rng.integers(3, 7))
     circuit = random_circuit(num_qubits, num_gates=40, rng=rng)
     batch = 4
-    block = _random_batch(batch, num_qubits, rng)
-    rows_optimized = block.copy()
+    block = in_layout(_random_batch(batch, num_qubits, rng), layout)
+    rows_optimized = np.array(block)
     rows_reference = [row.copy() for row in block]
     batched = get_backend("batched")
     optimized = get_backend("optimized")
     reference = get_backend("numpy")
     for gate in circuit:
-        batched.apply_gate(block, gate)
+        assert batched.apply_gate(block, gate) is block
         for i in range(batch):
             rows_optimized[i] = optimized.apply_gate(rows_optimized[i], gate)
             rows_reference[i] = reference.apply_gate(rows_reference[i], gate)
@@ -117,6 +118,48 @@ def test_batched_backend_works_in_sequential_engines():
     # Same kernels, same RNG stream: identical counts.
     assert via_batched.counts == via_optimized.counts
     assert via_batched.metadata["backend"] == "optimized"
+
+
+def test_allocate_batch_is_row_inner():
+    """A block keeps its (rows, 2**n) shape with its rows adjacent."""
+    block = get_backend("batched").allocate_batch(5, 8)
+    assert block.shape == (8, 2**5)
+    assert block.strides[0] == block.itemsize
+    assert block.T.flags.c_contiguous
+
+
+@pytest.mark.parametrize("layout", ["allocated", "partial"])
+def test_block_helpers_match_c_ordered_copies(layout):
+    """gather_into, broadcast_into and reset_state write a row-inner block,
+    or the leading rows of a wider one, exactly as a C-ordered copy, and
+    leave the buffer's other rows alone."""
+    backend = get_backend("batched")
+    rng = np.random.default_rng(21)
+    num_qubits, rows = 4, 6
+    parents = _random_batch(3, num_qubits, rng)
+    state = _random_batch(1, num_qubits, rng)[0]
+    picked = np.array([2, 0, 0, 1, 2, 1])
+    buffer = backend.allocate_batch(
+        num_qubits, rows if layout == "allocated" else rows + 2
+    )
+    buffer.fill(np.nan)
+    block = buffer[:rows]
+    copy = np.full((rows, 2**num_qubits), np.nan, dtype=complex)
+    ground = np.zeros_like(copy)
+    ground[:, 0] = 1.0
+    cases = [
+        (lambda out, source: backend.gather_into(out, source, picked),
+         parents[picked]),
+        (lambda out, source: backend.broadcast_into(out, state),
+         np.broadcast_to(state, copy.shape)),
+        (lambda out, source: backend.reset_state(out), ground),
+    ]
+    for call, expected in cases:
+        assert call(block, in_layout(parents, "allocated")) is block
+        call(copy, parents)
+        np.testing.assert_array_equal(block, expected)
+        np.testing.assert_array_equal(copy, expected)
+        assert np.isnan(buffer[rows:]).all()
 
 
 def test_batched_backend_partial_view():

@@ -11,6 +11,7 @@ also checked against a first-principles oracle that applies every ``K_i``.
 
 import numpy as np
 import pytest
+from test_backend_equivalence import BLOCK_LAYOUTS, in_layout
 
 from repro.backends import get_backend
 from repro.backends.optimized import OptimizedNumpyBackend
@@ -117,19 +118,20 @@ def _pattern_uniforms(pattern: str, rows: int) -> np.ndarray:
     return uniforms
 
 
+@pytest.mark.parametrize("layout", BLOCK_LAYOUTS)
 @pytest.mark.parametrize("backend", ["optimized", "numpy"])
 @pytest.mark.parametrize("pattern", ["none", "one", "some", "all"])
 @pytest.mark.parametrize("rows", [1, 5, 64])
 @pytest.mark.parametrize("name", sorted(CHANNELS))
 def test_both_paths_match_the_first_principles_oracle(
-    name, rows, pattern, backend
+    name, rows, pattern, backend, layout
 ):
     channel, qubits = CHANNELS[name]
     rng = np.random.default_rng(rows * 7 + len(name))
     block = _random_block(rows, rng)
     uniforms = _pattern_uniforms(pattern, rows)
     resolved = get_backend(backend)
-    updated = block.copy()
+    updated = in_layout(block, layout)
     indices = resolved._apply_kraus_from_uniforms(
         updated, NoiseEvent(channel, qubits), uniforms
     )
@@ -180,10 +182,12 @@ def test_zero_weight_branch_is_never_drawn(rows, backend):
         np.testing.assert_allclose(single, expected, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("layout", BLOCK_LAYOUTS)
 @pytest.mark.parametrize("backend", ["optimized", "numpy"])
 @pytest.mark.parametrize("name", sorted(CHANNELS))
-def test_update_is_bitwise_independent_of_block_size(name, backend):
-    """Each row's update is the same alone, in blocks of 5 and in 64."""
+def test_update_is_bitwise_independent_of_block_size(name, backend, layout):
+    """Each row's update is the same alone, in blocks of 5 and in 64, in
+    every block layout, as in a C-ordered block of 64."""
     channel, qubits = CHANNELS[name]
     rng = np.random.default_rng(len(name))
     block = _random_block(64, rng)
@@ -191,8 +195,8 @@ def test_update_is_bitwise_independent_of_block_size(name, backend):
     events = [NoiseEvent(channel, qubits)]
     resolved = get_backend(backend)
     whole = resolved.apply_noise_events_uniforms(block.copy(), events, uniforms)
-    for size in (1, 5):
-        pieces = block.copy()
+    for size in (1, 5, 64):
+        pieces = in_layout(block, layout)
         for start in range(0, 64, size):
             stop = start + size
             pieces[start:stop] = resolved.apply_noise_events_uniforms(

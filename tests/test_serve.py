@@ -13,6 +13,7 @@ latency percentiles are read back from cumulative histogram counters.
 from __future__ import annotations
 
 import asyncio
+import json
 
 import numpy as np
 import pytest
@@ -339,6 +340,49 @@ def test_malformed_requests_become_error_responses():
     assert server.counters()["serve.requests.error"] == 3
 
 
+def test_socket_replies_to_every_malformed_line_and_keeps_reading():
+    """Each malformed JSON line gets exactly one error line over a real
+    socket, and the same connection then serves a valid request."""
+    from repro.circuits.qasm import to_qasm
+    from repro.serve.server import _handle_connection
+
+    qasm = json.dumps(to_qasm(ghz_circuit(3)))
+    malformed = [
+        b"[1, 2]",
+        b"3",
+        b'"x"',
+        f'{{"qasm": {qasm}, "shots": 1e400}}'.encode(),
+        f'{{"qasm": {qasm}, "shots": 4, "seed": 1e400}}'.encode(),
+        b"{not json",
+    ]
+    valid = f'{{"qasm": {qasm}, "shots": 8, "seed": 1}}'.encode()
+
+    async def _session(server):
+        tcp = await asyncio.start_server(
+            lambda r, w: _handle_connection(server, r, w), "127.0.0.1", 0
+        )
+        port = tcp.sockets[0].getsockname()[1]
+        async with tcp:
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            replies = []
+            for line in [*malformed, valid]:
+                writer.write(line + b"\n")
+                await writer.drain()
+                reply = await asyncio.wait_for(reader.readline(), timeout=60)
+                replies.append(json.loads(reply))
+            writer.close()
+            await writer.wait_closed()
+        return replies
+
+    with SimulationServer() as server:
+        replies = asyncio.run(_session(server))
+    *errors, last = replies
+    assert [reply["status"] for reply in errors] == ["error"] * len(malformed)
+    assert all(reply["error"] for reply in errors)
+    assert last["status"] == "ok"
+    assert sum(last["counts"].values()) == 8
+
+
 def test_response_metadata_and_json_wire_form():
     with SimulationServer() as server:
         cold = server.handle(_request(qft_circuit(4), seed=1))
@@ -350,8 +394,6 @@ def test_response_metadata_and_json_wire_form():
     )
     assert warm.metadata["execution"] == "serve-cached"
     wire = warm.to_json()
-    import json
-
     parsed = json.loads(json.dumps(wire))
     assert parsed["status"] == "ok"
     assert parsed["counts"] == warm.counts
