@@ -159,7 +159,7 @@ def _add_experiment_arguments(parser: argparse.ArgumentParser) -> None:
                         help="tree layers the shard planner may split "
                              "(1 = first layer only; deeper feeds more "
                              "workers than the first-layer arity at the cost "
-                             "of prefix replays)")
+                             "of running each shard's ancestors)")
     parser.add_argument("--copy-cost", type=float, default=None,
                         help="state-copy cost in gate executions handed to "
                              "the partitioners (default: harness value)")

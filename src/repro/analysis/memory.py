@@ -185,11 +185,10 @@ def admit_plan(
     hard-coded threshold.
 
     ``prefix_states`` is the number of *extra* resident statevectors the
-    run keeps outside the traversal pool — replayed/memoised prefix states
-    (the engine's bounded prefix cache, or the serving layer's
-    cross-request state cache).  Their bytes are charged against the
-    budget before the batch cap is computed and reported as part of
-    ``peak_bytes``, so a deep-sharded or cache-warmed run cannot be
+    run keeps outside the traversal pool — memoised prefix states such as
+    the serving layer's cross-request state cache.  Their bytes are
+    charged against the budget before the batch cap is computed and
+    reported as part of ``peak_bytes``, so a cache-warmed run cannot be
     admitted past what it will actually hold resident.
     """
     if max_batch < 1:

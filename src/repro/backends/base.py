@@ -111,9 +111,9 @@ class Backend(ABC):
     def broadcast_into(self, batch: np.ndarray, state: np.ndarray) -> np.ndarray:
         """Copy one statevector into every row of a ``(B, 2**n)`` batch.
 
-        The engine's reuse copy into a deep shard's entry chunk: the
-        replayed prefix state fans out to ``B`` trajectories in one write.
-        Each row is a full copy, so callers account ``B`` state copies.
+        One state fans out to ``B`` trajectories in one write (the cost
+        model's calibration fills its batches this way).  Each row is a
+        full copy, so callers account ``B`` state copies.
         On a row-inner batch each amplitude is written to ``B`` adjacent
         slots; ``batch`` may have any layout.
         """

@@ -26,7 +26,7 @@ from repro.core.copycost import (
     measure_copy_cost,
 )
 from repro.core.costmodel import CostModel, calibrate_cost_model, get_cost_model
-from repro.core.engine import SubtreeAssignment, TQSimEngine
+from repro.core.engine import TQSimEngine
 from repro.core.partitioners import (
     CircuitPartitioner,
     DynamicCircuitPartitioner,
@@ -75,7 +75,6 @@ __all__ = [
     "BaselineNoisySimulator",
     "BatchedTrajectorySimulator",
     "TQSimEngine",
-    "SubtreeAssignment",
     "PathStream",
     "child_key",
     "child_keys",

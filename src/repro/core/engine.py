@@ -52,18 +52,20 @@ Two properties follow, and they are the engine's signature guarantees:
   a stream is a pure function of ``(key, t)``, that block is bitwise the
   per-row draws.  Counts and counters are therefore *bitwise identical*
   across chunk sizes — with or without noise.
-* **Sharding at any depth.**  A run over any set of disjoint subtrees — a
-  slice of first-layer nodes, or a slice of the children of any deeper node
-  (see :class:`SubtreeAssignment` and :mod:`repro.dispatch`) — reproduces
-  exactly the outcomes the full run produces for those subtrees, because a
-  subtree's draws depend only on its root path, never on which process or
-  chunk executed it.
+* **Sharding at any depth.**  A shard is a contiguous range of one
+  layer's flattened frontier (``run(shard=(run_key, layer, start, stop))``;
+  see :func:`frontier_windows` and :mod:`repro.dispatch`).  It runs the
+  range's ancestors and then the range with the full run's keys and chunks,
+  so it reproduces exactly the outcomes the full run produces for those
+  subtrees: a subtree's draws depend only on its root path, never on which
+  process or chunk executed it.  Each ancestor's work is accounted by the
+  shard holding its first descendant, so the counters of any partition of a
+  layer add up to the full run's.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -85,25 +87,16 @@ from repro.core.pathrng import (
     root_key_from_seed,
 )
 from repro.core.results import CostCounters, SimulationResult
-from repro.core.statecache import (
-    DEFAULT_PREFIX_CACHE_BYTES,
-    NamespacedStateCache,
-    PrefixStateCache,
-)
 from repro.noise.model import NoiseEvent, NoiseModel
 from repro.obs import clock
 from repro.obs.tracer import NULL_SPAN, NULL_TRACER, AnyTracer, get_tracer
 
 __all__ = [
     "TQSimEngine",
-    "SubtreeAssignment",
     "DEFAULT_MAX_TREE_BATCH",
+    "frontier_windows",
 ]
 
-
-def _path_label(path: Sequence[int]) -> str:
-    """Span-attribute form of a tree path: ``"1/3"``; the root is ``""``."""
-    return "/".join(str(component) for component in path)
 
 #: Default ceiling on the frontier-chunk size of the traversal.  Each
 #: layer's pooled buffer holds ``min(frontier_i, max_batch)`` statevectors,
@@ -112,117 +105,44 @@ def _path_label(path: Sequence[int]) -> str:
 DEFAULT_MAX_TREE_BATCH = 64
 
 
-@dataclass(frozen=True)
-class SubtreeAssignment:
-    """A contiguous slice of one tree node's children, ready to execute.
+def frontier_windows(
+    arities: Sequence[int], layer: int, start: int, stop: int
+) -> list[tuple[int, int, int]]:
+    """What a run over nodes ``[start, stop)`` of layer ``layer`` executes.
 
-    ``path`` addresses a reuse node: ``()`` is the virtual root (whose
-    children are the first-layer subtrees), ``(j,)`` is first-layer node
-    ``j``, ``(j, c)`` its ``c``-th child, and so on.  The assignment covers
-    children ``[child_start, child_start + child_count)`` of that node —
-    each an independent subtree the engine traverses in full.
+    Returns one ``(lo, hi, booked)`` triple per tree layer: the run executes
+    that layer's flat node range ``[lo, hi)`` and accounts the work of the
+    nodes from ``booked`` on.  With ``p = A_{i+1} * ... * A_layer``, a layer
+    ``i`` above the range holds the range's ancestors ``[start // p,
+    ceil(stop / p))``; ancestor ``a`` is booked only by the range holding its
+    first descendant (``a * p >= start``), so the ranges of a partition book
+    every node exactly once and at most one row per layer goes unbooked.
+    Below the range each window is the one above times the layer's arity.
+    A full run is the range ``[0, A_0)`` of layer 0.
 
-    Attributes
-    ----------
-    prefix_keys:
-        The 64-bit path key of every node along ``path`` (``prefix_keys[i]``
-        belongs to node ``path[:i+1]``).  The worker replays the prefix
-        subcircuits through these streams to rebuild the node's intermediate
-        state bitwise before descending.
-    child_keys:
-        One path key per covered child, in child order.  For a non-empty
-        path these are ``child_key(prefix_keys[-1], c)``; for the root path
-        they are the run key's first-layer children.  Plain ints, so specs
-        pickle across process boundaries with no generator state attached.
-    counted_prefix_layers:
-        ``counted_prefix_layers[i]`` is True when *this* assignment accounts
-        the prefix node ``path[:i+1]``'s work in the cost counters.  Shards
-        splitting a node's children all replay the same prefix, so exactly
-        one assignment per prefix node carries the flag — which is what
-        keeps merged counters bitwise-identical to the single-engine run.
+    Raises ``ValueError`` unless ``[start, stop)`` is a non-empty range of
+    the layer's ``A_0 * ... * A_layer`` nodes.
     """
-
-    path: tuple[int, ...]
-    child_start: int
-    child_count: int
-    prefix_keys: tuple[int, ...]
-    child_keys: tuple[int, ...]
-    counted_prefix_layers: tuple[bool, ...]
-
-    def __post_init__(self) -> None:
-        if self.child_count < 1:
-            raise ValueError("an assignment must cover at least one child")
-        if self.child_start < 0:
-            raise ValueError("child_start must be >= 0")
-        if len(self.prefix_keys) != len(self.path):
-            raise ValueError(
-                f"need one prefix key per path layer ({len(self.path)}), "
-                f"got {len(self.prefix_keys)}"
-            )
-        if len(self.child_keys) != self.child_count:
-            raise ValueError(
-                f"need one key per covered child ({self.child_count}), "
-                f"got {len(self.child_keys)}"
-            )
-        if len(self.counted_prefix_layers) != len(self.path):
-            raise ValueError(
-                "need one counted-prefix flag per path layer "
-                f"({len(self.path)}), got {len(self.counted_prefix_layers)}"
-            )
-
-    @property
-    def depth(self) -> int:
-        """Layer of the covered children (``len(path)``)."""
-        return len(self.path)
-
-    def outcomes(self, arities: Sequence[int]) -> int:
-        """Leaves this assignment produces under the given tree arities."""
-        return self.child_count * math.prod(arities[self.depth + 1 :])
-
-    def validate_against(self, plan: PartitionPlan) -> None:
-        """Raise when the assignment does not address ``plan``'s tree."""
-        arities = plan.tree.arities
-        if self.depth >= len(arities):
-            raise ValueError(
-                f"path {self.path} is deeper than the {len(arities)}-layer tree"
-            )
-        for layer, node in enumerate(self.path):
-            if not 0 <= node < arities[layer]:
-                raise ValueError(
-                    f"path component {node} out of range for layer {layer} "
-                    f"(arity {arities[layer]})"
-                )
-        if self.child_start + self.child_count > arities[self.depth]:
-            raise ValueError(
-                f"children [{self.child_start}, "
-                f"{self.child_start + self.child_count}) exceed layer "
-                f"{self.depth}'s arity ({arities[self.depth]})"
-            )
-
-    def overlaps(self, other: "SubtreeAssignment") -> bool:
-        """True when the two assignments cover a common subtree.
-
-        Overlap is ancestry-aware: a slice of node ``(0,)``'s children
-        collides with a slice of node ``(0, 3)``'s children whenever child 3
-        lies inside the former's range, because the deeper slice re-executes
-        leaves the shallower one already produces.
-        """
-        shallow, deep = (
-            (self, other) if self.depth <= other.depth else (other, self)
+    if not 0 <= layer < len(arities):
+        raise ValueError(
+            f"layer {layer} is outside the {len(arities)}-layer tree"
         )
-        if deep.path[: shallow.depth] != shallow.path:
-            return False
-        if shallow.depth == deep.depth:
-            return (
-                shallow.child_start < deep.child_start + deep.child_count
-                and deep.child_start < shallow.child_start + shallow.child_count
-            )
-        covered_child = deep.path[shallow.depth]
-        return (
-            shallow.child_start
-            <= covered_child
-            < shallow.child_start + shallow.child_count
+    frontier = math.prod(arities[: layer + 1])
+    if not 0 <= start < stop <= frontier:
+        raise ValueError(
+            f"[{start}, {stop}) is not a non-empty range of layer {layer}'s "
+            f"{frontier} nodes"
         )
+    windows = []
+    for i, arity in enumerate(arities):
+        if i <= layer:
+            span = math.prod(arities[i + 1 : layer + 1])
+            lo, hi, booked = start // span, -(-stop // span), -(-start // span)
+        else:
+            lo, hi = lo * arity, hi * arity
+            booked = lo
+        windows.append((lo, hi, booked))
+    return windows
 
 
 class _LayerNoise(NamedTuple):
@@ -239,25 +159,28 @@ class _Walk(NamedTuple):
 
     plan: PartitionPlan
     noise: Sequence[_LayerNoise]
-    #: ``pool[i]``: layer ``i``'s ``(min(frontier_i, cap), 2**n)`` buffer.
-    pool: dict[int, np.ndarray]
+    #: ``pool[i]``: layer ``i``'s ``(min(hi - lo, cap), 2**n)`` buffer.
+    pool: list[np.ndarray]
     counts: dict[str, int]
     cost: CostCounters
     tracer: AnyTracer
-    assignment: SubtreeAssignment
+    #: ``windows[i]``: layer ``i``'s ``(lo, hi, booked)`` from
+    #: :func:`frontier_windows`.
+    windows: Sequence[tuple[int, int, int]]
 
 
-def _chunk_labels(walk: _Walk, layer: int, first: int) -> tuple[str, int]:
+def _chunk_labels(
+    arities: Sequence[int], layer: int, first: int
+) -> tuple[str, int]:
     """Span labels of a chunk: the path of its first row's parent, and that
-    row's child index.  ``first`` is the row's index among ``layer``'s
-    nodes under the traversed slice; both labels are exact at cap 1."""
-    assignment = walk.assignment
+    row's child index, decoded from the row's flat index ``first`` in
+    ``layer``'s frontier; both labels are exact at cap 1."""
     digits = []
-    for arity in reversed(walk.plan.tree.arities[assignment.depth + 1 : layer + 1]):
+    for arity in reversed(arities[1 : layer + 1]):
         first, digit = divmod(first, arity)
         digits.append(digit)
-    path = (*assignment.path, assignment.child_start + first, *reversed(digits))
-    return _path_label(path[:-1]), path[-1]
+    path = (first, *reversed(digits))
+    return "/".join(str(node) for node in path[:-1]), path[-1]
 
 
 class TQSimEngine:
@@ -320,9 +243,7 @@ class TQSimEngine:
         shots: int,
         partitioner: CircuitPartitioner | None = None,
         plan: PartitionPlan | None = None,
-        subtree_keys: Sequence[int] | None = None,
-        assignments: Sequence[SubtreeAssignment] | None = None,
-        prefix_cache: PrefixStateCache | NamespacedStateCache | None = None,
+        shard: tuple[int, int, int, int] | None = None,
     ) -> SimulationResult:
         """Simulate ``circuit`` with computation reuse.
 
@@ -337,44 +258,28 @@ class TQSimEngine:
             this engine's state-copy cost.
         plan:
             A pre-built plan (overrides ``partitioner``).
-        subtree_keys:
-            One 64-bit path key per first-layer subtree of the plan,
-            overriding the engine's own key derivation (the classic
-            first-layer dispatch hook; shorthand for one root-path
-            assignment covering the full first layer).
-        assignments:
-            Explicit :class:`SubtreeAssignment` slices to execute instead of
-            the whole tree.  This is the deep-sharding hook: each assignment
-            replays its path's prefix subcircuits through the recorded
-            prefix streams (accounted only where the assignment owns the
-            prefix node), then traverses exactly the covered children —
-            reproducing bitwise the outcomes the full run produces for those
-            subtrees.  Mutually exclusive with ``subtree_keys``.
-        prefix_cache:
-            Memo of replayed prefix states.  ``None`` (default) gives the
-            run a private byte-bounded LRU
-            (:class:`~repro.core.statecache.PrefixStateCache`), so deep
-            splits replay each shared ancestor once without the memo
-            growing past ``DEFAULT_PREFIX_CACHE_BYTES``.  Callers may pass
-            a longer-lived cache (e.g. the serving layer's cross-request
-            cache via a :class:`~repro.core.statecache.NamespacedStateCache`
-            view); cached entries are never mutated, and eviction only
-            costs a replay — counters and counts are unaffected either way.
+        shard:
+            ``(run_key, layer, start, stop)``: run only nodes ``[start,
+            stop)`` of layer ``layer``'s flattened frontier (row ``r``'s
+            child ``c`` is flat index ``r * A_{i+1} + c``) and every subtree
+            below them, in the run keyed ``run_key``, instead of advancing
+            this engine's own run counter.  This is the sharding hook: the
+            traversal runs the range's ancestors (see
+            :func:`frontier_windows`) and then the range, with the same
+            keys and chunks a full run uses, so the outcomes are bitwise
+            the full run's for those subtrees and the counters of a
+            partition's shards add up to the full run's.
 
         Returns
         -------
         SimulationResult
             ``result.shots`` records the outcomes actually produced (the
-            plan's leaf count — or the assignments' — which may over-shoot
-            the request); the requested value is kept under
+            plan's leaf count — or the shard's — which may over-shoot the
+            request); the requested value is kept under
             ``metadata["requested_shots"]``.
         """
         if shots < 1:
             raise ValueError("shots must be >= 1")
-        if assignments is not None and subtree_keys is not None:
-            raise ValueError(
-                "pass either subtree_keys or assignments, not both"
-            )
         if plan is None:
             if partitioner is None:
                 partitioner = DynamicCircuitPartitioner(
@@ -387,65 +292,21 @@ class TQSimEngine:
                 f"({plan.total_gates} vs {circuit.num_gates} gates)"
             )
         arities = plan.tree.arities
-        # Drift comparisons only make sense for runs covering the whole
-        # tree; explicit assignments execute a slice plus prefix replay,
-        # which CostModel.plan_seconds does not model.
-        full_tree = assignments is None
-        if assignments is None:
-            if subtree_keys is None:
-                # Advancing the run index is what keeps repeated run() calls
-                # statistically independent under one fixed seed.
-                run_key = child_key(self._root_key, self._runs_started)
-                self._runs_started += 1
-                subtree_keys = [
-                    int(k) for k in child_keys(run_key, 0, arities[0])
-                ]
-            elif len(subtree_keys) != arities[0]:
-                raise ValueError(
-                    f"need one subtree key per first-layer subtree "
-                    f"({arities[0]}), got {len(subtree_keys)}"
-                )
-            assignments = [
-                SubtreeAssignment(
-                    path=(),
-                    child_start=0,
-                    child_count=arities[0],
-                    prefix_keys=(),
-                    child_keys=tuple(int(k) for k in subtree_keys),
-                    counted_prefix_layers=(),
-                )
-            ]
+        if shard is None:
+            # Advancing the run index is what keeps repeated run() calls
+            # statistically independent under one fixed seed.
+            run_key = child_key(self._root_key, self._runs_started)
+            self._runs_started += 1
+            layer, start, stop = 0, 0, arities[0]
         else:
-            assignments = list(assignments)
-            if not assignments:
-                raise ValueError("assignments must not be empty")
-            for assignment in assignments:
-                assignment.validate_against(plan)
-            for i, first in enumerate(assignments):
-                for second in assignments[i + 1 :]:
-                    if first.overlaps(second):
-                        raise ValueError(
-                            "assignments overlap: "
-                            f"(path {first.path}, children "
-                            f"[{first.child_start}, "
-                            f"{first.child_start + first.child_count})) and "
-                            f"(path {second.path}, children "
-                            f"[{second.child_start}, "
-                            f"{second.child_start + second.child_count})) "
-                            "cover a common subtree, which would double-count "
-                            "its outcomes"
-                        )
+            run_key, layer, start, stop = shard
+        windows = frontier_windows(arities, layer, start, stop)
+        produced = (stop - start) * math.prod(arities[layer + 1 :])
 
         tracer = self.tracer if self.tracer is not None else get_tracer()
         counts: dict[str, int] = {}
         cost = CostCounters()
-        produced = 0
-        # Replayed prefix states, keyed by node path: assignments under the
-        # same ancestor (deep splits) rebuild it once per run, not once each.
-        # Byte-bounded so deep-sharded runs can't pin one state per path.
-        if prefix_cache is None:
-            prefix_cache = PrefixStateCache(DEFAULT_PREFIX_CACHE_BYTES)
-        start = clock.perf_seconds()
+        began = clock.perf_seconds()
         with (
             tracer.span(
                 "engine.run",
@@ -455,25 +316,22 @@ class TQSimEngine:
                 backend=self.backend.name,
                 qubits=circuit.num_qubits,
                 chunk_cap=self.max_batch,
-                full_tree=full_tree,
-                assignments=len(assignments),
+                # Drift comparisons only make sense for runs covering the
+                # whole tree, which is what CostModel.plan_seconds models.
+                full_tree=(layer, start, stop) == (0, 0, arities[0]),
+                layer=layer,
+                start=start,
+                stop=stop,
+                shots=produced,
             )
             if tracer.enabled
             else NULL_SPAN
-        ) as run_span:
+        ):
             noise = [self._match_noise(sub) for sub in plan.subcircuits]
-            for assignment in assignments:
-                produced += assignment.outcomes(arities)
-                prefix_state = self._replay_prefix(
-                    circuit, plan, noise, assignment, cost, prefix_cache,
-                    tracer,
-                )
-                self._run_tree(
-                    circuit, plan, noise, counts, cost, assignment,
-                    prefix_state, tracer,
-                )
-            run_span.set(shots=produced)
-        cost.wall_time_seconds = clock.perf_seconds() - start
+            self._run_tree(
+                circuit, plan, noise, counts, cost, run_key, windows, tracer
+            )
+        cost.wall_time_seconds = clock.perf_seconds() - began
 
         metadata = {
             "simulator": "tqsim",
@@ -505,110 +363,23 @@ class TQSimEngine:
         events = [self.noise_model.events_for_gate(gate) for gate in subcircuit]
         return _LayerNoise(events, sum(len(matched) for matched in events))
 
-    # ------------------------------------------------------------------
-    def _replay_prefix(
-        self,
-        circuit: Circuit,
-        plan: PartitionPlan,
-        noise: Sequence[_LayerNoise],
-        assignment: SubtreeAssignment,
-        cost: CostCounters,
-        cache: PrefixStateCache | NamespacedStateCache,
-        tracer: AnyTracer = NULL_TRACER,
-    ) -> np.ndarray | None:
-        """Rebuild the intermediate state of the node at ``assignment.path``.
-
-        The prefix subcircuits are replayed through the recorded per-node
-        streams, so the resulting state is bitwise the one the full run hands
-        to that node's children.  ``cache`` memoises every rebuilt node state
-        by path: assignments sharing an ancestor (deep splits) replay it once
-        and resume from the deepest cached prefix.  The cache is byte-bounded
-        (and may outlive the run — see ``run``'s ``prefix_cache``), so an
-        entry may have been evicted; a miss just replays the prefix, which
-        cannot change counts or counters.
-
-        Work is added to ``cost`` only for prefix layers this assignment owns
-        (``counted_prefix_layers``): sibling shards replay the same prefix,
-        and the merged counters must account each tree node exactly once,
-        like the single-engine run.  Owned layers are accounted whether their
-        state came from a replay or from the cache (accounting follows
-        ownership, not execution).  Replayed but uncounted work is real
-        wall-clock overhead — the planner's cost model and the dispatch
-        metadata track it separately.
-        """
-        if not assignment.path:
-            return None
-        backend = self.backend
-        depth = assignment.depth
-        resume = 0
-        state: np.ndarray | None = None
-        for layer in range(depth, 0, -1):
-            cached = cache.get(assignment.path[:layer])
-            if cached is not None:
-                state, resume = cached, layer
-                break
-        discard = CostCounters()
-        for layer in range(depth):
-            counted = assignment.counted_prefix_layers[layer]
-            tally = cost if counted else discard
-            if counted and layer >= 1:
-                # The full run copies this node's parent state; the replay
-                # evolves one buffer in place but must account identically.
-                tally.state_copies += 1
-            if layer < resume:
-                # Cache hit: the state exists already, but an owned layer
-                # still has to book the node's work exactly once.
-                if counted:
-                    tally.gate_applications += len(plan.subcircuits[layer])
-                    tally.noise_applications += noise[layer].draws
-                continue
-            work = (
-                backend.reset_state(backend.allocate_state(circuit.num_qubits))
-                if state is None
-                # Never evolve a cached entry in place — later assignments
-                # resume from it.
-                else backend.copy_state(state)
-            )
-            stream = PathStream(assignment.prefix_keys[layer])
-            # A one-row subcircuit application consumes the stream exactly
-            # as the node's row in a traversal chunk does.
-            with (
-                tracer.span(
-                    "engine.prefix_replay",
-                    path=_path_label(assignment.path[: layer + 1]),
-                    layer=layer,
-                    gates=len(plan.subcircuits[layer]),
-                    counted=counted,
-                )
-                if tracer.enabled
-                else NULL_SPAN
-            ):
-                state = self._apply_subcircuit(
-                    work, plan.subcircuits[layer], noise[layer], tally,
-                    [stream], tracer,
-                )
-            cache.put(assignment.path[: layer + 1], state)
-        return state
-
     def _apply_subcircuit(
         self,
         state: np.ndarray,
         subcircuit: Circuit,
         noise: _LayerNoise,
-        cost: CostCounters,
         row_rngs: Sequence[PathStream],
         tracer: AnyTracer = NULL_TRACER,
     ) -> np.ndarray:
         """Apply one subcircuit with freshly sampled trajectory noise.
 
         ``state`` is a ``(B, 2**n)`` chunk whose row ``i`` is the tree node
-        streaming from ``row_rngs[i]`` (or one statevector with a single
-        stream).  Every noise event, mixed-unitary or general Kraus,
-        consumes exactly one uniform per row, so the chunk's whole noise
-        budget is pre-drawn in *one* :func:`~repro.core.pathrng.draw_block`
-        call: the row counters advance in lockstep and column ``j`` of the
-        block is bitwise the ``j``-th per-event draw of each row's stream.
-        Cost counters book ``B`` applications per gate and per event.
+        streaming from ``row_rngs[i]``.  Every noise event, mixed-unitary or
+        general Kraus, consumes exactly one uniform per row, so the chunk's
+        whole noise budget is pre-drawn in *one*
+        :func:`~repro.core.pathrng.draw_block` call: the row counters
+        advance in lockstep and column ``j`` of the block is bitwise the
+        ``j``-th per-event draw of each row's stream.
         """
         backend = self.backend
         rows = len(row_rngs)
@@ -639,8 +410,6 @@ class TQSimEngine:
                     state, events, uniforms[:, column : column + width]
                 )
                 column += width
-        cost.gate_applications += len(subcircuit) * rows
-        cost.noise_applications += noise.draws * rows
         return state
 
     # ------------------------------------------------------------------
@@ -651,63 +420,48 @@ class TQSimEngine:
         noise: Sequence[_LayerNoise],
         counts: dict[str, int],
         cost: CostCounters,
-        assignment: SubtreeAssignment,
-        parent_state: np.ndarray | None,
+        run_key: int,
+        windows: Sequence[tuple[int, int, int]],
         tracer: AnyTracer = NULL_TRACER,
     ) -> None:
         """Depth-first traversal over frontier chunks.
 
-        Runs the subtrees ``assignment`` covers (the whole tree for the root
-        path).  The nodes of layer ``i`` below the live layer-``i-1`` chunk
-        are that chunk's flattened children — row ``r``'s child ``c`` is
-        flat index ``r * A_i + c`` — and each chunk takes the next at most
-        ``max_batch`` of them, so one chunk spans the children of several
-        parents and layer ``i`` runs about ``ceil(frontier_i / cap)``
-        chunks, where ``frontier_i`` is the layer's node count.  ``pool[i]``
-        is a ``(min(frontier_i, cap), 2**n)`` buffer.  A chunk runs one
-        batched kernel call per gate; leaf chunks sample all their outcomes
-        in one batched call, and interior chunks run all their children
+        Runs layer ``i``'s nodes ``[lo, hi)`` of ``windows[i]`` (every node
+        for a full run).  The nodes of layer ``i`` below the live
+        layer-``i-1`` chunk are that chunk's flattened children — row ``r``'s
+        child ``c`` is flat index ``r * A_i + c`` — clamped to the layer's
+        window, and each chunk takes the next at most ``max_batch`` of them,
+        so one chunk spans the children of several parents and layer ``i``
+        runs about ``ceil((hi - lo) / cap)`` chunks.  ``pool[i]`` is a
+        ``(min(hi - lo, cap), 2**n)`` buffer.  A chunk runs one batched
+        kernel call per gate; leaf chunks sample all their outcomes in one
+        batched call, and interior chunks run all their children
         (:meth:`_run_chunk` recurses once per layer) before the next chunk
         overwrites the buffer.
 
         Random streams: every row of a chunk is its own tree node with its
-        own :class:`~repro.core.pathrng.PathStream` (the assignment's child
-        keys at the entry layer, :func:`~repro.core.pathrng.child_keys_multi`
+        own :class:`~repro.core.pathrng.PathStream` (``child_keys(run_key,
+        j)`` at layer 0, :func:`~repro.core.pathrng.child_keys_multi`
         below), so a chunk draws all rows' uniforms in one block while the
         operator application stays vectorised.  Draws therefore depend only
         on a node's path — never on the chunk cap or how nodes were grouped
         into chunks — which is what makes both the chunking and any sharding
         of the tree bitwise reproducible.
         """
-        start = assignment.depth
         cap = self.max_batch
-        pool: dict[int, np.ndarray] = {}
-        frontier = 1
-        fanout = (assignment.child_count, *plan.tree.arities[start + 1 :])
-        for layer, arity in enumerate(fanout, start):
-            frontier *= arity
-            pool[layer] = self.backend.allocate_batch(
-                circuit.num_qubits, min(frontier, cap)
-            )
-        walk = _Walk(plan, noise, pool, counts, cost, tracer, assignment)
-        keys = np.asarray(assignment.child_keys, dtype=np.uint64)
-        for first in range(0, len(keys), cap):
-            batch = pool[start][: min(cap, len(keys) - first)]
-            if parent_state is None:
-                # Root-path chunks start from |0...0> like the baseline;
-                # resets are not reuse copies.
-                self.backend.reset_state(batch)
-            else:
-                with (
-                    tracer.span("engine.copy", path=_path_label(assignment.path),
-                                layer=start, rows=len(batch))
-                    if tracer.enabled
-                    else NULL_SPAN
-                ):
-                    self.backend.broadcast_into(batch, parent_state)
-                cost.state_copies += len(batch)
+        pool = [
+            self.backend.allocate_batch(circuit.num_qubits, min(hi - lo, cap))
+            for lo, hi, _ in windows
+        ]
+        walk = _Walk(plan, noise, pool, counts, cost, tracer, windows)
+        lo, hi, _ = windows[0]
+        for first in range(lo, hi, cap):
+            batch = pool[0][: min(cap, hi - first)]
+            # Layer-0 chunks start from |0...0> like the baseline; resets are
+            # not reuse copies.
+            self.backend.reset_state(batch)
             self._run_chunk(
-                walk, start, batch, keys[first : first + len(batch)], first
+                walk, 0, batch, child_keys(run_key, first, len(batch)), first
             )
 
     def _run_chunk(
@@ -719,12 +473,14 @@ class TQSimEngine:
         first: int,
     ) -> None:
         """Apply subcircuit ``layer`` to one loaded chunk, then sample its
-        leaves or run its children.  ``first`` is row 0's index among the
-        layer's nodes under the traversed slice."""
+        leaves or run its children.  ``first`` is row 0's flat index in the
+        layer's frontier."""
         tracer = walk.tracer
         plan = walk.plan
         path, first_child = (
-            _chunk_labels(walk, layer, first) if tracer.enabled else ("", 0)
+            _chunk_labels(plan.tree.arities, layer, first)
+            if tracer.enabled
+            else ("", 0)
         )
         row_rngs = [PathStream(key) for key in keys.tolist()]
         with (
@@ -737,14 +493,22 @@ class TQSimEngine:
             else NULL_SPAN
         ):
             state = self._apply_subcircuit(
-                batch, plan.subcircuits[layer], walk.noise[layer], walk.cost,
-                row_rngs, tracer,
+                batch, plan.subcircuits[layer], walk.noise[layer], row_rngs,
+                tracer,
             )
         if state is not batch:
             # Honour the mutation contract for out-of-place backends:
             # leaves are sampled from, and children gathered out of, the
             # pooled buffer, so the result must land in it.
             np.copyto(batch, state)
+        # Rows before the window's ``booked`` node are ancestors another
+        # shard accounts (at most one row per layer).
+        booked = first + len(batch) - max(first, walk.windows[layer][2])
+        cost = walk.cost
+        cost.gate_applications += len(plan.subcircuits[layer]) * booked
+        cost.noise_applications += walk.noise[layer].draws * booked
+        if layer:
+            cost.state_copies += booked
         if layer + 1 == plan.tree.num_subcircuits:
             readout = self.noise_model.readout_error if self.noise_model else None
             with (
@@ -757,27 +521,31 @@ class TQSimEngine:
                 )
             for bitstring in outcomes:
                 walk.counts[bitstring] = walk.counts.get(bitstring, 0) + 1
-            walk.cost.leaf_samples += len(batch)
+            cost.leaf_samples += len(batch)
             return
         # The children run in frontier chunks: one row gather copies each
         # chunk's parent rows in, and one vectorised hash derives its keys.
         layer += 1
         arity = plan.tree.arities[layer]
         buffer = walk.pool[layer]
-        total = len(batch) * arity
-        for begin in range(0, total, len(buffer)):
+        lo, hi, _ = walk.windows[layer]
+        base = first * arity
+        begin, end = max(base, lo), min(base + len(batch) * arity, hi)
+        for child_first in range(begin, end, len(buffer)):
+            offset = child_first - base
             rows, children = np.divmod(
-                np.arange(begin, min(begin + len(buffer), total)), arity
+                np.arange(offset, offset + min(len(buffer), end - child_first)),
+                arity,
             )
-            child_first = first * arity + begin
             with (
-                tracer.span("engine.copy", layer=layer, rows=len(rows),
-                            path=_chunk_labels(walk, layer, child_first)[0])
+                tracer.span(
+                    "engine.copy", layer=layer, rows=len(rows),
+                    path=_chunk_labels(plan.tree.arities, layer, child_first)[0],
+                )
                 if tracer.enabled
                 else NULL_SPAN
             ):
                 self.backend.gather_into(buffer[: len(rows)], batch, rows)
-            walk.cost.state_copies += len(rows)
             self._run_chunk(
                 walk, layer, buffer[: len(rows)],
                 child_keys_multi(keys[rows], children), child_first,

@@ -1,11 +1,8 @@
-"""Byte-bounded LRU caches for replayed/memoised statevectors.
+"""Byte-bounded LRU caches for memoised statevectors.
 
-The engine's prefix replay (:meth:`~repro.core.engine.TQSimEngine.
-_replay_prefix`) memoises rebuilt intermediate states so assignments sharing
-an ancestor replay it once.  Before this module that memo was a bare dict:
-unbounded, invisible to the :mod:`repro.analysis.memory` admission model,
-and confined to one ``run()`` call.  :class:`PrefixStateCache` replaces it
-with a byte-bounded LRU that
+The serving layer keeps noiseless intermediate states across requests
+(see :mod:`repro.serve.cache`).  :class:`PrefixStateCache` holds them in a
+byte-bounded LRU that
 
 * **caps resident bytes** — inserts evict least-recently-used entries until
   the configured budget holds (an entry larger than the whole budget is
@@ -14,15 +11,13 @@ with a byte-bounded LRU that
   surface cache behaviour as obs counters;
 * **is shareable** — a lock makes ``get``/``put`` safe from the serving
   layer's worker threads, and :meth:`PrefixStateCache.namespaced` returns a
-  keyspace view (key prefix + optional key transform) that lets one
-  cross-request cache hold entries for many circuits, keyed by
-  ``(circuit-hash, ..., path)`` (see :mod:`repro.serve.cache`).
+  keyspace view (a key prefix) that lets one cross-request cache hold
+  entries for many circuits, keyed by ``(circuit-hash, ..., depth)``.
 
-Entries are immutable by convention: the engine never evolves a cached
-state in place (it copies first), so sharing references across runs,
-requests and threads is sound.  Eviction can never change simulation
-results — prefix accounting follows assignment *ownership*, not cache
-behaviour, and a missing entry is simply replayed.
+Entries are immutable by convention: nothing evolves a cached state in
+place, so sharing references across requests and threads is sound.
+Eviction can never change simulation results — a missing entry is simply
+recomputed.
 """
 
 from __future__ import annotations
@@ -30,7 +25,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable
+from typing import Any, Hashable
 
 import numpy as np
 
@@ -41,9 +36,8 @@ __all__ = [
     "PrefixStateCache",
 ]
 
-#: Default byte budget of a per-run prefix cache: generous for the widths
-#: this package simulates (a 24-qubit statevector is 256 MiB) while keeping
-#: deep-sharded runs from pinning one state per replayed path indefinitely.
+#: Default byte budget of a :class:`PrefixStateCache`: one 24-qubit
+#: statevector (256 MiB), generous for the widths this package simulates.
 DEFAULT_PREFIX_CACHE_BYTES = 256 * 1024 * 1024
 
 
@@ -150,22 +144,13 @@ class PrefixStateCache:
             self._current_bytes = 0
 
     # ------------------------------------------------------------------
-    def namespaced(
-        self,
-        *prefix: Hashable,
-        key_fn: Callable[[Any], Hashable] | None = None,
-    ) -> "NamespacedStateCache":
-        """A view of this cache under a key prefix (plus optional transform).
+    def namespaced(self, *prefix: Hashable) -> "NamespacedStateCache":
+        """A view of this cache under a key prefix.
 
-        The view exposes the same ``get``/``put`` surface the engine's
-        prefix replay consumes, mapping each key ``k`` to
-        ``(*prefix, key_fn(k))`` in the shared cache.  ``key_fn`` is the
-        normalisation hook: a noiseless circuit's prefix state is
-        path-independent (identical for every sibling), so the serving
-        layer passes ``key_fn=len`` to collapse all paths of one depth onto
-        a single shared entry.
+        The view exposes the same ``get``/``put`` surface, mapping each key
+        ``k`` to ``(*prefix, k)`` in the shared cache.
         """
-        return NamespacedStateCache(self, prefix, key_fn)
+        return NamespacedStateCache(self, prefix)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         bound = "unbounded" if self.max_bytes is None else f"{self.max_bytes}B"
@@ -178,21 +163,16 @@ class PrefixStateCache:
 class NamespacedStateCache:
     """A keyspace view over a shared :class:`PrefixStateCache`."""
 
-    __slots__ = ("parent", "prefix", "key_fn")
+    __slots__ = ("parent", "prefix")
 
     def __init__(
-        self,
-        parent: PrefixStateCache,
-        prefix: tuple[Hashable, ...],
-        key_fn: Callable[[Any], Hashable] | None = None,
+        self, parent: PrefixStateCache, prefix: tuple[Hashable, ...]
     ) -> None:
         self.parent = parent
         self.prefix = tuple(prefix)
-        self.key_fn = key_fn
 
     def _map(self, key: Any) -> Hashable:
-        mapped = self.key_fn(key) if self.key_fn is not None else key
-        return (*self.prefix, mapped)
+        return (*self.prefix, key)
 
     def get(self, key: Any) -> np.ndarray | None:
         return self.parent.get(self._map(key))

@@ -2,19 +2,18 @@
 
 The paper's Section 5.3 scales tree-based trajectory simulation across the
 nodes of a CPU cluster; :mod:`repro.distributed` models that analytically.
-This package *executes* it on one machine: the tree is split into path-based
-shards (:class:`ShardPlanner` / :class:`ShardSpec`, each a set of
-``(path, child-range)`` :class:`~repro.core.engine.SubtreeAssignment`
-slices), each shard runs in a worker process through the module-level
-:func:`run_shard` entry point (:class:`PoolDispatcher`) or in-process
-(:class:`SerialDispatcher`), and the shard results fold back into a single
-:class:`~repro.core.results.SimulationResult` via
+This package *executes* it on one machine: the tree is split into shards
+(:class:`ShardPlanner` / :class:`ShardSpec`, each a contiguous range of one
+layer's flattened frontier), each shard runs in a worker process through
+the module-level :func:`run_shard` entry point (:class:`PoolDispatcher`) or
+in-process (:class:`SerialDispatcher`), and the shard results fold back
+into a single :class:`~repro.core.results.SimulationResult` via
 :func:`~repro.core.results.merge_many`.
 
 Classic sharding slices the first-layer arity; when that arity is smaller
-than the worker pool the planner descends (``max_depth``) and splits the
-children of deeper reuse nodes, with a load-aware balancer that prices the
-per-shard prefix replays in gate-equivalents.
+than the worker pool the planner descends (``max_depth``) and splits a
+deeper layer's frontier, with a load-aware balancer that prices the
+ancestor prefix each shard runs in gate-equivalents.
 
 Per-node counter streams addressed by tree path (64-bit keys derived
 statelessly from one root key; see :mod:`repro.core.pathrng`) make every
@@ -32,7 +31,6 @@ Failures surface as typed :class:`DispatchError` subclasses
 drives the fault-injection tests and benchmarks.
 """
 
-from repro.core.engine import SubtreeAssignment
 from repro.core.pathrng import child_key
 from repro.dispatch.dispatchers import (
     Dispatcher,
@@ -59,7 +57,6 @@ __all__ = [
     "ResilientPoolDispatcher",
     "ShardPlanner",
     "ShardSpec",
-    "SubtreeAssignment",
     "child_key",
     "run_shard",
     "split_shard_spec",

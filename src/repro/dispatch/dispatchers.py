@@ -16,9 +16,9 @@ therefore the wall-clock time.
 ``max_depth`` controls how far the shard planner may descend when the
 first-layer arity is smaller than the worker pool: at the default 1 the
 planner slices only the first layer (at most ``A0`` shards); at depth ``d``
-it may split the children of nodes ``d - 1`` layers down, keeping every
-worker busy on plans like ``(2, 64)`` at the price of replaying the short
-shared prefix per shard.
+it may split the frontier of layer ``d - 1``, keeping every worker busy on
+plans like ``(2, 64)`` at the price of running the short shared prefix once
+per shard.
 
 Result accounting
 -----------------
@@ -225,7 +225,7 @@ class Dispatcher(ABC):
             "num_shards": len(shards),
             "num_workers": self._num_workers_used(len(shards)),
             "max_depth": self.max_depth,
-            "shard_depth": max(spec.depth for spec in shards),
+            "shard_depth": max(spec.layer for spec in shards),
             "wall_time_seconds": elapsed,
             "shard_wall_times": shard_seconds,
             "shard_seconds_total": sum(shard_seconds),

@@ -137,7 +137,7 @@ class ResilientPoolDispatcher(PoolDispatcher):
     straggler_factor / straggler_min_seconds:
         A primary attempt running past ``max(factor × estimated_seconds,
         min_seconds)`` with idle workers available triggers one speculative
-        re-shard of its child-range.
+        re-shard of its range.
     speculate:
         Master switch for speculative re-sharding.
     max_pool_rebuilds:

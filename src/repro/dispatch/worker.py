@@ -27,15 +27,14 @@ def run_shard(
     """Execute one shard with a locally built engine and tag its provenance.
 
     The engine's own root seed is irrelevant here: every random draw comes
-    from the spec's pre-derived per-node streams, so the result depends only
+    from streams keyed below the spec's run key, so the result depends only
     on the spec — not on which process, in which order, or on which
     *attempt* it ran.  That attempt-independence is what makes retries and
     speculative re-execution exact: re-running a shard (or any re-split of
-    its child-range) reproduces its counts bitwise.  Deep shards replay
-    their paths' prefix subcircuits through the recorded per-node path keys
-    to rebuild the entry states (accounted only by the owning shard; see
-    :meth:`~repro.core.engine.TQSimEngine._replay_prefix`), then traverse
-    exactly the assigned children.
+    its range) reproduces its counts bitwise.  A range below layer 0 first
+    runs its ancestors with the full run's keys (each accounted only by the
+    shard holding its first descendant; see
+    :func:`~repro.core.engine.frontier_windows`), then the range itself.
 
     ``fault_injector`` is the deterministic test hook from
     :mod:`repro.dispatch.faults`; it is ``None`` in production and fires at
@@ -71,11 +70,11 @@ def run_shard(
             spec.circuit,
             spec.requested_shots,
             plan=spec.plan,
-            assignments=spec.assignments,
+            shard=(spec.run_key, spec.layer, spec.start, spec.stop),
         )
     result.metadata["shard_index"] = spec.index
-    result.metadata["shard_paths"] = spec.covered_paths
-    result.metadata["shard_depth"] = spec.depth
+    result.metadata["shard_range"] = (spec.layer, spec.start, spec.stop)
+    result.metadata["shard_depth"] = spec.layer
     result.metadata["shard_estimated_cost"] = spec.estimated_cost
     result.metadata["shard_replayed_prefix_gates"] = spec.replayed_prefix_gates
     result.metadata["num_shards"] = spec.num_shards

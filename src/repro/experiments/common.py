@@ -255,8 +255,9 @@ class DispatchPoint:
     """One measured worker count of a multiprocess dispatch sweep.
 
     ``shard_depth`` records how deep the planner actually split (0 = the
-    first layer, the classic decomposition; >0 = deep shards that replay a
-    prefix) so low-arity sweeps expose whether the pool was starved or fed.
+    first layer, the classic decomposition; >0 = deep shards that also run
+    their ancestors) so low-arity sweeps expose whether the pool was starved
+    or fed.
     """
 
     num_workers: int

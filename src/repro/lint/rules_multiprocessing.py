@@ -12,8 +12,7 @@ exactly the kind of divergence the bitwise contract forbids.
 
 * ``mp-callable`` — lambdas, nested functions and bound methods handed to
   executor ``submit``/``map`` (``ProcessPoolExecutor`` or
-  ``multiprocessing.Pool``) or stored on ``ShardSpec`` /
-  ``SubtreeAssignment`` construction.
+  ``multiprocessing.Pool``) or stored on ``ShardSpec`` construction.
 * ``mp-module-state`` — mutation of module-level mutable state (and
   ``global`` rebinding) inside functions of ``repro.dispatch`` modules, the
   code that runs on both sides of the pool boundary.
@@ -45,7 +44,7 @@ _EXECUTOR_TYPES = {
 #: Executor methods whose first argument ships to another process.
 _SUBMIT_METHODS = {"submit", "map", "apply", "apply_async", "map_async", "imap"}
 #: Dataclasses that are pickled whole into worker processes.
-_SHIPPED_SPECS = {"ShardSpec", "SubtreeAssignment"}
+_SHIPPED_SPECS = {"ShardSpec"}
 #: Mutating method names on built-in containers.
 _MUTATORS = {
     "append",
@@ -110,7 +109,7 @@ class ExecutorCallableRule(ModuleRule):
     severity = "error"
     description = (
         "lambdas, nested functions and bound methods must not be submitted "
-        "to process pools or stored on ShardSpec/SubtreeAssignment"
+        "to process pools or stored on ShardSpec"
     )
 
     def visit_module(self, ctx: ModuleContext) -> Iterator[Finding]:

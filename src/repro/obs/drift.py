@@ -15,7 +15,7 @@ under-prices this substrate), < 1 faster.  Persistent drift on one
 backend/width is the signal to re-run ``python -m repro calibrate``.
 
 Only *full-tree* runs are compared: a shard's ``engine.run`` covers a
-subtree slice plus prefix replay, which ``plan_seconds`` does not model.
+frontier range plus its ancestors, which ``plan_seconds`` does not model.
 """
 
 from __future__ import annotations

@@ -109,22 +109,9 @@ class ServeCaches:
         """Depth-keyed view of the prefix cache for one (circuit, plan).
 
         ``view.get(d)`` / ``view.put(d, state)`` address the noiseless
-        state after the first ``d`` subcircuits.  The engine-facing
-        path-keyed view (:meth:`path_view`) maps onto the same entries.
+        state after the first ``d`` subcircuits.
         """
         return self.prefix.namespaced(fused_hash, lengths)
-
-    def path_view(
-        self, fused_hash: str, lengths: tuple[int, ...]
-    ) -> NamespacedStateCache:
-        """Path-keyed view over the same entries as :meth:`state_view`.
-
-        Suitable for ``TQSimEngine.run(prefix_cache=...)``: a node path of
-        length ``d`` collapses (``key_fn=len``) onto the shared depth-``d``
-        entry — sound only for trivial noise, where the prefix state is
-        path-independent.
-        """
-        return self.prefix.namespaced(fused_hash, lengths, key_fn=len)
 
     def stat_deltas(self) -> dict[str, dict[str, int]]:
         """Per-cache stat increments since the previous call.

@@ -311,7 +311,7 @@ def test_admit_plan_shrinks_batch_under_tight_budget():
 
 
 def test_admit_plan_accounts_prefix_replay_states():
-    # Prefix-replay (and serve-layer prefix cache) states are resident
+    # Held prefix states (the serve layer's prefix cache) are resident
     # alongside the batch buffer pool: the admitted peak must include them
     # and the batch cap must be computed against the *reduced* budget.
     base = admit_plan(

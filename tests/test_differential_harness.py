@@ -25,8 +25,8 @@ import numpy as np
 import pytest
 
 from repro.circuits.library.suite import PAPER_SUITE, build_circuit
-from repro.core import ManualPartitioner, SubtreeAssignment, TQSimEngine
-from repro.core.pathrng import child_key, child_keys, run_root_key
+from repro.core import ManualPartitioner, TQSimEngine, merge_many
+from repro.core.pathrng import run_root_key
 from repro.dispatch import PoolDispatcher, SerialDispatcher
 from repro.noise import NoiseModel, ReadoutError, depolarizing_noise_model
 from repro.noise.channels import AmplitudeDampingChannel
@@ -245,42 +245,67 @@ def test_pinned_frontier_chunks_straddle_parents(qft5):
         assert _counter_tuple(chunked) == _counter_tuple(sequential), options
 
 
+def _merged_shards(circuit, noise, plan, cap, ranges, seed=31):
+    """Run each ``(layer, start, stop)`` range of run 0 as its own shard and
+    merge the results."""
+    run_key = run_root_key(seed)
+    engine = TQSimEngine(noise, max_batch=cap)
+    return merge_many([
+        engine.run(circuit, plan.total_outcomes, plan=plan,
+                   shard=(run_key, *frontier_range))
+        for frontier_range in ranges
+    ])
+
+
 def test_pinned_deep_shards_split_mid_parent(qft5):
-    """Deep-shard slices that start mid-parent merge back bitwise."""
+    """Layer-1 ranges that start mid-parent merge back bitwise.
+
+    On the (3, 5, 2) tree, ranges ``[5, 7)`` and ``[7, 10)`` of layer 1 split
+    the children of first-layer node 1; both run that ancestor, and only the
+    range holding its first child accounts it.
+    """
     noise, plan, sequential = _frontier_case(qft5)
-    run_key = run_root_key(31)
-    node_key = child_key(run_key, 1)
-
-    def root_slice(start):
-        return SubtreeAssignment(
-            path=(), child_start=start, child_count=1, prefix_keys=(),
-            child_keys=(child_key(run_key, start),), counted_prefix_layers=(),
-        )
-
-    def node_slice(start, count, counted):
-        return SubtreeAssignment(
-            path=(1,), child_start=start, child_count=count,
-            prefix_keys=(node_key,),
-            child_keys=tuple(int(k) for k in child_keys(node_key, start, count)),
-            counted_prefix_layers=(counted,),
-        )
-
-    shards = [root_slice(0), node_slice(0, 2, True), node_slice(2, 3, False),
-              root_slice(2)]
+    ranges = [(0, 0, 1), (1, 5, 7), (1, 7, 10), (0, 2, 3)]
     for cap in (1, 2, 4, 64):
-        counts: dict[str, int] = {}
-        counters = (0, 0, 0, 0)
-        for shard in shards:
-            result = TQSimEngine(noise, seed=31, max_batch=cap).run(
-                qft5, 30, plan=plan, assignments=[shard]
-            )
-            for bitstring, tally in result.counts.items():
-                counts[bitstring] = counts.get(bitstring, 0) + tally
-            counters = tuple(
-                a + b for a, b in zip(counters, _counter_tuple(result))
-            )
-        assert counts == sequential.counts, cap
-        assert counters == _counter_tuple(sequential), cap
+        merged = _merged_shards(qft5, noise, plan, cap, ranges)
+        assert merged.counts == sequential.counts, cap
+        assert _counter_tuple(merged) == _counter_tuple(sequential), cap
+
+
+@pytest.mark.parametrize("noise_choice", [0, 2, 3],
+                         ids=["ideal", "depolarizing+readout", "damping"])
+@pytest.mark.parametrize("arities", [(3, 5, 2), (2, 3, 4), (1, 7, 3)],
+                         ids=str)
+def test_random_frontier_partitions_merge_bitwise(qft5, arities,
+                                                  noise_choice):
+    """Any partition of any layer's frontier into ranges merges back into
+    the full run's counts and counters, at every chunk cap."""
+    noise = _noise_model(noise_choice)
+    plan = ManualPartitioner(arities).plan(
+        qft5, int(np.prod(arities)), noise
+    )
+    full = TQSimEngine(noise, seed=31, max_batch=1).run(
+        qft5, plan.total_outcomes, plan=plan
+    )
+    rng = np.random.default_rng([noise_choice, *arities])
+    for cap in (1, 4, 64):
+        for layer in range(len(arities)):
+            frontier = int(np.prod(arities[: layer + 1]))
+            for _ in range(2):
+                cuts = rng.choice(
+                    np.arange(1, frontier),
+                    size=int(rng.integers(frontier)),
+                    replace=False,
+                )
+                bounds = [0, *sorted(int(cut) for cut in cuts), frontier]
+                merged = _merged_shards(
+                    qft5, noise, plan, cap,
+                    [(layer, lo, hi) for lo, hi in zip(bounds, bounds[1:])],
+                )
+                case = (cap, layer, bounds)
+                assert merged.counts == full.counts, case
+                assert _counter_tuple(merged) == _counter_tuple(full), case
+                assert merged.shots == full.shots, case
 
 
 def test_pinned_path_keyed_draws_are_reproducible(qft5):

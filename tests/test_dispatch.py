@@ -6,6 +6,7 @@ bitwise-identical merged counts and cost counters, for any shard count and
 any split depth, through both registry names of the optimized backend.
 """
 
+import math
 import multiprocessing
 import time
 
@@ -16,8 +17,8 @@ from repro.core import (
     TQSimEngine,
     UniformCircuitPartitioner,
 )
-from repro.core.engine import SubtreeAssignment
-from repro.core.pathrng import child_key, child_keys, run_root_key
+from repro.core.engine import frontier_windows
+from repro.core.pathrng import run_root_key
 from repro.dispatch import (
     FaultInjector,
     PoolBrokenError,
@@ -29,6 +30,7 @@ from repro.dispatch import (
 )
 from repro.metrics import total_variation_distance
 from repro.noise import ReadoutError, depolarizing_noise_model
+from repro.obs import Tracer
 from repro.statevector import StatevectorSimulator
 
 
@@ -42,6 +44,16 @@ def _noise():
     return model
 
 
+def _ranges(shards):
+    return [(s.layer, s.start, s.stop) for s in shards]
+
+
+def _outcomes(spec):
+    """Leaves below a spec's range."""
+    arities = spec.plan.tree.arities
+    return (spec.stop - spec.start) * math.prod(arities[spec.layer + 1 :])
+
+
 # ---------------------------------------------------------------------------
 # ShardPlanner
 # ---------------------------------------------------------------------------
@@ -49,20 +61,16 @@ def test_planner_splits_first_layer_evenly(qft5):
     planner = ShardPlanner()
     shards = planner.plan_shards(qft5, SHOTS, 4, seed=3,
                                  partitioner=PARTITIONER)
-    assert [s.covered_paths for s in shards] == [
-        (((), 0, 3),), (((), 3, 6),), (((), 6, 9),), (((), 9, 12),),
-    ]
-    assert all(s.depth == 0 for s in shards)
+    assert _ranges(shards) == [(0, 0, 3), (0, 3, 6), (0, 6, 9), (0, 9, 12)]
     assert all(s.plan.tree.arities == (12, 5, 3) for s in shards)
-    assert sum(s.num_outcomes for s in shards) == 12 * 5 * 3
+    assert sum(_outcomes(s) for s in shards) == 12 * 5 * 3
 
 
 def test_planner_uneven_split_front_loads_remainder(qft5):
     shards = ShardPlanner().plan_shards(qft5, SHOTS, 5, seed=3,
                                         partitioner=PARTITIONER)
-    assert [s.covered_paths for s in shards] == [
-        (((), 0, 3),), (((), 3, 6),), (((), 6, 8),),
-        (((), 8, 10),), (((), 10, 12),),
+    assert _ranges(shards) == [
+        (0, 0, 3), (0, 3, 6), (0, 6, 8), (0, 8, 10), (0, 10, 12),
     ]
 
 
@@ -74,9 +82,7 @@ def test_planner_rebalances_instead_of_empty_shards(qft5):
     """
     plan = ManualPartitioner((3, 4)).plan(qft5, 12, None)
     shards = ShardPlanner().plan_shards(qft5, 12, 8, seed=0, plan=plan)
-    assert len(shards) == 3
-    assert all(s.num_outcomes > 0 for s in shards)
-    assert all(a.child_count >= 1 for s in shards for a in s.assignments)
+    assert _ranges(shards) == [(0, 0, 1), (0, 1, 2), (0, 2, 3)]
     with pytest.raises(ValueError, match="non-empty"):
         ShardPlanner().plan_shards(qft5, 12, 8, seed=0, plan=plan,
                                    strict=True)
@@ -85,24 +91,19 @@ def test_planner_rebalances_instead_of_empty_shards(qft5):
     deep = ShardPlanner(max_depth=2).plan_shards(qft5, 12, 8, seed=0,
                                                  plan=plan, strict=True)
     assert len(deep) == 8
-    assert sum(s.num_outcomes for s in deep) == 12
+    assert sum(_outcomes(s) for s in deep) == 12
     with pytest.raises(ValueError, match="non-empty"):
         ShardPlanner(max_depth=2).plan_shards(qft5, 12, 13, seed=0,
                                               plan=plan, strict=True)
 
 
 def test_planner_keys_match_engine_chain(qft5):
-    """The planner's subtree keys are the engine's run-0 keys, in order."""
+    """Every shard carries the engine's run-0 key, and the ranges tile the
+    first layer in order."""
     shards = ShardPlanner().plan_shards(qft5, SHOTS, 3, seed=17,
                                         partitioner=PARTITIONER)
-    reference = [int(k) for k in child_keys(run_root_key(17), 0, 12)]
-    flattened = [
-        key
-        for shard in shards
-        for assignment in shard.assignments
-        for key in assignment.child_keys
-    ]
-    assert flattened == reference
+    assert all(s.run_key == run_root_key(17) for s in shards)
+    assert _ranges(shards) == [(0, 0, 4), (0, 4, 8), (0, 8, 12)]
 
 
 def test_planner_validates_arguments(qft5):
@@ -120,40 +121,23 @@ def test_planner_validates_arguments(qft5):
         planner.plan_shards(qft5, SHOTS, 2, seed=1, plan=foreign)
 
 
-def test_shard_spec_validates_consistency(qft5):
+@pytest.mark.parametrize(
+    "layer, start, stop",
+    [(2, 0, 1), (-1, 0, 1), (0, 2, 2), (1, 5, 13), (0, -1, 2)],
+    ids=["layer-past-tree", "negative-layer", "empty", "stop-past-frontier",
+         "negative-start"],
+)
+def test_shard_ranges_are_validated(qft5, layer, start, stop):
+    """A range must be a non-empty slice of one layer of the plan's tree
+    (here 4 first-layer and 12 second-layer nodes)."""
     plan = ManualPartitioner((4, 3)).plan(qft5, 12, None)
-    keys = tuple(int(k) for k in child_keys(run_root_key(0), 0, 4))
-    # Key count must match the covered children.
-    with pytest.raises(ValueError):
-        SubtreeAssignment(path=(), child_start=0, child_count=3,
-                          prefix_keys=(), child_keys=keys[:2],
-                          counted_prefix_layers=())
-    # Prefix keys must cover every path layer.
-    with pytest.raises(ValueError):
-        SubtreeAssignment(path=(1,), child_start=0, child_count=1,
-                          prefix_keys=(), child_keys=keys[:1],
-                          counted_prefix_layers=(True,))
-    # Assignments must address the plan's tree.
-    out_of_range = SubtreeAssignment(
-        path=(), child_start=2, child_count=3, prefix_keys=(),
-        child_keys=keys[:3], counted_prefix_layers=(),
-    )
     with pytest.raises(ValueError):
         ShardSpec(index=0, num_shards=1, circuit=qft5, plan=plan,
-                  assignments=(out_of_range,), noise_model=None,
-                  requested_shots=12)
-    too_deep = SubtreeAssignment(
-        path=(0, 0), child_start=0, child_count=1,
-        prefix_keys=(keys[0], child_key(keys[0], 0)),
-        child_keys=keys[:1], counted_prefix_layers=(True, True),
-    )
+                  run_key=run_root_key(0), layer=layer, start=start,
+                  stop=stop, noise_model=None, requested_shots=12)
     with pytest.raises(ValueError):
-        ShardSpec(index=0, num_shards=1, circuit=qft5, plan=plan,
-                  assignments=(too_deep,), noise_model=None,
-                  requested_shots=12)
-    with pytest.raises(ValueError):
-        ShardSpec(index=0, num_shards=1, circuit=qft5, plan=plan,
-                  assignments=(), noise_model=None, requested_shots=12)
+        TQSimEngine().run(qft5, 12, plan=plan,
+                          shard=(run_root_key(0), layer, start, stop))
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +299,8 @@ def test_dispatch_metadata_accounting(qft5):
         dispatch["wall_time_seconds"]
     )
     # ... and the per-shard provenance survives the metadata merge.
-    paths = [s["shard_paths"] for s in result.metadata["shards"]]
-    assert paths == [(((), 0, 4),), (((), 4, 8),), (((), 8, 12),)]
+    ranges = [s["shard_range"] for s in result.metadata["shards"]]
+    assert ranges == [(0, 0, 4), (0, 4, 8), (0, 8, 12)]
     assert result.metadata["requested_shots"] == SHOTS
     assert dispatch["shard_depth"] == 0
     assert dispatch["replayed_prefix_gates"] == 0
@@ -330,10 +314,10 @@ def test_run_shard_entry_point_is_self_contained(qft5):
         qft5, SHOTS, 3, seed=7, partitioner=PARTITIONER
     )
     result = run_shard(shards[1])
-    assert result.shots == shards[1].num_outcomes
+    assert result.shots == 4 * 5 * 3
     assert result.metadata["shard_index"] == 1
     assert result.metadata["num_shards"] == 3
-    assert sum(result.counts.values()) == shards[1].num_outcomes
+    assert sum(result.counts.values()) == 4 * 5 * 3
 
 
 def test_dispatcher_argument_validation():
@@ -355,62 +339,47 @@ def test_deep_planner_picks_shallowest_sufficient_depth(qft5):
     planner = ShardPlanner(max_depth=2)
     # Two shards fit the first layer: no descent, no prefix replay.
     shallow = planner.plan_shards(qft5, 128, 2, seed=5, plan=plan)
-    assert [s.depth for s in shallow] == [0, 0]
+    assert _ranges(shallow) == [(0, 0, 1), (0, 1, 2)]
     assert all(s.replayed_prefix_gates == 0 for s in shallow)
-    # Sixteen shards exceed A0=2: the planner splits the 64-way second
-    # layer, eight children per shard, each path's prefix replayed once
-    # per shard that touches it.
+    # Sixteen shards exceed A0=2: the planner splits the 128-node second
+    # layer, eight nodes per shard, each running its one ancestor.
     deep = planner.plan_shards(qft5, 128, 16, seed=5, plan=plan)
-    assert len(deep) == 16
-    assert all(s.depth == 1 for s in deep)
-    assert sum(s.num_outcomes for s in deep) == 128
-    covered = [
-        (a.path, a.child_start, a.child_count)
-        for s in deep for a in s.assignments
-    ]
-    assert covered == [
-        ((j,), start, 8) for j in (0, 1) for start in range(0, 64, 8)
-    ]
-    assert all(s.replayed_prefix_gates > 0 for s in deep)
+    assert _ranges(deep) == [(1, start, start + 8)
+                             for start in range(0, 128, 8)]
+    assert all(
+        s.replayed_prefix_gates == plan.subcircuit_lengths[0] for s in deep
+    )
     assert all(s.estimated_cost > 0 for s in deep)
 
 
 def test_deep_planner_counts_each_prefix_node_exactly_once(qft5):
-    """Shards splitting a node's children share the replay; exactly one
-    assignment owns each prefix node's accounting."""
+    """Shards splitting a node's children all run it; exactly one of them,
+    the one holding its first child, accounts its work."""
     plan = ManualPartitioner((3, 4, 2)).plan(qft5, 24, None)
     shards = ShardPlanner(max_depth=3).plan_shards(
         qft5, 24, 10, seed=2, plan=plan
     )
-    owners: dict[tuple[int, ...], int] = {}
+    # Depth 1 split (12 units >= 10 shards): the ancestors are the three
+    # first-layer nodes.
+    assert {s.layer for s in shards} == {1}
+    owners: dict[int, int] = {}
     for shard in shards:
-        for assignment in shard.assignments:
-            for layer, counted in enumerate(
-                assignment.counted_prefix_layers
-            ):
-                if counted:
-                    node = assignment.path[: layer + 1]
-                    owners[node] = owners.get(node, 0) + 1
-    # Depth 1 split (12 units >= 10 shards): prefix nodes are the three
-    # first-layer subtrees, each owned once.
-    assert owners == {(0,): 1, (1,): 1, (2,): 1}
+        lo, hi, booked = frontier_windows(
+            plan.tree.arities, shard.layer, shard.start, shard.stop
+        )[0]
+        for node in range(booked, hi):
+            owners[node] = owners.get(node, 0) + 1
+    assert owners == {0: 1, 1: 1, 2: 1}
 
 
 def test_deep_planner_keys_follow_engine_chain(qft5):
-    """Deep child keys must be the engine's stateless child_key chain."""
+    """Deep shards carry the same run key and tile the split layer."""
     plan = ManualPartitioner((2, 6)).plan(qft5, 12, None)
     shards = ShardPlanner(max_depth=2).plan_shards(
         qft5, 12, 4, seed=21, plan=plan
     )
-    subtree_keys = [int(k) for k in child_keys(run_root_key(21), 0, 2)]
-    for shard in shards:
-        for assignment in shard.assignments:
-            (j,) = assignment.path
-            assert assignment.prefix_keys == (subtree_keys[j],)
-            for offset, key in enumerate(assignment.child_keys):
-                assert key == child_key(
-                    subtree_keys[j], assignment.child_start + offset
-                )
+    assert all(s.run_key == run_root_key(21) for s in shards)
+    assert _ranges(shards) == [(1, 0, 3), (1, 3, 6), (1, 6, 9), (1, 9, 12)]
 
 
 def test_deep_serial_dispatch_bitwise_identical_to_single_run(qft5):
@@ -443,8 +412,10 @@ def test_deep_pool_dispatch_bitwise_identical_and_tagged(qft5):
     assert dispatch["num_shards"] == 4
     assert dispatch["max_depth"] == 2
     assert dispatch["replayed_prefix_gates"] > 0
-    paths = [s["shard_paths"] for s in pooled.metadata["shards"]]
-    assert len(paths) == 4
+    ranges = [s["shard_range"] for s in pooled.metadata["shards"]]
+    assert [r[0] for r in ranges] == [1, 1, 1, 1]
+    assert ranges[0][1] == 0 and ranges[-1][2] == 18
+    assert all(a[2] == b[1] for a, b in zip(ranges, ranges[1:]))
 
 
 def test_run_shard_deep_spec_is_self_contained(qft5):
@@ -456,81 +427,45 @@ def test_run_shard_deep_spec_is_self_contained(qft5):
     result = run_shard(shards[2])
     assert result.metadata["shard_index"] == 2
     assert result.metadata["shard_depth"] == 1
-    assert sum(result.counts.values()) == shards[2].num_outcomes
+    assert sum(result.counts.values()) == _outcomes(shards[2])
     assert result.metadata["shard_replayed_prefix_gates"] == \
         shards[2].replayed_prefix_gates
 
 
-def test_engine_rejects_overlapping_assignments(qft5):
-    """Overlapping slices would silently double-count outcomes."""
-    plan = ManualPartitioner((4, 3)).plan(qft5, 12, None)
-    keys = [int(k) for k in child_keys(run_root_key(3), 0, 4)]
-    engine = TQSimEngine(seed=3)
-
-    def root_slice(start, count):
-        return SubtreeAssignment(
-            path=(), child_start=start, child_count=count, prefix_keys=(),
-            child_keys=tuple(keys[start : start + count]),
-            counted_prefix_layers=(),
-        )
-
-    def deep_slice(j, start, count, counted=(False,)):
-        return SubtreeAssignment(
-            path=(j,), child_start=start, child_count=count,
-            prefix_keys=(keys[j],),
-            child_keys=tuple(
-                child_key(keys[j], c) for c in range(start, start + count)
-            ),
-            counted_prefix_layers=counted,
-        )
-
-    # Same-depth range collision.
-    with pytest.raises(ValueError, match="overlap"):
-        engine.run(qft5, 12, plan=plan,
-                   assignments=[root_slice(0, 2), root_slice(1, 2)])
-    # Ancestry collision: subtree (1,) is already covered by the root slice.
-    with pytest.raises(ValueError, match="overlap"):
-        engine.run(qft5, 12, plan=plan,
-                   assignments=[root_slice(0, 2), deep_slice(1, 0, 2)])
-    # Disjoint mixed depths are fine and still merge exactly.
-    mixed = engine.run(
-        qft5, 12, plan=plan,
-        assignments=[root_slice(0, 2), deep_slice(2, 0, 3, (True,)),
-                     deep_slice(3, 0, 3, (True,))],
-    )
-    single = TQSimEngine(seed=3).run(
-        qft5, 12, plan=plan, subtree_keys=list(keys)
-    )
-    assert mixed.counts == single.counts
-    assert mixed.cost.matches(single.cost)
-
-
-def test_deep_prefix_replay_cached_within_a_shard(qft5):
-    """A shard whose assignments share an ancestor replays it once.
+def test_deep_shard_runs_each_shared_ancestor_once(qft5):
+    """A shard whose range crosses parent boundaries runs each ancestor once.
 
     Split a (2, 3, 4) plan at depth 2 into 8 shards: shard ranges cross
-    layer-1 path boundaries, so one shard covers children of several nodes
-    under the same first-layer subtree — with per-run prefix caching the
-    shared layer-0 replay happens once, which `replayed_prefix_gates`
-    reflects, and the merged result stays bitwise the single run's.
+    layer-1 parent boundaries, so one shard covers children of several
+    nodes under the same first-layer node — that shared ancestor runs once,
+    which `replayed_prefix_gates` and the traced rows reflect, and the
+    merged result stays bitwise the single run's.
     """
     noise = _noise()
     plan = ManualPartitioner((2, 3, 4)).plan(qft5, 24, noise)
     shards = ShardPlanner(noise_model=noise, max_depth=3).plan_shards(
         qft5, 24, 8, seed=51, plan=plan
     )
-    assert max(s.depth for s in shards) == 2
-    assert any(len(s.assignments) > 1 for s in shards)
+    assert {s.layer for s in shards} == {2}
+    assert any((s.stop - 1) // 4 > s.start // 4 for s in shards)
     lengths = plan.subcircuit_lengths
     for shard in shards:
-        distinct_nodes = {
-            a.path[: layer + 1]
-            for a in shard.assignments
-            for layer in range(a.depth)
-        }
+        nodes = range(shard.start, shard.stop)
+        ancestors = [{node // 12 for node in nodes},
+                     {node // 4 for node in nodes}]
         assert shard.replayed_prefix_gates == sum(
-            lengths[len(node) - 1] for node in distinct_nodes
+            len(layer) * length for layer, length in zip(ancestors, lengths)
         )
+        tracer = Tracer()
+        TQSimEngine(noise, max_batch=1, tracer=tracer).run(
+            qft5, 24, plan=plan,
+            shard=(shard.run_key, shard.layer, shard.start, shard.stop),
+        )
+        rows = [0, 0, 0]
+        for span in tracer.spans:
+            if span.name == "engine.subcircuit":
+                rows[span.attributes["layer"]] += span.attributes["rows"]
+        assert rows == [*map(len, ancestors), shard.stop - shard.start]
     single = TQSimEngine(noise, seed=51, backend="batched").run(
         qft5, 24, plan=plan
     )
@@ -539,18 +474,3 @@ def test_deep_prefix_replay_cached_within_a_shard(qft5):
     )
     assert deep.counts == single.counts
     assert deep.cost.matches(single.cost)
-
-
-def test_engine_rejects_keys_and_assignments_together(qft5):
-    plan = ManualPartitioner((4, 3)).plan(qft5, 12, None)
-    keys = [int(k) for k in child_keys(run_root_key(0), 0, 4)]
-    assignment = SubtreeAssignment(
-        path=(), child_start=0, child_count=4, prefix_keys=(),
-        child_keys=tuple(keys), counted_prefix_layers=(),
-    )
-    engine = TQSimEngine(seed=0)
-    with pytest.raises(ValueError):
-        engine.run(qft5, 12, plan=plan, subtree_keys=keys,
-                   assignments=[assignment])
-    with pytest.raises(ValueError):
-        engine.run(qft5, 12, plan=plan, assignments=[])

@@ -517,7 +517,21 @@ def test_serial_dispatch_replayed_prefix_gates_view(qft5):
     ).run(qft5, 128, plan=plan)
     assert traced.metadata["dispatch"]["replayed_prefix_gates"] == replayed
     assert tracer.metrics.counters[REPLAYED_PREFIX_GATES] == replayed
-    assert any(s.name == "engine.prefix_replay" for s in tracer.spans)
+    # Each quarter of layer 1 runs its one first-layer ancestor as a plain
+    # subcircuit span, labelled from the flat index alone.
+    assert replayed == 4 * plan.subcircuit_lengths[0]
+    runs = [s.attributes for s in tracer.spans if s.name == "engine.run"]
+    assert [(r["layer"], r["start"], r["stop"], r["full_tree"])
+            for r in runs] == [
+        (1, 0, 32, False), (1, 32, 64, False), (1, 64, 96, False),
+        (1, 96, 128, False),
+    ]
+    ancestors = [
+        (s.attributes["path"], s.attributes["first_child"], s.attributes["rows"])
+        for s in tracer.spans
+        if s.name == "engine.subcircuit" and s.attributes["layer"] == 0
+    ]
+    assert ancestors == [("", 0, 1), ("", 0, 1), ("", 1, 1), ("", 1, 1)]
 
 
 def test_engine_spans_carry_path_attributes(qft5):
@@ -529,6 +543,8 @@ def test_engine_spans_carry_path_attributes(qft5):
     run_span = next(s for s in tracer.spans if s.name == "engine.run")
     assert run_span.attributes["full_tree"] is True
     assert run_span.attributes["tree"] == str(plan.tree)
+    assert (run_span.attributes["layer"], run_span.attributes["start"],
+            run_span.attributes["stop"]) == (0, 0, plan.tree.arities[0])
     subcircuits = [s for s in tracer.spans if s.name == "engine.subcircuit"]
     assert subcircuits
     # A chunk's path is its parent node's: the root ("") for first-layer

@@ -17,6 +17,7 @@ from repro.circuits.library import qft_circuit
 from repro.core import (
     CostCounters,
     DynamicCircuitPartitioner,
+    ManualPartitioner,
     SimulationResult,
     TQSimEngine,
     TreeStructure,
@@ -151,6 +152,13 @@ def test_shard_spec_roundtrip_reproduces_worker_result(qft5):
     shipped = run_shard(_roundtrip(spec))
     assert shipped.counts == direct.counts
     assert shipped.cost.matches(direct.cost)
+    # A spec names its slice by range, not by one key per node: covering
+    # all 1024 first-layer nodes costs no more on the wire than one node.
+    plan = ManualPartitioner((1024, 4)).plan(qft5, 4096, noise)
+    planner = ShardPlanner(noise_model=noise)
+    (whole,) = planner.plan_shards(qft5, 4096, 1, seed=13, plan=plan)
+    one_node = planner.plan_shards(qft5, 4096, 1024, seed=13, plan=plan)[0]
+    assert abs(len(pickle.dumps(whole)) - len(pickle.dumps(one_node))) <= 64
 
 
 def test_engine_accepts_seed_sequence():

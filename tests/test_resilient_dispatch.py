@@ -427,24 +427,31 @@ def test_dispatchers_reject_non_positive_shots(qft5, dispatcher_class, shots):
 # ---------------------------------------------------------------------------
 # Building blocks
 # ---------------------------------------------------------------------------
-def test_split_shard_spec_union_is_bitwise_exact(qft5):
+@pytest.mark.parametrize(
+    "arities, max_depth, num_shards, expected",
+    [
+        ((12, 5, 3), 1, 2, [(0, 0, 2), (0, 2, 4), (0, 4, 6)]),
+        # Layer 1 of (2, 9): every part runs first-layer node 0, and only
+        # the first part accounts it.
+        ((2, 9), 2, 4, [(1, 0, 2), (1, 2, 4), (1, 4, 5)]),
+    ],
+)
+def test_split_shard_spec_union_is_bitwise_exact(
+    qft5, arities, max_depth, num_shards, expected
+):
     from repro.core.results import merge_many
     from repro.dispatch import run_shard
 
-    shards = ShardPlanner(noise_model=_noise()).plan_shards(
-        qft5, SHOTS, 2, seed=SEED, partitioner=PARTITIONER
-    )
+    plan = ManualPartitioner(arities).plan(qft5, 18, _noise())
+    planner = ShardPlanner(noise_model=_noise(), max_depth=max_depth)
+    shards = planner.plan_shards(qft5, 18, num_shards, seed=SEED, plan=plan)
     whole = run_shard(shards[0])
     parts = split_shard_spec(shards[0], 3)
-    assert len(parts) == 3
     merged = merge_many([run_shard(part) for part in parts])
     assert merged.counts == whole.counts
     assert merged.cost.matches(whole.cost)
-    # Estimated cost is distributed, child coverage is exactly preserved.
-    total_children = sum(
-        a.child_count for part in parts for a in part.assignments
-    )
-    assert total_children == sum(a.child_count for a in shards[0].assignments)
+    # The sub-ranges tile the original range in order.
+    assert [(p.layer, p.start, p.stop) for p in parts] == expected
 
 
 def test_split_shard_spec_validates_and_caps(qft5):
@@ -454,11 +461,11 @@ def test_split_shard_spec_validates_and_caps(qft5):
     with pytest.raises(ValueError):
         split_shard_spec(shards[0], 0)
     assert split_shard_spec(shards[0], 1) == [shards[0]]
-    # More parts than children: capped, never empty sub-specs.
+    # More parts than nodes: capped, never empty sub-specs.
     many = split_shard_spec(shards[0], 999)
-    assert all(
-        sum(a.child_count for a in part.assignments) >= 1 for part in many
-    )
+    assert [(part.start, part.stop) for part in many] == [
+        (0, 1), (1, 2), (2, 3),
+    ]
 
 
 def test_fault_injector_is_picklable_and_inert_by_default():
