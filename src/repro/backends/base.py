@@ -30,13 +30,17 @@ so a gate on any target qubit runs inner loops over the whole chunk;
 C-ordered blocks (fancy-indexed rows, user arrays) go through the same view
 and give bitwise the same rows.  The reference backend loops over rows.
 The batch helpers below (branch sampling, general-Kraus updates, outcome
-sampling) are written once against ``apply_unitary`` on such blocks, so
-every backend shares one implementation.  A general-Kraus update prices
-every row's branches from the channel's effect operators ``K_i†K_i``
-without applying any operator, then applies only the operators the rows
-drew: the most-drawn one to the whole block in place, a diagonal one as a
-multiply with no kernel call.  1-D single-state calls keep their scalar
-paths.
+sampling) are written once on such blocks, so every backend shares one
+implementation.  A mixture branch (a Pauli, for instance) is a phased
+permutation: it is applied in place on the one row that drew it,
+``batched[row]`` being a view in every layout, as plane copies with
+phases — no row is copied out of the block and no kernel runs, and the
+bytes are the kernels'.
+A general-Kraus update prices every row's branches from the channel's
+effect operators ``K_i†K_i`` without applying any operator, then applies
+only the operators the rows drew through ``apply_unitary``: the most-drawn
+one to the whole block in place, a diagonal one as a multiply with no
+kernel call.  1-D single-state calls keep their scalar paths.
 """
 
 from __future__ import annotations
@@ -218,10 +222,12 @@ class Backend(ABC):
 
         ``uniforms`` is a ``(B, len(events))`` block whose column ``j``
         holds each row's uniform for ``events[j]``.  Mixed-unitary events map
-        it to a mixture branch and apply each branch to the rows that drew
-        it; general Kraus events price each row's branches from the
-        channel's effect operators and apply only the drawn operators
-        (:meth:`_apply_kraus_from_uniforms`).  Either way the branch is the
+        the column to branches in one lookup and apply each drawn
+        non-identity branch in place on its row
+        (:meth:`apply_mixture_branches`); general Kraus events price each
+        row's branches from the channel's effect operators and apply only
+        the drawn operators (:meth:`_apply_kraus_from_uniforms`).  Either
+        way the branch is the
         one the per-state path (:func:`~repro.noise.trajectory.
         sample_channel_on_state`) picks from the same uniform, which is
         what lets the engine pre-draw a whole subcircuit's noise in one
@@ -234,36 +240,34 @@ class Backend(ABC):
         for j, event in enumerate(events):
             channel = event.channel
             if channel.is_mixed_unitary:
-                indices = channel.mixture_indices_from_uniforms(uniforms[:, j])
-                # sorted(set(...)) beats np.unique at chunk sizes and keeps
-                # branch order deterministic.
-                for branch in sorted(set(indices.tolist())):
-                    if branch == 0 and channel.mixture_identity_first:
-                        continue
-                    self._apply_to_rows(
-                        batched, channel.mixture_unitary(branch),
-                        event.qubits, indices == branch,
+                _, rows, branches = channel.mixture_hits(uniforms[:, j : j + 1])
+                if rows.size:
+                    self.apply_mixture_branches(
+                        batched, event, rows.tolist(), branches.tolist()
                     )
             else:
                 self._apply_kraus_from_uniforms(batched, event, uniforms[:, j])
         return state
 
-    def _apply_to_rows(
+    def apply_mixture_branches(
         self,
         batched: np.ndarray,
-        matrix: np.ndarray,
-        qubits: Sequence[int],
-        mask: np.ndarray,
+        event: NoiseEvent,
+        rows: Sequence[int],
+        branches: Sequence[int],
     ) -> None:
-        """Apply ``matrix`` to the rows of ``batched`` selected by ``mask``."""
-        if mask.all():
-            out = self.apply_unitary(batched, matrix, qubits)
-            if out is not batched:
-                np.copyto(batched, out)
-        else:
-            rows = np.flatnonzero(mask)
-            # Fancy indexing copies the rows out and back.
-            batched[rows] = self.apply_unitary(batched[rows], matrix, qubits)
+        """Apply mixture branch ``branches[k]`` of ``event`` to row
+        ``rows[k]`` of the ``(B, 2**n)`` block ``batched``, in place.
+
+        ``batched[row]`` is a view in every layout, and each branch is a
+        phased permutation applied to that view alone
+        (:meth:`~repro.noise.channels.KrausChannel.apply_mixture_branch`):
+        no row is copied out of the block and no kernel runs, and a row's
+        result does not depend on the block around it.
+        """
+        apply = event.channel.apply_mixture_branch
+        for row, branch in zip(rows, branches):
+            apply(batched[row], branch, event.qubits)
 
     def _apply_kraus_from_uniforms(
         self, batched: np.ndarray, event: NoiseEvent, uniforms: np.ndarray

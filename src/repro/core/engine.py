@@ -87,6 +87,7 @@ from repro.core.pathrng import (
     root_key_from_seed,
 )
 from repro.core.results import CostCounters, SimulationResult
+from repro.noise.channels import KrausChannel
 from repro.noise.model import NoiseEvent, NoiseModel
 from repro.obs import clock
 from repro.obs.tracer import NULL_SPAN, NULL_TRACER, AnyTracer, get_tracer
@@ -152,6 +153,29 @@ class _LayerNoise(NamedTuple):
     events: Sequence[Sequence[NoiseEvent]]
     #: Total events: the uniforms one row draws for the subcircuit.
     draws: int
+    #: Per gate: whether any of its events is a mixture of unitaries.
+    mixed: Sequence[bool]
+    #: Each distinct mixed-unitary channel with the uniform-block columns
+    #: of its events.
+    mixtures: Sequence[tuple[KrausChannel, np.ndarray]]
+
+
+def _mixture_hits(
+    mixtures: Sequence[tuple[KrausChannel, np.ndarray]], uniforms: np.ndarray
+) -> dict[int, tuple[list[int], list[int]]]:
+    """The rows and branches of every mixture draw that applies an
+    operator, keyed by uniform-block column; one pass per channel covers
+    all of its columns."""
+    hits: dict[int, tuple[list[int], list[int]]] = {}
+    for channel, columns in mixtures:
+        where, rows, branches = channel.mixture_hits(uniforms[:, columns])
+        for column, row, branch in zip(
+            columns[where].tolist(), rows.tolist(), branches.tolist()
+        ):
+            drawn = hits.setdefault(column, ([], []))
+            drawn[0].append(row)
+            drawn[1].append(branch)
+    return hits
 
 
 class _Walk(NamedTuple):
@@ -359,9 +383,22 @@ class TQSimEngine:
     def _match_noise(self, subcircuit: Circuit) -> _LayerNoise:
         """Match every gate of one subcircuit to its noise events, once."""
         if self.noise_model is None:
-            return _LayerNoise([()] * len(subcircuit), 0)
+            return _LayerNoise(
+                [()] * len(subcircuit), 0, [False] * len(subcircuit), ()
+            )
         events = [self.noise_model.events_for_gate(gate) for gate in subcircuit]
-        return _LayerNoise(events, sum(len(matched) for matched in events))
+        flat = [event for matched in events for event in matched]
+        columns: dict[KrausChannel, list[int]] = {}
+        for column, event in enumerate(flat):
+            if event.channel.is_mixed_unitary:
+                columns.setdefault(event.channel, []).append(column)
+        return _LayerNoise(
+            events,
+            len(flat),
+            [any(e.channel.is_mixed_unitary for e in matched)
+             for matched in events],
+            [(channel, np.array(cols)) for channel, cols in columns.items()],
+        )
 
     def _apply_subcircuit(
         self,
@@ -380,6 +417,17 @@ class TQSimEngine:
         :func:`~repro.core.pathrng.draw_block` call: the row counters
         advance in lockstep and column ``j`` of the block is bitwise the
         ``j``-th per-event draw of each row's stream.
+
+        Mixed-unitary branches do not depend on the state, so every
+        mixture column of the block is mapped to branches up front, in one
+        pass per channel (:meth:`~repro.noise.channels.KrausChannel.
+        mixture_hits`), keeping only the draws that apply an operator.
+        Events still apply in gate order: an event with no such draw costs
+        one dictionary lookup, and each drawn branch is applied in place on
+        its row (:meth:`~repro.backends.base.Backend.
+        apply_mixture_branches`).  A gate whose events are all general Kraus
+        makes one :meth:`~repro.backends.base.Backend.
+        apply_noise_events_uniforms` call.
         """
         backend = self.backend
         rows = len(row_rngs)
@@ -387,6 +435,7 @@ class TQSimEngine:
         # common (disabled) case costs one attribute lookup per subcircuit.
         kernel_interval = tracer.kernel_interval
         uniforms = None
+        hits: dict[int, tuple[list[int], list[int]]] = {}
         if noise.draws:
             with (
                 tracer.span("engine.noise_predraw", rows=rows,
@@ -395,8 +444,9 @@ class TQSimEngine:
                 else NULL_SPAN
             ):
                 uniforms = draw_block(row_rngs, noise.draws)
+            hits = _mixture_hits(noise.mixtures, uniforms)
         column = 0
-        for gate, events in zip(subcircuit, noise.events):
+        for gate, events, mixed in zip(subcircuit, noise.events, noise.mixed):
             if kernel_interval:
                 with tracer.kernel_span(
                     "backend.kernel", gate=gate.name, rows=rows
@@ -404,12 +454,24 @@ class TQSimEngine:
                     state = backend.apply_gate(state, gate)
             else:
                 state = backend.apply_gate(state, gate)
-            if events:
-                width = len(events)
-                state = backend.apply_noise_events_uniforms(
-                    state, events, uniforms[:, column : column + width]
-                )
-                column += width
+            if not mixed:
+                if events:
+                    width = len(events)
+                    state = backend.apply_noise_events_uniforms(
+                        state, events, uniforms[:, column : column + width]
+                    )
+                    column += width
+                continue
+            for event in events:
+                if event.channel.is_mixed_unitary:
+                    drawn = hits.get(column)
+                    if drawn is not None:
+                        backend.apply_mixture_branches(state, event, *drawn)
+                else:
+                    state = backend.apply_noise_events_uniforms(
+                        state, (event,), uniforms[:, column : column + 1]
+                    )
+                column += 1
         return state
 
     # ------------------------------------------------------------------

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -119,8 +120,8 @@ class ShardPlanner:
     ``num_shards`` (never deeper than ``max_depth`` layers) and partitions
     that layer's flattened frontier into contiguous ranges with a
     load-aware balancer: shard boundaries are chosen to minimise the
-    maximum estimated shard cost in gate-equivalents, where every parent a
-    range touches charges it the cost of the ancestor prefix.  Empty shards
+    maximum estimated shard cost in gate-equivalents, where a range is
+    charged each distinct ancestor above it once.  Empty shards
     are never emitted — when even the deepest allowed layer has fewer units
     than ``num_shards`` the decomposition is rebalanced down to one unit per
     shard (or raises, with ``strict=True``).
@@ -215,11 +216,14 @@ class ShardPlanner:
             num_shards = units_total
 
         run_key = run_root_key(seed)
-        children_per_path = arities[depth]
-        unit_cost, prefix_cost = self._load_estimates(plan, depth)
-        ranges = _balanced_unit_ranges(
-            units_total, children_per_path, num_shards, unit_cost, prefix_cost
-        )
+        unit_cost, ancestor_costs = self._load_estimates(plan, depth)
+
+        def range_cost(start: int, stop: int) -> float:
+            return _range_cost(
+                arities, depth, start, stop, unit_cost, ancestor_costs
+            )
+
+        ranges = _balanced_unit_ranges(units_total, num_shards, range_cost)
         return [
             ShardSpec(
                 index=index,
@@ -235,9 +239,7 @@ class ShardPlanner:
                 backend=self.backend,
                 copy_cost_in_gates=self.copy_cost_in_gates,
                 max_batch=self.max_batch,
-                estimated_cost=_range_cost(
-                    start, stop, children_per_path, unit_cost, prefix_cost
-                ),
+                estimated_cost=range_cost(start, stop),
             )
             for index, (start, stop) in enumerate(ranges)
         ]
@@ -245,13 +247,14 @@ class ShardPlanner:
     # ------------------------------------------------------------------
     def _load_estimates(
         self, plan: PartitionPlan, depth: int
-    ) -> tuple[float, float]:
-        """Cost of one unit subtree and of one ancestor prefix.
+    ) -> tuple[float, list[float]]:
+        """Cost of one unit subtree and of one ancestor on each layer above.
 
         A *unit* is one child subtree hanging below the split layer: its
         cost is every subcircuit execution inside it plus its state copies
-        at the configured copy cost (paper Section 3.6).  A shard touching a
-        parent additionally runs that parent's prefix subcircuits once,
+        at the configured copy cost (paper Section 3.6).  A shard also runs
+        each distinct ancestor above its range once — a layer-``i``
+        ancestor costs its subcircuit plus, below layer 0, its state copy —
         which is the load the balancer trades off against unit counts.
 
         Without a calibrated model the unit is gate-equivalents (one gate =
@@ -281,10 +284,11 @@ class ShardPlanner:
                 unit_copies += instances
         unit_cost = gate_unit * unit_gates + copy_unit * unit_copies
 
-        prefix_cost = (
-            gate_unit * sum(lengths[:depth]) + copy_unit * max(depth - 1, 0)
-        )
-        return unit_cost, prefix_cost
+        ancestor_costs = [
+            gate_unit * lengths[layer] + (copy_unit if layer else 0.0)
+            for layer in range(depth)
+        ]
+        return unit_cost, ancestor_costs
 
 
 def split_shard_spec(spec: ShardSpec, parts: int) -> list[ShardSpec]:
@@ -330,38 +334,40 @@ def _even_bounds(start: int, stop: int, parts: int) -> list[int]:
 
 
 def _range_cost(
+    arities: Sequence[int],
+    layer: int,
     start: int,
     stop: int,
-    children_per_path: int,
     unit_cost: float,
-    prefix_cost: float,
+    ancestor_costs: Sequence[float],
 ) -> float:
-    """Estimated gate-equivalent cost of executing units ``[start, stop)``."""
-    paths_touched = (stop - 1) // children_per_path - start // children_per_path + 1
-    return (stop - start) * unit_cost + paths_touched * prefix_cost
+    """Estimated cost of executing units ``[start, stop)`` of ``layer``.
+
+    The units, plus every distinct ancestor above the range once: the
+    windows of :func:`~repro.core.engine.frontier_windows`, the arithmetic
+    of :attr:`ShardSpec.replayed_prefix_gates`.
+    """
+    windows = frontier_windows(arities, layer, start, stop)
+    return (stop - start) * unit_cost + sum(
+        (hi - lo) * cost for (lo, hi, _), cost in zip(windows, ancestor_costs)
+    )
 
 
 def _balanced_unit_ranges(
     units_total: int,
-    children_per_path: int,
     num_shards: int,
-    unit_cost: float,
-    prefix_cost: float,
+    score: Callable[[int, int], float],
 ) -> list[tuple[int, int]]:
-    """Contiguous unit ranges minimising the maximum estimated shard cost.
+    """Contiguous unit ranges minimising the maximum ``score(lo, hi)``.
 
     Starts from the near-equal split (the first ``units mod shards`` ranges
     take one extra unit) and then greedily shifts single boundaries while
     doing so lowers the estimated maximum — in practice this aligns
-    boundaries with parent boundaries, trading one unit of imbalance for one
-    fewer prefix whenever the prefix is the more expensive of the two.
+    boundaries with parent boundaries, trading one unit of imbalance for
+    fewer ancestors whenever those are the more expensive of the two.
     Deterministic, and never produces an empty range.
     """
     bounds = _even_bounds(0, units_total, num_shards)
-
-    def score(lo: int, hi: int) -> float:
-        return _range_cost(lo, hi, children_per_path, unit_cost, prefix_cost)
-
     improved = True
     sweeps = 0
     while improved and sweeps < 4 * num_shards:

@@ -11,23 +11,30 @@ Every channel used by the paper's evaluation (Section 4.3) is implemented:
 
 Channels expose their Kraus operators, and, when the channel is a
 probabilistic mixture of unitaries, the (probability, unitary) decomposition
-that the trajectory sampler can use as a fast path.  Every channel also
-holds its *effect operators* ``E_i = K_i† K_i``, whose expectation value on a
-state is the weight of Kraus branch ``i``: the trajectory samplers price all
-branches from them and apply only the operator a trajectory draws.
+that the trajectory samplers use as a fast path: a branch is drawn from the
+probabilities alone, without reading the state.  A mixture is validated at
+construction (probabilities summing to one, one phased permutation per
+probability, the same superoperator as the Kraus operators), and each
+branch is held as the source index and phase of every output local index,
+so applying it to a state copies each plane from its source plane, times
+its phase.  Every channel also holds
+its *effect operators* ``E_i = K_i† K_i``, whose expectation value on a
+state is the weight of Kraus branch ``i``: for general Kraus channels the
+trajectory samplers price all branches from them and apply only the
+operator a trajectory draws.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from repro.circuits import stdgates
-from repro.statevector.apply import local_indices
-from repro.statevector.sampling import inverse_cdf_index, inverse_cdf_rows
+from repro.statevector.apply import apply_phased_permutation, local_indices
+from repro.statevector.sampling import inverse_cdf_rows
 
 __all__ = [
     "KrausChannel",
@@ -39,6 +46,25 @@ __all__ = [
     "ReadoutError",
     "compose_channels",
 ]
+
+
+class _Mixture(NamedTuple):
+    """A validated mixture of unitaries, as sampled and applied."""
+
+    probabilities: np.ndarray
+    unitaries: list[np.ndarray]
+    cumulative: np.ndarray
+    #: Per branch: the source local index and the phase of each output
+    #: local index (the operator as a phased permutation).
+    branches: tuple[tuple[tuple[int, ...], tuple[complex, ...]], ...]
+    identity_first: bool
+    #: The smallest scaled draw ``u * cumulative[-1]`` whose branch is not
+    #: an identity branch 0.
+    hit_threshold: float
+
+
+#: ``mixture_hits`` of a block whose draws all stay on an identity branch 0.
+_NO_HITS = (np.empty(0, dtype=np.intp),) * 3
 
 
 class KrausChannel:
@@ -57,6 +83,11 @@ class KrausChannel:
         dominant (closest-to-identity) Kraus operator is *not* applied to a
         maximally mixed input, which reduces to the usual error probability
         for mixed-unitary channels whose first operator is the identity.
+    mixture:
+        Optional ``(probabilities, unitaries)`` decomposition of the same
+        channel into phased permutations (Pauli channels build one).  It is
+        validated here, and the trajectory samplers then draw a branch from
+        the probabilities alone and apply it plane by plane with its phases.
     """
 
     def __init__(
@@ -100,11 +131,9 @@ class KrausChannel:
         )
         self.name = name
         self.num_qubits = num_qubits
-        self._mixture = mixture
-        # Lazily built sampling caches (see sample_mixture_index).
-        self._mixture_cumulative: np.ndarray | None = None
-        self._mixture_unitaries: list[np.ndarray] | None = None
-        self._mixture_identity_first: bool | None = None
+        self._mixture: _Mixture | None = None
+        if mixture is not None:
+            self._set_mixture(*mixture)
         if error_probability is None:
             overlap = abs(np.trace(operators[0]) / dim) ** 2
             error_probability = float(min(max(1.0 - overlap, 0.0), 1.0))
@@ -189,9 +218,88 @@ class KrausChannel:
             ) from None
         return weights, indices
 
+    def _set_mixture(
+        self, probabilities: Sequence[float], unitaries: Sequence[np.ndarray]
+    ) -> None:
+        """Validate a ``(probabilities, unitaries)`` decomposition and store
+        each branch as the source index and phase of every output local
+        index.
+
+        Raises ``ValueError`` unless the probabilities are finite,
+        non-negative and sum to one, there is one ``(dim, dim)`` unitary per
+        probability, every unitary is a phased permutation (one
+        unit-modulus entry per row and column) and ``sum_i p_i conj(U_i) ⊗
+        U_i`` is the channel's superoperator.
+        """
+        dim = 2**self.num_qubits
+        weights = np.asarray(probabilities, dtype=float)
+        if (
+            weights.ndim != 1
+            or not np.isfinite(weights).all()
+            or (weights < 0).any()
+            or not math.isclose(weights.sum(), 1.0, abs_tol=1e-8)
+        ):
+            raise ValueError(
+                f"channel {self.name!r}: mixture probabilities must be "
+                "finite, non-negative and sum to 1"
+            )
+        operators = [np.asarray(u, dtype=complex) for u in unitaries]
+        if len(operators) != weights.size or any(
+            u.shape != (dim, dim) for u in operators
+        ):
+            raise ValueError(
+                f"channel {self.name!r}: a mixture needs one ({dim}, {dim}) "
+                "unitary per probability"
+            )
+        branches = []
+        for unitary in operators:
+            nonzero = unitary != 0
+            if not (
+                (nonzero.sum(axis=0) == 1).all()
+                and (nonzero.sum(axis=1) == 1).all()
+                and np.allclose(np.abs(unitary[nonzero]), 1.0)
+            ):
+                raise ValueError(
+                    f"channel {self.name!r}: mixture branches must be phased "
+                    "permutations (one unit-modulus entry per row and "
+                    "column); drop mixture= and the general-Kraus path "
+                    "samples the channel from its Kraus operators"
+                )
+            sources = nonzero.argmax(axis=1)
+            branches.append((
+                tuple(sources.tolist()),
+                tuple(unitary[np.arange(dim), sources].tolist()),
+            ))
+        superoperator = sum(
+            p * np.kron(u.conj(), u) for p, u in zip(weights, operators)
+        )
+        if not np.allclose(superoperator, self.to_superoperator(), atol=1e-8):
+            raise ValueError(
+                f"channel {self.name!r}: the mixture is not the channel of "
+                "its Kraus operators (sum_i p_i conj(U_i) ⊗ U_i differs from "
+                "the superoperator)"
+            )
+        cumulative = np.cumsum(weights)
+        identity_first = bool(np.allclose(operators[0], np.eye(dim)))
+        if not identity_first:
+            threshold = 0.0
+        elif weights.size == 1:  # the identity channel
+            threshold = math.inf
+        else:
+            threshold = float(cumulative[0])
+        self._mixture = _Mixture(
+            weights, operators, cumulative, tuple(branches), identity_first,
+            threshold,
+        )
+
+    def _checked_mixture(self) -> _Mixture:
+        if self._mixture is None:
+            raise ValueError(f"channel {self.name!r} is not a mixture of unitaries")
+        return self._mixture
+
     @property
     def is_mixed_unitary(self) -> bool:
-        """True when a (probabilities, unitaries) decomposition is available."""
+        """True when the channel holds a validated mixture of unitaries."""
         return self._mixture is not None
 
     def mixture(self) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -200,41 +308,33 @@ class KrausChannel:
         Raises ``ValueError`` when the channel was not constructed as a
         mixture of unitaries.
         """
-        if self._mixture is None:
-            raise ValueError(f"channel {self.name!r} is not a mixture of unitaries")
-        probabilities, unitaries = self._mixture
-        return np.asarray(probabilities, dtype=float), list(unitaries)
-
-    def _build_mixture_caches(self) -> None:
-        probabilities, unitaries = self.mixture()
-        self._mixture_cumulative = np.cumsum(probabilities)
-        self._mixture_unitaries = unitaries
-        self._mixture_identity_first = bool(
-            np.allclose(unitaries[0], np.eye(unitaries[0].shape[0]))
-        )
+        mixture = self._checked_mixture()
+        return mixture.probabilities, list(mixture.unitaries)
 
     def sample_mixture_index(self, rng: np.random.Generator) -> int:
-        """Draw one mixture branch index via an inverse-CDF lookup.
+        """Draw one mixture branch index from one uniform of ``rng``.
 
         Equivalent in distribution to ``rng.choice(len(p), p=p)`` but far
-        cheaper per draw: the cumulative probabilities are cached on the
-        channel, so each sample costs one uniform draw plus a binary search.
+        cheaper per draw, and bitwise the branch
+        :meth:`mixture_indices_from_uniforms` maps the same uniform to: a
+        draw that stays on an identity branch 0 costs one comparison, any
+        other goes through that lookup.
         """
-        if self._mixture_cumulative is None:
-            self._build_mixture_caches()
-        return inverse_cdf_index(self._mixture_cumulative, rng)
+        mixture = self._checked_mixture()
+        uniform = rng.random()
+        if uniform * mixture.cumulative[-1] < mixture.hit_threshold:
+            return 0
+        return int(self.mixture_indices_from_uniforms(uniform))
 
     def sample_mixture_indices(
         self, rng: np.random.Generator, size: int
     ) -> np.ndarray:
         """Draw ``size`` independent mixture branch indices in one call.
 
-        The vectorised counterpart of :meth:`sample_mixture_index`, used by
-        the batched-trajectory backend to sample one branch per trajectory
-        with a single uniform draw and a single ``searchsorted``.
+        The vectorised counterpart of :meth:`sample_mixture_index`: one
+        uniform draw and one ``searchsorted`` for ``size`` trajectories.
         """
-        if self._mixture_cumulative is None:
-            self._build_mixture_caches()
+        self._checked_mixture()
         return self.mixture_indices_from_uniforms(rng.random(size))
 
     def mixture_indices_from_uniforms(
@@ -242,30 +342,59 @@ class KrausChannel:
     ) -> np.ndarray:
         """Map pre-drawn uniforms in [0, 1) to mixture branch indices.
 
-        One vectorised inverse-CDF lookup, bitwise identical to feeding the
-        same uniforms through :meth:`sample_mixture_index` one at a time —
-        which is what lets batched engines draw a whole block of per-row
-        counter-stream uniforms at once without changing any outcome.
+        One vectorised inverse-CDF lookup over an array of any shape,
+        bitwise identical to feeding the same uniforms through
+        :meth:`sample_mixture_index` one at a time — which is what lets
+        batched engines draw a whole block of per-row counter-stream
+        uniforms at once without changing any outcome.
         """
-        if self._mixture_cumulative is None:
-            self._build_mixture_caches()
-        cumulative = self._mixture_cumulative
+        cumulative = self._checked_mixture().cumulative
         draws = np.asarray(uniforms, dtype=float) * cumulative[-1]
         indices = np.searchsorted(cumulative, draws, side="right")
         return np.minimum(indices, cumulative.size - 1)
 
+    def mixture_hits(
+        self, uniforms: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The draws of a ``(B, m)`` uniform block that apply an operator.
+
+        Returns ``(columns, rows, branches)`` of every draw except an
+        identity branch 0, ordered by column and then row; one
+        :meth:`mixture_indices_from_uniforms` lookup maps those draws to
+        branches, and a block without any makes none.
+        """
+        mixture = self._checked_mixture()
+        # The lookup scales a uniform by the total and draws branch 0
+        # exactly below ``cumulative[0]``, so only the other draws go
+        # through it.
+        drawn = uniforms.T * mixture.cumulative[-1] >= mixture.hit_threshold
+        if not np.count_nonzero(drawn):
+            return _NO_HITS
+        columns, rows = np.nonzero(drawn)
+        return columns, rows, self.mixture_indices_from_uniforms(
+            uniforms.T[columns, rows]
+        )
+
     @property
     def mixture_identity_first(self) -> bool:
-        """True when mixture branch 0 is the identity (checked once, cached)."""
-        if self._mixture_identity_first is None:
-            self._build_mixture_caches()
-        return self._mixture_identity_first
+        """True when mixture branch 0 is the identity."""
+        return self._checked_mixture().identity_first
 
     def mixture_unitary(self, index: int) -> np.ndarray:
-        """The unitary of one mixture branch (from the cached decomposition)."""
-        if self._mixture_unitaries is None:
-            self._build_mixture_caches()
-        return self._mixture_unitaries[index]
+        """The unitary of one mixture branch."""
+        return self._checked_mixture().unitaries[index]
+
+    def apply_mixture_branch(
+        self, state: np.ndarray, index: int, qubits: Sequence[int]
+    ) -> None:
+        """Apply mixture branch ``index`` on ``qubits`` to ``state`` in place.
+
+        ``state`` is one statevector, possibly a strided view such as a row
+        of a block; see :func:`~repro.statevector.apply.
+        apply_phased_permutation`.
+        """
+        sources, phases = self._checked_mixture().branches[index]
+        apply_phased_permutation(state, sources, phases, tuple(qubits))
 
     def to_superoperator(self) -> np.ndarray:
         """Column-stacking superoperator sum_i conj(K_i) ⊗ K_i (for tests)."""

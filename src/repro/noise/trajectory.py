@@ -2,10 +2,14 @@
 
 Each noisy *shot* evolves a pure state: after every gate the attached error
 channels are sampled.  Mixed-unitary channels (Pauli / depolarizing) use the
-state-independent fast path; general Kraus channels sample the operator index
-with probability ``||K_i |psi>||^2`` and renormalise — the standard quantum
-trajectories method (Dalibard et al. 1992; Mølmer & Castin 1996) that the
-paper relies on.  The weights come from the channel's effect operators,
+state-independent fast path: the branch comes from the probabilities alone
+and is applied as a phased permutation
+(:meth:`~repro.noise.channels.KrausChannel.apply_mixture_branch`), the same
+row primitive the backends' block step and the realization replay use.
+General Kraus channels sample the operator index with probability
+``||K_i |psi>||^2`` and renormalise — the standard quantum trajectories
+method (Dalibard et al. 1992; Mølmer & Castin 1996) that the paper relies
+on.  The weights come from the channel's effect operators,
 ``||K_i |psi>||^2 = <psi|K_i†K_i|psi>``, so only the drawn operator is
 applied; the backend's block step uses the same weights and lookup.
 """
@@ -41,19 +45,22 @@ def sample_channel_on_state(
     Returns the new statevector and the index of the sampled operator (the
     mixture index for mixed-unitary channels, the Kraus index otherwise).
 
-    When a :class:`~repro.backends.base.Backend` is supplied, the branch is
-    applied through its kernels and the backend's mutation contract applies
-    (``state`` may be transformed in place).  Without one, the application is
-    purely functional, as before.
+    A mixture branch is applied as a phased permutation
+    (:meth:`~repro.noise.channels.KrausChannel.apply_mixture_branch`, the
+    backends' block step applies the same one to each row); a general Kraus
+    operator goes through the backend's kernels.  When a
+    :class:`~repro.backends.base.Backend` is supplied, the backend's mutation
+    contract applies (``state`` may be transformed in place).  Without one,
+    the application is purely functional.
     """
     if channel.is_mixed_unitary:
         index = channel.sample_mixture_index(rng)
         if index == 0 and channel.mixture_identity_first:
             return state, index
-        unitary = channel.mixture_unitary(index)
         if backend is None:
-            return apply_unitary(state, unitary, qubits), index
-        return backend.apply_unitary(state, unitary, qubits), index
+            state = np.array(state, dtype=complex)
+        channel.apply_mixture_branch(state, index, qubits)
+        return state, index
 
     # General Kraus channel: the effect operators price every branch from
     # the state itself, with the block step's weight helper and lookup, so
@@ -186,13 +193,16 @@ def apply_noise_realization_event(
     realization: NoiseRealization,
     gate_index: int,
 ) -> np.ndarray:
-    """Apply the pre-sampled branches for one gate of a realization."""
+    """Apply the pre-sampled branches for one gate of a realization.
+
+    Returns a new array; ``state`` is left intact.
+    """
+    state = np.array(state, dtype=complex)
     for event_index, event in enumerate(noise_model.events_for_gate(gate)):
         branch = realization.branch(gate_index, event_index)
         # Branch 0 is only a no-op for channels whose first mixture operator
         # is the identity; other mixtures carry a real operator at index 0.
         if branch == 0 and event.channel.mixture_identity_first:
             continue
-        state = apply_unitary(state, event.channel.mixture_unitary(branch),
-                              event.qubits)
+        event.channel.apply_mixture_branch(state, branch, event.qubits)
     return state

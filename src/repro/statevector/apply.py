@@ -23,6 +23,7 @@ __all__ = [
     "apply_unitary_to_density",
     "apply_kraus_to_density",
     "local_indices",
+    "apply_phased_permutation",
 ]
 
 
@@ -91,6 +92,67 @@ def local_indices(qubits: tuple[int, ...], num_qubits: int) -> np.ndarray:
     table = np.asarray(local, dtype=np.min_scalar_type(2 ** len(qubits) - 1))
     table.flags.writeable = False
     return table
+
+
+@lru_cache(maxsize=64)
+def _operand_planes(
+    qubits: tuple[int, ...], num_qubits: int
+) -> tuple[tuple[int, ...], tuple[tuple[int | slice, ...], ...]]:
+    """How to view a statevector as planes of one local index on ``qubits``.
+
+    Returns a shape that splits the amplitude axis at every operand qubit
+    (highest first) and, per local index ``l``, the index of its plane in
+    that view: the amplitudes whose operand bits read ``l``.  Cached and
+    shared like :func:`local_indices`, and a few tuples in size.
+    """
+    order = sorted(range(len(qubits)), key=lambda m: -qubits[m])
+    shape, top = [], num_qubits
+    for m in order:
+        shape += [1 << (top - qubits[m] - 1), 2]
+        top = qubits[m]
+    shape.append(1 << top)
+    planes = []
+    for local in range(1 << len(qubits)):
+        index: list[int | slice] = [slice(None)] * len(shape)
+        for axis, m in enumerate(order):
+            index[2 * axis + 1] = (local >> m) & 1
+        planes.append(tuple(index))
+    return tuple(shape), tuple(planes)
+
+
+def apply_phased_permutation(
+    state: np.ndarray,
+    sources: tuple[int, ...],
+    phases: tuple[complex, ...],
+    qubits: tuple[int, ...],
+) -> None:
+    """Apply a phased permutation on ``qubits`` to ``state`` in place.
+
+    The operator maps local basis state ``sources[l]`` to ``l`` with phase
+    ``phases[l]`` (one nonzero per row and column, a Pauli for instance).
+    ``state`` is one statevector and may be any 1-D view, such as a row of
+    a row-inner block.  Each plane of local index ``l`` is written once: a
+    copy of plane ``sources[l]`` as it was, multiplied by its phase only
+    where that is not 1 — the copies and scalar multiplies the gate kernels
+    make for such a matrix, so the bytes are theirs (a multiply by 1 could
+    flip the sign of a zero).
+    """
+    shape, planes = _operand_planes(
+        qubits, int(state.shape[-1]).bit_length() - 1
+    )
+    view = state.reshape(shape)
+    before = None
+    for local, (source, phase) in enumerate(zip(sources, phases)):
+        if source == local:
+            if phase != 1:
+                view[planes[local]] *= phase
+            continue
+        if before is None:
+            before = np.array(view)
+        if phase == 1:
+            np.copyto(view[planes[local]], before[planes[source]])
+        else:
+            np.multiply(before[planes[source]], phase, out=view[planes[local]])
 
 
 def apply_gate(state: np.ndarray, gate) -> np.ndarray:

@@ -17,6 +17,7 @@ from repro.core import (
     TQSimEngine,
     UniformCircuitPartitioner,
 )
+from repro.core.copycost import DEFAULT_COPY_COST_IN_GATES
 from repro.core.engine import frontier_windows
 from repro.core.pathrng import run_root_key
 from repro.dispatch import (
@@ -430,6 +431,29 @@ def test_run_shard_deep_spec_is_self_contained(qft5):
     assert sum(result.counts.values()) == _outcomes(shards[2])
     assert result.metadata["shard_replayed_prefix_gates"] == \
         shards[2].replayed_prefix_gates
+
+
+@pytest.mark.parametrize("num_shards", [7, 8, 12, 24])
+def test_deep_shard_estimates_charge_each_ancestor_once(qft5, num_shards):
+    """A range is priced as its units plus each distinct ancestor above it
+    once (a subcircuit each, plus a state copy below layer 0), counted
+    here by brute force over its nodes."""
+    plan = ManualPartitioner((2, 3, 4)).plan(qft5, 24, None)
+    copy = DEFAULT_COPY_COST_IN_GATES
+    lengths = plan.subcircuit_lengths
+    shards = ShardPlanner(max_depth=3).plan_shards(
+        qft5, 24, num_shards, seed=0, plan=plan
+    )
+    assert {s.layer for s in shards} == {2}
+    for shard in shards:
+        nodes = range(shard.start, shard.stop)
+        roots = {node // 12 for node in nodes}
+        parents = {node // 4 for node in nodes}
+        assert shard.estimated_cost == (
+            len(nodes) * (lengths[2] + copy)
+            + len(roots) * lengths[0]
+            + len(parents) * (lengths[1] + copy)
+        )
 
 
 def test_deep_shard_runs_each_shared_ancestor_once(qft5):

@@ -1,12 +1,15 @@
-"""The vectorised general-Kraus trajectory step and the per-chunk noise pre-draw.
+"""The vectorised trajectory noise steps and the per-chunk noise pre-draw.
 
 Every noise event, mixed-unitary or general Kraus, consumes exactly one
 uniform per row.  The backend's block update must pick, row for row, the
 branch :func:`~repro.noise.trajectory.sample_channel_on_state` picks from the
-same uniform and leave the same renormalised state; the engine pre-draws a
-whole subcircuit's uniforms in one block per chunk.  Both paths price the
-branches from the channel's effect operators ``E_i = K_i†K_i``, so both are
-also checked against a first-principles oracle that applies every ``K_i``.
+same uniform and leave the same state; the engine pre-draws a whole
+subcircuit's uniforms in one block per chunk.  General Kraus paths price
+the branches from the channel's effect operators ``E_i = K_i†K_i``, so both
+are also checked against a first-principles oracle that applies every
+``K_i``.  A mixture branch is applied in place on its row as a phased
+permutation, which must give byte for byte what the optimized kernel gives
+for the drawn unitary.
 """
 
 import numpy as np
@@ -16,11 +19,15 @@ from test_backend_equivalence import BLOCK_LAYOUTS, in_layout
 from repro.backends import get_backend
 from repro.backends.optimized import OptimizedNumpyBackend
 from repro.core import ManualPartitioner, TQSimEngine
-from repro.core.pathrng import PathStream, child_keys
-from repro.noise import NoiseModel, depolarizing_noise_model
+from repro.core.engine import _mixture_hits
+from repro.circuits.circuit import Circuit
+from repro.core.pathrng import PathStream, child_keys, draw_block
+from repro.noise import NoiseModel, depolarizing_noise_model, noise_model_by_code
 from repro.noise.channels import (
     AmplitudeDampingChannel,
+    DepolarizingChannel,
     KrausChannel,
+    PauliChannel,
     PhaseDampingChannel,
     ThermalRelaxationChannel,
 )
@@ -346,3 +353,223 @@ def test_kraus_event_on_single_state_matches_block_of_one():
     )
     np.testing.assert_array_equal(single, block[0])
     assert single.shape == state.shape
+
+
+# ---------------------------------------------------------------------------
+# Mixed-unitary events: one branch lookup, drawn branches applied on their rows
+# ---------------------------------------------------------------------------
+PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+
+MIXTURES = {
+    "depolarizing_1q": (DepolarizingChannel(0.3, 1), (2,)),
+    "depolarizing_2q": (DepolarizingChannel(0.3, 2), (3, 1)),
+    "depolarizing_2q_low_first": (DepolarizingChannel(0.3, 2), (1, 3)),
+    "pauli_non_uniform": (PauliChannel({"X": 0.1, "Y": 0.25, "Z": 0.05}), (0,)),
+    # Identity not first: every draw applies an operator.
+    "always_x": (
+        KrausChannel([PAULI_X], name="always_x", mixture=([1.0], [PAULI_X])),
+        (1,),
+    ),
+}
+
+
+def _mixture_uniforms(pattern: str, rows: int) -> np.ndarray:
+    """Branch 0 for low uniforms; the rows sent off it spread over every
+    other branch (the identity weighs at most 0.7 here)."""
+    uniforms = _pattern_uniforms(pattern, rows)
+    off = uniforms > 0.5
+    uniforms[off] = np.linspace(0.75, 1.0, int(off.sum()), endpoint=False)
+    return uniforms
+
+
+def _block_with_zeros(rows: int, rng: np.random.Generator) -> np.ndarray:
+    """A random block holding exact and negative zeros, whose sign a
+    multiply by 1 could flip."""
+    block = _random_block(rows, rng)
+    block.real[:, ::3] = -0.0
+    block.imag[:, 1::4] = 0.0
+    block.imag[:, 2::5] = -0.0
+    return block
+
+
+@pytest.mark.parametrize("layout", BLOCK_LAYOUTS)
+@pytest.mark.parametrize("backend", ["optimized", "numpy"])
+@pytest.mark.parametrize("pattern", ["none", "one", "some", "all"])
+@pytest.mark.parametrize("rows", [1, 5, 64])
+@pytest.mark.parametrize("name", sorted(MIXTURES))
+def test_mixture_paths_match_the_kernel_byte_for_byte(
+    name, rows, pattern, backend, layout
+):
+    """The block step and the per-state sampler equal the optimized kernel
+    applied to the drawn unitary, bytes included, and the reference
+    contraction by value."""
+    channel, qubits = MIXTURES[name]
+    block = _block_with_zeros(rows, np.random.default_rng(rows + len(name)))
+    uniforms = _mixture_uniforms(pattern, rows)
+    resolved = get_backend(backend)
+    updated = in_layout(block, layout)
+    out = resolved.apply_noise_events_uniforms(
+        updated, [NoiseEvent(channel, qubits)], uniforms[:, None]
+    )
+    assert out is updated
+    branches = channel.mixture_indices_from_uniforms(uniforms)
+    kernel = OptimizedNumpyBackend()
+    for row in range(rows):
+        unitary = channel.mixture_unitary(int(branches[row]))
+        expected = kernel.apply_unitary(block[row].copy(), unitary, qubits)
+        single, index = sample_channel_on_state(
+            block[row].copy(), channel, qubits, _FixedUniform(uniforms[row]),
+            backend=resolved,
+        )
+        assert index == branches[row]
+        assert updated[row].tobytes() == expected.tobytes()
+        assert single.tobytes() == expected.tobytes()
+        np.testing.assert_array_equal(
+            updated[row], apply_unitary(block[row], unitary, qubits)
+        )
+    if pattern == "none" and channel.mixture_identity_first:
+        assert updated.tobytes() == in_layout(block, layout).tobytes()
+
+
+def test_mixture_block_step_makes_no_kernel_call():
+    """Drawn Pauli branches are updated on their rows, never by a kernel."""
+    channel, qubits = MIXTURES["depolarizing_2q"]
+    backend = _CountingBackend()
+    block = in_layout(_random_block(64, np.random.default_rng(5)), "allocated")
+    before = block.copy()
+    uniforms = _mixture_uniforms("some", 64)
+    backend.apply_noise_events_uniforms(
+        block, [NoiseEvent(channel, qubits)], uniforms[:, None]
+    )
+    moved = ~np.all(block == before, axis=1)
+    assert moved.sum() == len(range(0, 64, 3))
+    state = block[0].copy()
+    sample_channel_on_state(
+        state, channel, qubits, _FixedUniform(0.99), backend=backend
+    )
+    assert backend.calls == 0
+
+
+def _count_calls(monkeypatch, name: str) -> list[int]:
+    calls: list[int] = []
+    original = getattr(KrausChannel, name)
+
+    def counted(self, uniforms):
+        calls.append(1)
+        return original(self, uniforms)
+
+    monkeypatch.setattr(KrausChannel, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("cap", [1, 4, 64])
+@pytest.mark.parametrize("strong", [False, True], ids=["DC", "strong"])
+def test_one_mixture_lookup_per_channel_per_chunk(qft5, strong, cap, monkeypatch):
+    """Each chunk maps its uniform block in one pass per mixed channel,
+    with at most one branch lookup (none when every draw stays on the
+    identity), never one per event."""
+    noise = (
+        depolarizing_noise_model(0.05, 0.1) if strong
+        else noise_model_by_code("DC")
+    )
+    plan = ManualPartitioner((3, 10)).plan(qft5, 30, noise)
+    channels = [
+        {
+            event.channel
+            for gate in subcircuit
+            for event in noise.events_for_gate(gate)
+        }
+        for subcircuit in plan.subcircuits
+    ]
+    assert all(len(found) == 2 for found in channels)
+    passes = _count_calls(monkeypatch, "mixture_hits")
+    lookups = _count_calls(monkeypatch, "mixture_indices_from_uniforms")
+    tracer = Tracer()
+    TQSimEngine(noise, seed=3, max_batch=cap, tracer=tracer).run(
+        qft5, 30, plan=plan
+    )
+    chunks = [s for s in tracer.spans if s.name == "engine.subcircuit"]
+    expected = sum(len(channels[chunk.attributes["layer"]]) for chunk in chunks)
+    assert len(passes) == expected
+    assert 0 < len(lookups) <= expected
+
+
+class _NoiseCallCounter(OptimizedNumpyBackend):
+    """The optimized backend, counting its block noise-step calls."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.noise_calls = 0
+
+    def apply_noise_events_uniforms(self, state, events, uniforms):
+        self.noise_calls += 1
+        return super().apply_noise_events_uniforms(state, events, uniforms)
+
+
+def test_kraus_only_gates_make_one_noise_call_per_chunk(qft5):
+    noise = noise_model_by_code("ADR")
+    plan = ManualPartitioner((3, 10)).plan(qft5, 30, noise)
+    noisy = [
+        sum(1 for gate in subcircuit if noise.events_for_gate(gate))
+        for subcircuit in plan.subcircuits
+    ]
+    backend = _NoiseCallCounter()
+    tracer = Tracer()
+    TQSimEngine(noise, seed=3, backend=backend, max_batch=4,
+                tracer=tracer).run(qft5, 30, plan=plan)
+    chunks = [s for s in tracer.spans if s.name == "engine.subcircuit"]
+    assert backend.noise_calls == sum(
+        noisy[chunk.attributes["layer"]] for chunk in chunks
+    )
+
+
+NOISE_STEP_MODELS = {
+    "depolarizing": depolarizing_noise_model(0.2, 0.3),
+    "amplitude_damping_readout": noise_model_by_code("ADR"),
+    # A mixture before and after general-Kraus channels on the same gate.
+    "mixed_and_kraus_per_gate": NoiseModel(
+        single_qubit_channels=[
+            DepolarizingChannel(0.3), AmplitudeDampingChannel(0.3),
+            PauliChannel({"X": 0.2, "Z": 0.2}),
+        ],
+        two_qubit_channels=[
+            PhaseDampingChannel(0.3), DepolarizingChannel(0.3, 2),
+        ],
+    ),
+    "all": noise_model_by_code("ALL"),
+}
+
+
+@pytest.mark.parametrize("backend", ["optimized", "numpy"])
+@pytest.mark.parametrize("name", sorted(NOISE_STEP_MODELS))
+def test_engine_noise_step_equals_the_per_gate_block_step(
+    qft5, name, backend
+):
+    """The engine's up-front branch lookup leaves every row as the block
+    step applied gate by gate, every event in order."""
+    noise = NOISE_STEP_MODELS[name]
+    engine = TQSimEngine(noise, backend=backend)
+    keys = child_keys(0xBEEF, 0, 16)
+    block = in_layout(_random_block(16, np.random.default_rng(6)), "allocated")
+    subcircuit = Circuit(NUM_QUBITS)
+    for gate in qft5.gates:
+        if max(gate.qubits) < NUM_QUBITS:
+            subcircuit.append(gate)
+    matched = engine._match_noise(subcircuit)
+    streams = [PathStream(int(key)) for key in keys]
+    result = engine._apply_subcircuit(block.copy(), subcircuit, matched, streams)
+    uniforms = draw_block([PathStream(int(key)) for key in keys], matched.draws)
+    resolved = get_backend(backend)
+    expected = block.copy()
+    column = 0
+    for gate, events in zip(subcircuit, matched.events):
+        expected = resolved.apply_gate(expected, gate)
+        if events:
+            expected = resolved.apply_noise_events_uniforms(
+                expected, events, uniforms[:, column : column + len(events)]
+            )
+            column += len(events)
+    assert column == matched.draws > 0
+    if name in ("depolarizing", "mixed_and_kraus_per_gate"):
+        assert _mixture_hits(matched.mixtures, uniforms)
+    assert np.asarray(result).tobytes() == np.asarray(expected).tobytes()

@@ -95,6 +95,59 @@ def test_pauli_channel_is_mixed_unitary():
     assert np.allclose(unitaries[0], np.eye(2))
 
 
+_I = np.eye(2, dtype=complex)
+_X = np.array([[0, 1], [1, 0]], dtype=complex)
+_Z = np.diag([1, -1]).astype(complex)
+_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+
+
+@pytest.mark.parametrize(
+    "kraus, mixture, message",
+    [
+        # Accepted at one time: a run applied Z where the channel applies X.
+        ([np.sqrt(0.7) * _I, np.sqrt(0.3) * _X], ([0.7, 0.3], [_I, _Z]),
+         "is not the channel of its Kraus operators"),
+        # Accepted at one time, then raised IndexError mid-run.
+        ([np.sqrt(0.5) * _I, np.sqrt(0.5) * _X], ([0.5, 0.5], [_I]),
+         "one \\(2, 2\\) unitary per probability"),
+        ([np.sqrt(0.5) * _I, np.sqrt(0.5) * _X], ([0.5, 0.5], [_I, np.eye(4)]),
+         "one \\(2, 2\\) unitary per probability"),
+        ([np.sqrt(0.5) * _I, np.sqrt(0.5) * _H], ([0.5, 0.5], [_I, _H]),
+         "drop mixture="),
+        ([np.sqrt(0.5) * _I, np.sqrt(0.5) * _X], ([0.5, 0.5], [_I, 2 * _X]),
+         "phased permutations"),
+        ([_I], ([1.2, -0.2], [_I, _I]), "finite, non-negative and sum to 1"),
+        ([_I], ([0.5, 0.4], [_I, _I]), "finite, non-negative and sum to 1"),
+        ([_I], ([np.nan, 1.0], [_I, _I]), "finite, non-negative and sum to 1"),
+    ],
+    ids=["wrong_unitary", "missing_unitary", "wrong_shape", "hadamard",
+         "not_unit_modulus", "negative", "short_sum", "nan"],
+)
+def test_mixture_is_validated_at_construction(kraus, mixture, message):
+    with pytest.raises(ValueError, match=message):
+        KrausChannel(kraus, name="bad", mixture=mixture)
+
+
+def test_every_shipped_mixture_constructs():
+    from repro.noise import NOISE_MODEL_CODES, noise_model_by_code
+
+    channels = [
+        DepolarizingChannel(p, n) for p in (0.0, 0.015, 0.5, 1.0) for n in (1, 2)
+    ]
+    channels.append(PauliChannel({"X": 0.1, "Y": 0.25, "Z": 0.05}))
+    channels.append(PauliChannel({"XY": 0.2, "ZI": 0.1}))
+    channels.append(KrausChannel([_X], name="always_x", mixture=([1.0], [_X])))
+    for code in NOISE_MODEL_CODES:
+        model = noise_model_by_code(code)
+        channels += model.single_qubit_channels + model.two_qubit_channels
+    mixtures = [channel for channel in channels if channel.is_mixed_unitary]
+    assert len(mixtures) >= 11
+    for channel in mixtures:
+        probabilities, unitaries = channel.mixture()
+        assert np.isclose(probabilities.sum(), 1.0)
+        assert len(unitaries) == len(probabilities)
+
+
 def test_amplitude_damping_relaxes_excited_state():
     channel = AmplitudeDampingChannel(0.4)
     excited = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
