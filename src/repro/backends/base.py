@@ -2,17 +2,18 @@
 
 A backend owns the numerics of statevector simulation: allocating and copying
 state buffers, applying unitaries and sampled noise, and drawing measurement
-outcomes.  The TQSim engine, the per-shot baseline and the ideal statevector
-simulator are all written against this interface, which is what makes the
-paper's central claim — that tree-based trajectory reuse is backend
-independent — testable: any registered backend can be swapped in via
-:func:`repro.backends.get_backend`.
+outcomes.  The TQSim engine (and the per-shot simulators, which run its
+one-layer plan) and the ideal statevector simulator are all written against
+this interface, which is what makes the paper's central claim — that
+tree-based trajectory reuse is backend independent — testable: any
+registered backend can be swapped in via :func:`repro.backends.get_backend`.
 
 Mutation contract
 -----------------
-``apply_unitary`` / ``apply_gate`` / ``apply_noise`` *may* transform the state
-in place and always return the array holding the result; callers must use the
-returned array and must not assume the input was left intact.  The reference
+``apply_unitary`` / ``apply_gate`` / ``apply_noise_events_uniforms`` *may*
+transform the state in place and always return the array holding the
+result; callers must use the returned array and must not assume the input
+was left intact.  The reference
 :class:`~repro.backends.numpy_backend.NumpyBackend` is purely functional while
 :class:`~repro.backends.optimized.OptimizedNumpyBackend` works in place, and
 both honour this contract.
@@ -40,7 +41,18 @@ A general-Kraus update prices every row's branches from the channel's
 effect operators ``K_i†K_i`` without applying any operator, then applies
 only the operators the rows drew through ``apply_unitary``: the most-drawn
 one to the whole block in place, a diagonal one as a multiply with no
-kernel call.  1-D single-state calls keep their scalar paths.
+kernel call.
+
+Random streams
+--------------
+Every trajectory draws from its own path-keyed
+:class:`~repro.core.pathrng.PathStream`.  The noise hooks take either
+pre-drawn uniforms, one column per event and one row per trajectory
+(:meth:`Backend.apply_noise_events_uniforms`), or one stream per row
+(:meth:`Backend.apply_noise_events_multi`), and outcome sampling takes one
+stream per row (:meth:`Backend.sample_outcomes_multi`, whose one-row path is
+:meth:`Backend.sample_outcome`).  There is no shared-stream form: a row's
+draws never depend on the rows around it.
 """
 
 from __future__ import annotations
@@ -52,7 +64,7 @@ import numpy as np
 
 from repro.circuits.gate import Gate
 from repro.noise.channels import KrausChannel, ReadoutError
-from repro.noise.model import NoiseEvent, NoiseModel
+from repro.noise.model import NoiseEvent
 from repro.statevector.apply import local_indices
 from repro.statevector.sampling import (
     index_to_bitstring,
@@ -61,14 +73,10 @@ from repro.statevector.sampling import (
 )
 
 if TYPE_CHECKING:
-    from repro.core.pathrng import UniformStream
-
-    #: Anything a backend may draw uniforms from: a numpy ``Generator`` (the
-    #: baseline simulators) or a path-keyed counter stream (the engine's
-    #: seeding contract).  Runtime code never imports this — annotations are
-    #: strings under ``from __future__ import annotations`` — so the
-    #: backends package stays import-cycle free.
-    RandomStream = np.random.Generator | UniformStream
+    # Annotations are strings under ``from __future__ import annotations``
+    # and runtime code imports ``repro.core.pathrng`` inside the functions
+    # that draw, so the backends package stays import-cycle free.
+    from repro.core.pathrng import PathStream, UniformStream
 
 __all__ = ["Backend"]
 
@@ -159,57 +167,26 @@ class Backend(ABC):
         """Apply one ideal gate."""
         return self.apply_unitary(state, gate.to_matrix(), gate.qubits)
 
-    def apply_noise(
-        self,
-        state: np.ndarray,
-        gate: Gate,
-        noise_model: NoiseModel,
-        rng: RandomStream,
-    ) -> np.ndarray:
-        """Sample and apply the noise events attached to ``gate``."""
-        return self.apply_noise_events(
-            state, noise_model.events_for_gate(gate), rng
-        )
-
-    def apply_noise_events(
-        self,
-        state: np.ndarray,
-        events: Sequence[NoiseEvent],
-        rng: RandomStream,
-    ) -> np.ndarray:
-        """Sample and apply already-matched noise events.
-
-        Engines that need the event list anyway (for cost accounting) call
-        this directly so ``events_for_gate`` matching runs once per gate.
-        The rows of a ``(B, 2**n)`` block share ``rng``: each event draws
-        one uniform per row, in row order.
-        """
-        if state.ndim == 2:
-            uniforms = np.asarray(rng.random((len(events), state.shape[0])))
-            return self.apply_noise_events_uniforms(state, events, uniforms.T)
-        from repro.noise.trajectory import apply_noise_events
-
-        return apply_noise_events(state, events, rng, backend=self)
-
     def apply_noise_events_multi(
         self,
         state: np.ndarray,
         events: Sequence[NoiseEvent],
-        rngs: Sequence[RandomStream],
+        rngs: Sequence[PathStream],
     ) -> np.ndarray:
         """Apply noise events to a batch where row ``i`` draws from ``rngs[i]``.
 
         Per-row independent streams are what make sharded execution bitwise
-        reproducible: a trajectory's noise depends only on its own stream —
-        a :class:`numpy.random.Generator` or a path-keyed
-        :class:`~repro.core.pathrng.PathStream` — never on how trajectories
+        reproducible: a trajectory's noise depends only on its own path-keyed
+        :class:`~repro.core.pathrng.PathStream`, never on how trajectories
         were grouped into batches.  Every event consumes exactly one uniform
         per row, so this draws one per event and hands them to
         :meth:`apply_noise_events_uniforms`.
         """
+        from repro.core.pathrng import draw_block
+
         _check_rows(state, rngs)
         return self.apply_noise_events_uniforms(
-            state, events, _row_uniforms(rngs, len(events))
+            state, events, draw_block(rngs, len(events))
         )
 
     def apply_noise_events_uniforms(
@@ -338,31 +315,10 @@ class Backend(ABC):
         block *= np.take(diagonal[:, None] * scales.T, local, axis=0).T
         return block
 
-    def sample_outcomes(
-        self,
-        state: np.ndarray,
-        rng: RandomStream,
-        readout_error: ReadoutError | None = None,
-    ) -> list[str]:
-        """Sample one outcome per row, every row drawing from ``rng``.
-
-        The outcome uniforms of all rows come first, then the readout flips
-        row by row.
-        """
-        batched = state if state.ndim == 2 else state.reshape(1, -1)
-        draws = np.asarray(rng.random(batched.shape[0]))
-        flips = (
-            None
-            if readout_error is None
-            else np.asarray(rng.random((batched.shape[0], _num_qubits(batched))))
-        )
-        return self._outcomes_from_uniforms(batched, draws, readout_error,
-                                            flips)
-
     def sample_outcomes_multi(
         self,
         state: np.ndarray,
-        rngs: Sequence[RandomStream],
+        rngs: Sequence[PathStream],
         readout_error: ReadoutError | None = None,
     ) -> list[str]:
         """Sample one outcome per batch row, row ``i`` drawing from ``rngs[i]``.
@@ -371,12 +327,14 @@ class Backend(ABC):
         on a single state — one uniform for the outcome, then the readout
         flips — so results are independent of batch grouping.
         """
+        from repro.core.pathrng import draw_block
+
         batched = _check_rows(state, rngs)
         if len(rngs) == 1:
             # The scalar sampler consumes the same uniforms, with fewer calls.
             return [self.sample_outcome(batched[0], rngs[0], readout_error)]
         count = 1 if readout_error is None else 1 + _num_qubits(batched)
-        uniforms = _row_uniforms(rngs, count)
+        uniforms = draw_block(rngs, count)
         return self._outcomes_from_uniforms(
             batched, uniforms[:, 0], readout_error, uniforms[:, 1:]
         )
@@ -415,29 +373,30 @@ class Backend(ABC):
     def sample_outcome(
         self,
         state: np.ndarray,
-        rng: RandomStream,
+        rng: UniformStream,
         readout_error: ReadoutError | None = None,
     ) -> str:
         """Sample one measurement outcome, including optional readout error.
 
         Uses an inverse-CDF draw (``cumsum`` + ``searchsorted``) instead of
-        ``rng.choice(p=...)``, and vectorised per-bit readout flips.  This is
-        the single shared implementation behind every trajectory simulator.
-        A block of one row is sampled as that row; larger blocks need
-        :meth:`sample_outcomes`.
+        ``rng.choice(p=...)``, then one uniform per bit for the readout
+        flips.  This is the one-row path of :meth:`sample_outcomes_multi`,
+        which draws the same uniforms for every row.  A block of one row is
+        sampled as that row; larger blocks need :meth:`sample_outcomes_multi`.
         """
         if state.ndim == 2:
             if state.shape[0] != 1:
                 raise ValueError("sample_outcome on a batched state is "
-                                 "ambiguous; use sample_outcomes")
+                                 "ambiguous; use sample_outcomes_multi")
             state = state[0]
         cumulative = np.cumsum(self.probabilities(state))
         outcome = inverse_cdf_index(cumulative, rng)
         num_qubits = int(cumulative.size).bit_length() - 1
         if readout_error is not None:
             outcome = int(
-                self._apply_readout_flips(
-                    np.array([outcome]), num_qubits, readout_error, rng
+                self._readout_flips_from_uniforms(
+                    np.array([outcome]), num_qubits, readout_error,
+                    np.asarray(rng.random((1, num_qubits))),
                 )[0]
             )
         return index_to_bitstring(outcome, num_qubits)
@@ -465,26 +424,6 @@ class Backend(ABC):
         bits ^= uniforms < flip_probability
         return bits @ (1 << positions)
 
-    @staticmethod
-    def _apply_readout_flips(
-        outcomes: np.ndarray,
-        num_qubits: int,
-        readout_error: ReadoutError,
-        rng: RandomStream,
-    ) -> np.ndarray:
-        """Flip each measured bit of each outcome index with its error rate.
-
-        Vectorised over a batch of outcome indices — the single readout
-        implementation behind both per-shot and batched sampling, consuming
-        ``num_qubits`` uniforms per outcome in outcome order.
-        """
-        return Backend._readout_flips_from_uniforms(
-            outcomes,
-            num_qubits,
-            readout_error,
-            rng.random((outcomes.size, num_qubits)),
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.name!r}>"
 
@@ -493,24 +432,10 @@ def _num_qubits(batched: np.ndarray) -> int:
     return int(batched.shape[-1]).bit_length() - 1
 
 
-def _check_rows(state: np.ndarray, rngs: Sequence[RandomStream]) -> np.ndarray:
+def _check_rows(state: np.ndarray, rngs: Sequence[PathStream]) -> np.ndarray:
     """``state`` as a block, checked to hold one row per stream."""
     batched = state if state.ndim == 2 else state.reshape(1, -1)
     if batched.shape[0] != len(rngs):
-        raise ValueError("need exactly one generator per batch row")
+        raise ValueError("need exactly one stream per batch row")
     return batched
 
-
-def _row_uniforms(rngs: Sequence[RandomStream], count: int) -> np.ndarray:
-    """The next ``count`` uniforms of every row's stream, as ``(B, count)``.
-
-    Path-keyed streams draw the whole block in one vectorised call; other
-    generators draw row by row.  Both advance each stream by ``count``.
-    """
-    from repro.core.pathrng import all_path_streams, draw_block
-
-    if all_path_streams(rngs):
-        return draw_block(rngs, count)  # type: ignore[arg-type]
-    return np.array([rng.random(count) for rng in rngs]).reshape(
-        len(rngs), count
-    )

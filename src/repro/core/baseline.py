@@ -2,21 +2,28 @@
 
 This plays the role of the noisy Qulacs / Qiskit Aer baseline in the paper:
 every shot starts from |0...0>, applies every gate followed by freshly sampled
-noise operators, and contributes exactly one measurement outcome.  A single
-state buffer is reset between shots, so with an in-place backend the loop
-allocates nothing.
+noise operators, and contributes exactly one measurement outcome.  That is
+the degenerate simulation tree — one layer of ``shots`` nodes, no reuse —
+which :class:`~repro.core.partitioners.SingleShotPartitioner` plans, so the
+simulator runs that plan on a :class:`~repro.core.engine.TQSimEngine` one
+node at a time (``max_batch=1``).  The baseline therefore shares the tree
+engine's kernels, noise step, path-keyed streams and counters: shot ``j``
+draws from the stream of first-layer node ``j``, and
+``BaselineNoisySimulator(noise, seed=s, backend=b).run(c, n)`` equals
+``TQSimEngine(noise, seed=s, backend=b, max_batch=1).run(c, n,
+partitioner=SingleShotPartitioner())`` bitwise.  First-layer nodes are reset
+to |0...0>, not copied, so ``state_copies`` stays 0 and the other counters
+count per shot.
 """
 
 from __future__ import annotations
 
-
-import numpy as np
-
-from repro.backends import Backend, get_backend
+from repro.backends import Backend
 from repro.circuits.circuit import Circuit
-from repro.core.results import CostCounters, SimulationResult
+from repro.core.engine import TQSimEngine
+from repro.core.partitioners import SingleShotPartitioner
+from repro.core.results import SimulationResult
 from repro.noise.model import NoiseModel
-from repro.obs import clock
 
 __all__ = ["BaselineNoisySimulator"]
 
@@ -30,51 +37,28 @@ class BaselineNoisySimulator:
         seed: int | None = None,
         backend: str | Backend | None = None,
     ) -> None:
-        self.noise_model = noise_model
-        self.backend = get_backend(backend)
-        self._rng = np.random.default_rng(seed)
+        self._engine = TQSimEngine(
+            noise_model, seed=seed, backend=backend, max_batch=1
+        )
+
+    @property
+    def noise_model(self) -> NoiseModel | None:
+        """The noise model every trajectory samples (``None``: ideal)."""
+        return self._engine.noise_model
+
+    @property
+    def backend(self) -> Backend:
+        """The backend the engine's kernels run on."""
+        return self._engine.backend
 
     # ------------------------------------------------------------------
     def run(self, circuit: Circuit, shots: int) -> SimulationResult:
-        """Simulate ``shots`` independent noisy trajectories of ``circuit``."""
-        if shots < 1:
-            raise ValueError("shots must be >= 1")
-        backend = self.backend
-        counts: dict[str, int] = {}
-        cost = CostCounters()
-        readout = self.noise_model.readout_error if self.noise_model else None
-        start = clock.perf_seconds()
-        buffer = backend.allocate_state(circuit.num_qubits)
-        for _ in range(shots):
-            state = backend.reset_state(buffer)
-            for gate in circuit:
-                state = backend.apply_gate(state, gate)
-                cost.gate_applications += 1
-                if self.noise_model is not None:
-                    # Single events_for_gate lookup per gate (application +
-                    # accounting).
-                    events = self.noise_model.events_for_gate(gate)
-                    if events:
-                        state = backend.apply_noise_events(
-                            state, events, self._rng
-                        )
-                        cost.noise_applications += len(events)
-            bitstring = backend.sample_outcome(state, self._rng, readout)
-            counts[bitstring] = counts.get(bitstring, 0) + 1
-            cost.leaf_samples += 1
-        cost.wall_time_seconds = clock.perf_seconds() - start
-        return SimulationResult(
-            counts=counts,
-            num_qubits=circuit.num_qubits,
-            shots=shots,
-            cost=cost,
-            metadata={
-                "simulator": "baseline",
-                "backend": backend.name,
-                "noise_model": _noise_name(self),
-            },
+        """Simulate ``shots`` independent noisy trajectories of ``circuit``.
+
+        Raises ``ValueError`` when ``shots < 1`` or the circuit is empty.
+        """
+        result = self._engine.run(
+            circuit, shots, partitioner=SingleShotPartitioner()
         )
-
-
-def _noise_name(simulator: BaselineNoisySimulator) -> str:
-    return simulator.noise_model.name if simulator.noise_model else "ideal"
+        result.metadata["simulator"] = "baseline"
+        return result

@@ -41,7 +41,6 @@ __all__ = [
     "GOLDEN",
     "PathStream",
     "UniformStream",
-    "all_path_streams",
     "child_key",
     "child_keys",
     "child_keys_multi",
@@ -52,15 +51,18 @@ __all__ = [
 
 
 class UniformStream(Protocol):
-    """The draw interface every sampling helper consumes.
+    """The draw interface the per-state sampling helpers consume.
 
-    Structural type of the ``Generator.random`` subset the trajectory
-    samplers use: one scalar uniform, or a shaped block of uniforms.  Both
-    :class:`PathStream` and :class:`numpy.random.Generator` satisfy it,
-    which is what lets the baseline simulators and the path-keyed engine
-    share every sampling helper (``inverse_cdf_index``, readout flips, ...)
-    unchanged.  This protocol is the typed source of truth the backend
-    conformance checks (:mod:`repro.lint`) and mypy run against.
+    Structural type of the ``Generator.random`` subset those helpers use:
+    one scalar uniform, or a shaped block of uniforms.  Every trajectory
+    draws from a :class:`PathStream`, which satisfies it.  The per-state
+    helpers (``inverse_cdf_index``, ``sample_mixture_index``,
+    ``sample_channel_on_state``, :meth:`~repro.backends.base.Backend.
+    sample_outcome`) call nothing else on a stream, so code outside the
+    trajectory path (the cost model's calibration, for one) may also hand
+    them a :class:`numpy.random.Generator`.  Vectorised draws over many
+    rows (:func:`draw_block`) need the ``(key, counter)`` pair of a
+    :class:`PathStream` itself.
     """
 
     def random(
@@ -288,8 +290,3 @@ def draw_block(streams: Iterable[PathStream], count: int = 1) -> np.ndarray:
     for stream in streams:
         stream.counter += count
     return block
-
-
-def all_path_streams(rngs: Sequence) -> bool:
-    """True when every per-row stream supports vectorised block draws."""
-    return all(isinstance(rng, PathStream) for rng in rngs)

@@ -8,12 +8,12 @@ unused by the CLI — so this list can only shrink or stay honest.
 
 Grounds for exemption, in the order the rules list them:
 
-* **Baseline simulators** (``core/baseline.py``, ``core/batched.py``,
-  ``statevector/simulator.py``, ``density/simulator.py``) deliberately draw
-  from seeded ``numpy`` ``Generator`` streams: they are the *comparison
-  anchors* the tree engine is validated against, not participants in the
-  path-keyed sharding contract (only :class:`~repro.core.engine.TQSimEngine`
-  guarantees bitwise equality across execution modes).
+* **Exact-distribution reference simulators** (``statevector/simulator.py``,
+  ``density/simulator.py``) draw measurement samples from seeded ``numpy``
+  ``Generator`` streams on an exact distribution; they evolve no noisy
+  trajectory, so they are outside the path-keyed contract.  The per-shot
+  noisy simulators are not exempt: they run the engine's one-layer tree, so
+  every trajectory draws from a :class:`~repro.core.pathrng.PathStream`.
 * **Circuit construction** (``circuits/stdgates.py``, ``circuits/library``)
   draws circuit *structure* (Haar unitaries, secret strings) before any
   trajectory exists; every entry point takes a seed or Generator, and the
@@ -80,17 +80,7 @@ _RNG = "numpy.random.default_rng"
 _PC = "time.perf_counter"
 
 DEFAULT_ALLOWLIST: tuple[AllowlistEntry, ...] = (
-    # -- det-rng: baseline/reference simulators (comparison anchors) -------
-    AllowlistEntry(
-        "det-rng", "*core/baseline.py", _RNG,
-        "per-shot baseline simulator: the seeded Generator stream is the "
-        "paper's reference execution, outside the path-keyed tree contract",
-    ),
-    AllowlistEntry(
-        "det-rng", "*core/batched.py", _RNG,
-        "batched per-shot baseline simulator: seeded Generator stream, a "
-        "comparison anchor outside the path-keyed tree contract",
-    ),
+    # -- det-rng: exact-distribution reference simulators ------------------
     AllowlistEntry(
         "det-rng", "*statevector/simulator.py", _RNG,
         "ideal statevector simulator: seeded Generator for exact-"

@@ -23,8 +23,6 @@ from repro.noise.sycamore import (
 )
 from repro.noise.trajectory import (
     NoiseRealization,
-    apply_gate_noise,
-    apply_noise_events,
     apply_noise_realization_event,
     sample_channel_on_state,
     sample_noise_realization,
@@ -49,8 +47,6 @@ __all__ = [
     "combined_noise_model",
     "noise_model_by_code",
     "NOISE_MODEL_CODES",
-    "apply_gate_noise",
-    "apply_noise_events",
     "sample_channel_on_state",
     "NoiseRealization",
     "sample_noise_realization",

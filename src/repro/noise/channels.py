@@ -28,13 +28,16 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.circuits import stdgates
 from repro.statevector.apply import apply_phased_permutation, local_indices
 from repro.statevector.sampling import inverse_cdf_rows
+
+if TYPE_CHECKING:
+    from repro.core.pathrng import UniformStream
 
 __all__ = [
     "KrausChannel",
@@ -311,7 +314,7 @@ class KrausChannel:
         mixture = self._checked_mixture()
         return mixture.probabilities, list(mixture.unitaries)
 
-    def sample_mixture_index(self, rng: np.random.Generator) -> int:
+    def sample_mixture_index(self, rng: UniformStream) -> int:
         """Draw one mixture branch index from one uniform of ``rng``.
 
         Equivalent in distribution to ``rng.choice(len(p), p=p)`` but far
@@ -325,17 +328,6 @@ class KrausChannel:
         if uniform * mixture.cumulative[-1] < mixture.hit_threshold:
             return 0
         return int(self.mixture_indices_from_uniforms(uniform))
-
-    def sample_mixture_indices(
-        self, rng: np.random.Generator, size: int
-    ) -> np.ndarray:
-        """Draw ``size`` independent mixture branch indices in one call.
-
-        The vectorised counterpart of :meth:`sample_mixture_index`: one
-        uniform draw and one ``searchsorted`` for ``size`` trajectories.
-        """
-        self._checked_mixture()
-        return self.mixture_indices_from_uniforms(rng.random(size))
 
     def mixture_indices_from_uniforms(
         self, uniforms: np.ndarray
@@ -588,11 +580,6 @@ class ReadoutError:
                 [self.p1_given_0, 1.0 - self.p0_given_1],
             ]
         )
-
-    def sample_flip(self, true_bit: int, rng: np.random.Generator) -> int:
-        """Sample the measured value of a single bit."""
-        flip_probability = self.p0_given_1 if true_bit else self.p1_given_0
-        return true_bit ^ int(rng.random() < flip_probability)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -12,9 +12,19 @@ method (Dalibard et al. 1992; Mølmer & Castin 1996) that the paper relies
 on.  The weights come from the channel's effect operators,
 ``||K_i |psi>||^2 = <psi|K_i†K_i|psi>``, so only the drawn operator is
 applied; the backend's block step uses the same weights and lookup.
+
+Every simulator samples trajectory noise through the backends' block step
+(:meth:`~repro.backends.base.Backend.apply_noise_events_uniforms`, and
+:meth:`~repro.backends.base.Backend.apply_mixture_branches` for the
+mixture draws the engine maps up front) on pre-drawn path-keyed uniforms.
+:func:`sample_channel_on_state` is the per-state reference of that step:
+from the same uniform it picks the same branch, which is what the block
+step is tested against.
 """
 
 from __future__ import annotations
+
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -23,10 +33,11 @@ from repro.noise.channels import KrausChannel
 from repro.noise.model import NoiseModel
 from repro.statevector.apply import apply_unitary
 
+if TYPE_CHECKING:
+    from repro.core.pathrng import UniformStream
+
 __all__ = [
     "sample_channel_on_state",
-    "apply_noise_events",
-    "apply_gate_noise",
     "NoiseRealization",
     "sample_noise_realization",
     "apply_noise_realization_event",
@@ -37,7 +48,7 @@ def sample_channel_on_state(
     state: np.ndarray,
     channel: KrausChannel,
     qubits: tuple[int, ...],
-    rng: np.random.Generator,
+    rng: UniformStream,
     backend=None,
 ) -> tuple[np.ndarray, int]:
     """Sample one Kraus branch of ``channel`` and apply it to ``state``.
@@ -76,39 +87,6 @@ def sample_channel_on_state(
         chosen = backend.apply_unitary(state, operator, qubits)
     chosen *= 1.0 / np.sqrt(weights[0, index])
     return chosen, index
-
-
-def apply_noise_events(
-    state: np.ndarray,
-    events,
-    rng: np.random.Generator,
-    backend=None,
-) -> np.ndarray:
-    """Apply an already-matched sequence of noise events to ``state``.
-
-    Taking the events instead of re-deriving them from a gate lets callers
-    that already hold the ``events_for_gate`` result (the engines, which also
-    need the event count for cost accounting) run event matching once per
-    gate instead of twice.
-    """
-    for event in events:
-        state, _ = sample_channel_on_state(
-            state, event.channel, event.qubits, rng, backend=backend
-        )
-    return state
-
-
-def apply_gate_noise(
-    state: np.ndarray,
-    gate: Gate,
-    noise_model: NoiseModel,
-    rng: np.random.Generator,
-    backend=None,
-) -> np.ndarray:
-    """Apply every noise event attached to ``gate`` by the noise model."""
-    return apply_noise_events(
-        state, noise_model.events_for_gate(gate), rng, backend=backend
-    )
 
 
 class NoiseRealization:

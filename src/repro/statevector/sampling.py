@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import math
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from repro.core.pathrng import UniformStream
 
 __all__ = [
     "inverse_cdf_index",
@@ -19,9 +22,7 @@ __all__ = [
 ]
 
 
-def inverse_cdf_index(
-    cumulative: np.ndarray, rng: np.random.Generator
-) -> int:
+def inverse_cdf_index(cumulative: np.ndarray, rng: UniformStream) -> int:
     """Draw one index from an (unnormalised) cumulative probability array.
 
     Equivalent in distribution to ``rng.choice(len(p), p=p)`` but costs one

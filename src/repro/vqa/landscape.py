@@ -63,6 +63,12 @@ def qaoa_cost_landscape(
         ``"baseline"`` (per-shot Monte Carlo) or ``"tqsim"`` (reuse engine).
     gammas, betas:
         Grid axes; default to a coarse 5x5 grid over [-pi, pi].
+    seed:
+        Seed of the baseline leg; the TQSim leg runs at ``seed + 1`` (a
+        ``None`` seed stays ``None``).  The two legs draw from path-keyed
+        streams, so one seed would hand baseline shot ``j`` and first-layer
+        tree node ``j`` the same stream and correlate the landscapes
+        compared in Figure 18.
     partitioner:
         Optional partitioning policy for the TQSim engine; defaults to DCP
         with the given copy cost.
@@ -82,8 +88,10 @@ def qaoa_cost_landscape(
                 engine = BaselineNoisySimulator(noise_model, seed=seed)
                 result = engine.run(circuit, shots)
             else:
-                engine = TQSimEngine(noise_model, seed=seed,
-                                     copy_cost_in_gates=copy_cost_in_gates)
+                engine = TQSimEngine(
+                    noise_model, seed=None if seed is None else seed + 1,
+                    copy_cost_in_gates=copy_cost_in_gates,
+                )
                 result = engine.run(circuit, shots, partitioner=partitioner)
             costs[i, j] = expected_cut_from_counts(graph, result.counts)
             total_cost = total_cost.merged_with(result.cost)

@@ -6,6 +6,7 @@ from repro.circuits import Circuit
 from repro.circuits.library import ghz_circuit
 from repro.core import (
     BaselineNoisySimulator,
+    BatchedTrajectorySimulator,
     DynamicCircuitPartitioner,
     ManualPartitioner,
     SingleShotPartitioner,
@@ -47,6 +48,9 @@ def test_baseline_readout_error_changes_outcomes():
 def test_baseline_rejects_invalid_shots(ghz3):
     with pytest.raises(ValueError):
         BaselineNoisySimulator().run(ghz3, 0)
+    # The engine's plan rejects an empty circuit.
+    with pytest.raises(ValueError, match="empty circuit"):
+        BaselineNoisySimulator().run(Circuit(3), 10)
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +170,28 @@ def test_engine_matches_noise_events_once_per_gate(qft5, depolarizing_model):
     assert counting.lookups == 2 * qft5.num_gates
 
 
+def _check_one_lookup_per_gate_per_run(simulator, counting, circuit):
+    """The per-shot simulators match noise events once per gate per run,
+    like the engine whose one-layer plan they run, not once per shot."""
+    result = simulator.run(circuit, 20)
+    assert counting.lookups == circuit.num_gates
+    assert result.cost.gate_applications == 20 * circuit.num_gates
+    assert result.cost.noise_applications > 0
+    simulator.run(circuit, 20)
+    assert counting.lookups == 2 * circuit.num_gates
+
+
 def test_baseline_matches_noise_events_once_per_gate(bv6, depolarizing_model):
     counting = _CountingNoiseModel(depolarizing_model)
-    result = BaselineNoisySimulator(counting, seed=4).run(bv6, 20)
-    assert counting.lookups == result.cost.gate_applications
-    assert result.cost.gate_applications == 20 * bv6.num_gates
+    _check_one_lookup_per_gate_per_run(
+        BaselineNoisySimulator(counting, seed=4), counting, bv6
+    )
+
+
+def test_batched_matches_noise_events_once_per_gate(bv6, depolarizing_model):
+    counting = _CountingNoiseModel(depolarizing_model)
+    _check_one_lookup_per_gate_per_run(
+        BatchedTrajectorySimulator(counting, seed=4, batch_size=8),
+        counting,
+        bv6,
+    )

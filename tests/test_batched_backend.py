@@ -2,9 +2,9 @@
 
 The ``batched`` registry alias (the optimized backend) must advance every
 row of a ``(B, 2**n)`` block exactly like it advances a single state, and the
-:class:`~repro.core.batched.BatchedTrajectorySimulator` built on it must be
-statistically indistinguishable from the per-shot baseline (and *identical*
-to it, same seed, when no randomness beyond outcome sampling is involved).
+:class:`~repro.core.batched.BatchedTrajectorySimulator` built on it runs the
+per-shot baseline's one-layer plan at a larger chunk cap, so for one seed it
+is *identical* to the baseline, noise and readout error included.
 """
 
 import numpy as np
@@ -19,6 +19,7 @@ from repro.backends import (
 from repro.circuits import Circuit, Gate
 from repro.circuits.library import ghz_circuit, qft_circuit
 from repro.core import BaselineNoisySimulator, BatchedTrajectorySimulator
+from repro.core.pathrng import PathStream, child_keys, draw_block, run_root_key
 from repro.metrics import total_variation_distance
 from repro.noise import (
     KrausChannel,
@@ -37,6 +38,11 @@ def _random_batch(batch: int, num_qubits: int, rng: np.random.Generator
         size=(batch, 2**num_qubits)
     )
     return block / np.linalg.norm(block, axis=1, keepdims=True)
+
+
+def _streams(rows: int, seed: int = 12345) -> list[PathStream]:
+    """One path-keyed stream per trajectory, as the engine keys its rows."""
+    return [PathStream(key) for key in child_keys(run_root_key(seed), 0, rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -177,15 +183,17 @@ def test_batched_backend_partial_view():
 # ---------------------------------------------------------------------------
 # Batched noise semantics
 # ---------------------------------------------------------------------------
-def test_mixture_indices_sampled_per_trajectory(rng):
+def test_mixture_indices_sampled_per_trajectory():
     channel = PauliChannel({"X": 0.5})
-    indices = channel.sample_mixture_indices(rng, 2000)
+    indices = channel.mixture_indices_from_uniforms(
+        draw_block(_streams(2000))[:, 0]
+    )
     assert indices.shape == (2000,)
     assert set(np.unique(indices)) <= {0, 1}
     assert abs(indices.mean() - 0.5) < 0.05
 
 
-def test_groupwise_noise_application_partitions_the_batch(rng):
+def test_groupwise_noise_application_partitions_the_batch():
     """Each trajectory gets its own sampled branch, applied group-wise."""
     backend = get_backend("batched")
     state = backend.reset_state(backend.allocate_batch(1, 64))
@@ -193,16 +201,16 @@ def test_groupwise_noise_application_partitions_the_batch(rng):
     event = NoiseModel(single_qubit_channels=[channel]).events_for_gate(
         Gate.standard("h", (0,))
     )[0]
-    backend.apply_noise_events(state, [event], rng)
+    backend.apply_noise_events_multi(state, [event], _streams(64))
     flipped = np.isclose(np.abs(state[:, 1]), 1.0)
     untouched = np.isclose(np.abs(state[:, 0]), 1.0)
     assert np.all(flipped | untouched)
     # With p=0.5 over 64 trajectories both groups are present (p ~ 2**-64
-    # of this flaking per tail, and the rng fixture is deterministic anyway).
+    # of this flaking per tail, and the streams are deterministic anyway).
     assert flipped.any() and untouched.any()
 
 
-def test_batched_noise_without_identity_first_branch(rng):
+def test_batched_noise_without_identity_first_branch():
     """Branch 0 of an identity-not-first mixture must be applied, batched too."""
     x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     always_x = KrausChannel([x], name="always_x", mixture=([1.0], [x]))
@@ -211,7 +219,7 @@ def test_batched_noise_without_identity_first_branch(rng):
     event = NoiseModel(single_qubit_channels=[always_x]).events_for_gate(
         Gate.standard("h", (0,))
     )[0]
-    backend.apply_noise_events(state, [event], rng)
+    backend.apply_noise_events_multi(state, [event], _streams(4))
     np.testing.assert_allclose(np.abs(state[:, 1]), 1.0, atol=ATOL)
 
 
@@ -223,7 +231,7 @@ def test_batched_general_kraus_keeps_norm_per_trajectory(rng):
     event = NoiseModel(
         single_qubit_channels=[AmplitudeDampingChannel(0.4)]
     ).events_for_gate(Gate.standard("h", (1,)))[0]
-    backend.apply_noise_events(state, [event], rng)
+    backend.apply_noise_events_multi(state, [event], _streams(8))
     np.testing.assert_allclose(
         np.linalg.norm(state, axis=1), np.ones(8), atol=1e-8
     )
@@ -232,45 +240,57 @@ def test_batched_general_kraus_keeps_norm_per_trajectory(rng):
 # ---------------------------------------------------------------------------
 # Batched outcome sampling
 # ---------------------------------------------------------------------------
-def test_sample_outcomes_one_per_trajectory(rng):
+def test_sample_outcomes_one_per_trajectory():
     backend = get_backend("batched")
     state = backend.reset_state(backend.allocate_batch(2, 5))
     backend.apply_gate(state, Gate.standard("x", (1,)))
-    assert backend.sample_outcomes(state, rng) == ["10"] * 5
+    assert backend.sample_outcomes_multi(state, _streams(5)) == ["10"] * 5
 
 
-def test_sample_outcomes_vectorized_readout_flips(rng):
+def test_sample_outcomes_vectorized_readout_flips():
     backend = get_backend("batched")
     state = backend.reset_state(backend.allocate_batch(2, 6))
     backend.apply_gate(state, Gate.standard("x", (0,)))
-    outcomes = backend.sample_outcomes(state, rng, ReadoutError(1.0))
+    outcomes = backend.sample_outcomes_multi(
+        state, _streams(6), ReadoutError(1.0)
+    )
     assert outcomes == ["10"] * 6
 
 
-def test_sample_outcome_on_batched_state_raises(rng):
+def test_sample_outcome_on_batched_state_raises():
     backend = get_backend("batched")
     state = backend.reset_state(backend.allocate_batch(2, 3))
+    (stream,) = _streams(1)
     with pytest.raises(ValueError, match="sample_outcomes"):
-        backend.sample_outcome(state, rng)
+        backend.sample_outcome(state, stream)
     single = backend.reset_state(backend.allocate_batch(2, 1))
-    assert backend.sample_outcome(single, rng) == "00"
+    assert backend.sample_outcome(single, stream) == "00"
 
 
 # ---------------------------------------------------------------------------
 # Batched-vs-sequential simulator equivalence (the acceptance tests)
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("batch_size", [1, 4, 16])
-def test_ideal_counts_identical_to_baseline(batch_size):
-    """No noise: same seed, same RNG stream, bit-identical counts."""
+@pytest.mark.parametrize("noise", ["ideal", "depolarizing", "readout"])
+def test_counts_identical_to_baseline(batch_size, noise):
+    """Same seed: shot ``j`` draws from the same path-keyed stream at every
+    batch size, so counts and counters are bit-identical, noise and
+    readout error included."""
     circuit = qft_circuit(5)
     shots = 50  # deliberately not a multiple of 16 (partial final pass)
+    model = {
+        "ideal": None,
+        "depolarizing": depolarizing_noise_model(),
+        "readout": depolarizing_noise_model(readout_error=0.05),
+    }[noise]
     batched = BatchedTrajectorySimulator(
-        None, seed=9, batch_size=batch_size
+        model, seed=9, batch_size=batch_size
     ).run(circuit, shots)
-    baseline = BaselineNoisySimulator(None, seed=9, backend="optimized").run(
+    baseline = BaselineNoisySimulator(model, seed=9, backend="optimized").run(
         circuit, shots
     )
     assert batched.counts == baseline.counts
+    assert batched.cost.matches(baseline.cost)
 
 
 @pytest.mark.parametrize("batch_size", [1, 4, 16])
@@ -278,7 +298,8 @@ def test_ideal_counts_identical_to_baseline(batch_size):
 def test_noisy_counts_statistically_consistent(
     batch_size, with_readout, strong_depolarizing_model
 ):
-    """With noise the RNG streams differ; distributions must still agree."""
+    """Different seeds draw different trajectories; the distributions must
+    still agree."""
     circuit = ghz_circuit(4)
     shots = 800
     model = strong_depolarizing_model
@@ -365,3 +386,8 @@ def test_batched_simulator_validation(ghz3):
         BatchedTrajectorySimulator().run(ghz3, 0)
     with pytest.raises(ValueError):
         BatchedTrajectorySimulator(batch_size=0)
+    # The engine's plan rejects an empty circuit.
+    with pytest.raises(ValueError, match="empty circuit"):
+        BatchedTrajectorySimulator(depolarizing_noise_model()).run(
+            Circuit(3), 10
+        )

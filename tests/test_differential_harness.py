@@ -1,6 +1,6 @@
 """Randomized differential testing across every execution path.
 
-Six ways to execute one plan all claim *bitwise-identical* counts and cost
+Seven ways to execute one plan all claim *bitwise-identical* counts and cost
 counters under the per-node-path seeding contract (see
 :mod:`repro.core.engine`):
 
@@ -11,21 +11,32 @@ counters under the per-node-path seeding contract (see
 4. in-process sharded dispatch (``SerialDispatcher``)
 5. multiprocess sharded dispatch (``PoolDispatcher``)
 6. deep path-based sharding (``max_depth=2``, splitting below the first layer)
+7. the per-shot simulators, for the one-layer plan ``(shots,)``:
+   ``BaselineNoisySimulator`` runs it at cap 1 and
+   ``BatchedTrajectorySimulator`` at cap ``batch_size``
 
 This harness keeps that invariant honest with a seeded randomized matrix:
 each case draws a benchmark circuit from the paper suite, a random
 ``(arity, layers)`` manual plan, a random noise model (none / depolarizing /
 depolarizing + readout error / amplitude damping, i.e. a general Kraus
-channel) and random shard counts, then asserts all six paths agree
+channel) and random shard counts, then asserts the first six paths agree
 bit-for-bit.  Cases are deterministic per seed, so any failure reproduces
-with ``-k case_NN``.
+with ``-k case_NN``.  The per-shot simulators are checked against the
+engine's one-layer plan under three noise settings on both backends.
 """
 
 import numpy as np
 import pytest
 
 from repro.circuits.library.suite import PAPER_SUITE, build_circuit
-from repro.core import ManualPartitioner, TQSimEngine, merge_many
+from repro.core import (
+    BaselineNoisySimulator,
+    BatchedTrajectorySimulator,
+    ManualPartitioner,
+    SingleShotPartitioner,
+    TQSimEngine,
+    merge_many,
+)
 from repro.core.pathrng import run_root_key
 from repro.dispatch import PoolDispatcher, SerialDispatcher
 from repro.noise import NoiseModel, ReadoutError, depolarizing_noise_model
@@ -140,6 +151,40 @@ def test_all_execution_paths_bitwise_identical(case_seed):
         assert result.shots == shots
     if deep_shards > plan.tree.arities[0]:
         assert deep.metadata["dispatch"]["shard_depth"] == 1
+
+
+# ---------------------------------------------------------------------------
+# The per-shot simulators are the engine's one-layer tree
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("backend", ["optimized", "numpy"])
+@pytest.mark.parametrize(
+    "noise_choice", [0, 2, 3],
+    ids=["ideal", "depolarizing-readout", "amplitude-damping"],
+)
+def test_per_shot_simulators_are_the_one_layer_tree(qft5, noise_choice,
+                                                    backend):
+    """The baseline equals the engine on the plan ``(shots,)`` at every
+    cap, equals the batched simulator at every batch size, and is the same
+    on both backends: counts and all four counters, bitwise."""
+    noise = _noise_model(noise_choice)
+    shots = 37  # a partial last chunk at every cap above 1
+    reference = BaselineNoisySimulator(noise, seed=4321).run(qft5, shots)
+    expected = (reference.counts, _counter_tuple(reference))
+    results = {
+        "baseline": BaselineNoisySimulator(noise, seed=4321, backend=backend)
+        .run(qft5, shots),
+    }
+    for cap in (1, 4, 64):
+        results[f"engine cap {cap}"] = TQSimEngine(
+            noise, seed=4321, backend=backend, max_batch=cap
+        ).run(qft5, shots, partitioner=SingleShotPartitioner())
+    for batch_size in (1, 4, 16):
+        results[f"batched B={batch_size}"] = BatchedTrajectorySimulator(
+            noise, seed=4321, batch_size=batch_size, backend=backend
+        ).run(qft5, shots)
+    for name, result in results.items():
+        assert (result.counts, _counter_tuple(result)) == expected, name
+        assert result.shots == shots, name
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.backends import Backend
+from repro.core.pathrng import PathStream, child_keys, draw_block, run_root_key
 from repro.noise import (
     AmplitudeDampingChannel,
     DepolarizingChannel,
@@ -213,9 +215,13 @@ def test_readout_error_assignment_matrix():
         ReadoutError(1.2)
 
 
-def test_readout_error_sampling_statistics(rng):
+def test_readout_error_sampling_statistics():
     error = ReadoutError(0.3)
-    flips = sum(error.sample_flip(1, rng) == 0 for _ in range(2000))
+    streams = [PathStream(key) for key in child_keys(run_root_key(7), 0, 2000)]
+    measured = Backend._readout_flips_from_uniforms(
+        np.ones(2000, dtype=np.int64), 1, error, draw_block(streams)
+    )
+    flips = int(np.count_nonzero(measured == 0))
     assert abs(flips / 2000 - 0.3) < 0.05
 
 

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.backends import get_backend
 from repro.circuits import Circuit, Gate
+from repro.core.pathrng import PathStream, draw_block, run_root_key
 from repro.noise import (
     AmplitudeDampingChannel,
     DepolarizingChannel,
@@ -11,7 +13,6 @@ from repro.noise import (
     NoiseModel,
     PauliChannel,
     ReadoutError,
-    apply_gate_noise,
     depolarizing_noise_model,
     noise_model_by_code,
     sample_channel_on_state,
@@ -120,10 +121,14 @@ def test_kraus_sampling_matches_density_matrix_average(rng):
     assert np.allclose(ensemble, exact, atol=0.03)
 
 
-def test_apply_gate_noise_keeps_norm(depolarizing_model, rng):
+def test_gate_noise_keeps_norm(depolarizing_model, rng):
     state = Statevector.random(3, rng).data
     gate = Gate.standard("cx", (0, 2))
-    noisy = apply_gate_noise(state, gate, depolarizing_model, rng)
+    events = depolarizing_model.events_for_gate(gate)
+    uniforms = draw_block([PathStream(run_root_key(3))], len(events))
+    noisy = get_backend("numpy").apply_noise_events_uniforms(
+        state, events, uniforms
+    )
     assert np.isclose(np.linalg.norm(noisy), 1.0)
 
 

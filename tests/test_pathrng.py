@@ -12,7 +12,6 @@ import pytest
 from repro.core.pathrng import (
     GOLDEN,
     PathStream,
-    all_path_streams,
     child_key,
     child_keys,
     child_keys_multi,
@@ -156,12 +155,6 @@ def test_path_stream_statelessness_across_processes_simulated():
         stream.random()
     resumed = PathStream(stream.key, stream.counter)
     assert resumed.random() == PathStream(run_root_key(77), 9).random()
-
-
-def test_all_path_streams_gate():
-    streams = [PathStream(run_root_key(i)) for i in range(3)]
-    assert all_path_streams(streams)
-    assert not all_path_streams(streams + [np.random.default_rng(0)])
 
 
 def test_golden_is_the_splitmix_increment():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.circuits.library import bv_circuit, qft_circuit, random_maxcut_graph
+from repro.core import SingleShotPartitioner
 from repro.noise import depolarizing_noise_model
 from repro.redunelim import analyze_redundancy_elimination, tqsim_normalized_computation
 from repro.vqa import (
@@ -105,3 +106,21 @@ def test_qaoa_landscape_and_comparison():
     assert summary["cost_speedup"] > 0.0
     with pytest.raises(ValueError):
         qaoa_cost_landscape(graph, simulator="magic", **kwargs)
+
+
+def test_landscape_legs_draw_independent_streams():
+    """One set of arguments seeds the two legs apart.  A one-layer tree is
+    the baseline's own plan, so on one seed shot ``j`` and first-layer node
+    ``j`` would share a stream and the two landscapes would be equal."""
+    graph = random_maxcut_graph(5, seed=3)
+    kwargs = dict(noise_model=STRONG_NOISE, gammas=np.linspace(-1.0, 1.0, 2),
+                  betas=np.linspace(-1.0, 1.0, 2), shots=48, seed=4)
+    baseline = qaoa_cost_landscape(graph, simulator="baseline", **kwargs)
+    tree = qaoa_cost_landscape(graph, simulator="tqsim",
+                               partitioner=SingleShotPartitioner(), **kwargs)
+    assert not np.array_equal(baseline.costs, tree.costs)
+    # An unseeded sweep stays unseeded on both legs.
+    kwargs.update(seed=None, gammas=[0.5], betas=[0.5])
+    for simulator in ("baseline", "tqsim"):
+        assert qaoa_cost_landscape(graph, simulator=simulator,
+                                   **kwargs).grid_points == 1

@@ -18,6 +18,7 @@ from repro.core import (
     merge_results,
 )
 from repro.core.copycost import MODELED_SYSTEM_COPY_COSTS
+from repro.core.pathrng import PathStream, run_root_key
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +259,7 @@ def test_result_summary_flattens_metadata():
 # ---------------------------------------------------------------------------
 # Backends and device profiles
 # ---------------------------------------------------------------------------
-def test_numpy_backend_roundtrip(depolarizing_model, rng):
+def test_numpy_backend_roundtrip(depolarizing_model):
     from repro.circuits import Gate
 
     backend = NumpyBackend()
@@ -269,8 +270,10 @@ def test_numpy_backend_roundtrip(depolarizing_model, rng):
     assert state[0] == 1.0
     evolved = backend.apply_gate(state, Gate.standard("h", (0,)))
     assert np.isclose(np.linalg.norm(evolved), 1.0)
-    noisy = backend.apply_noise(evolved, Gate.standard("h", (0,)),
-                                depolarizing_model, rng)
+    events = depolarizing_model.events_for_gate(Gate.standard("h", (0,)))
+    noisy = backend.apply_noise_events_multi(
+        evolved, events, [PathStream(run_root_key(1))]
+    )
     assert np.isclose(np.linalg.norm(noisy), 1.0)
 
 
