@@ -52,7 +52,11 @@ pre-drawn uniforms, one column per event and one row per trajectory
 (:meth:`Backend.apply_noise_events_multi`), and outcome sampling takes one
 stream per row (:meth:`Backend.sample_outcomes_multi`, whose one-row path is
 :meth:`Backend.sample_outcome`).  There is no shared-stream form: a row's
-draws never depend on the rows around it.
+draws never depend on the rows around it.  A block's outcomes come from one
+lookup over pre-drawn uniforms, :meth:`Backend.outcomes_from_uniforms`,
+which also measures one ``(2**n,)`` state with every row of a uniform block:
+that is how the engine samples every leaf of a noiseless tree from its one
+final state (:meth:`~repro.core.engine.TQSimEngine.sample_leaves`).
 """
 
 from __future__ import annotations
@@ -333,35 +337,44 @@ class Backend(ABC):
         if len(rngs) == 1:
             # The scalar sampler consumes the same uniforms, with fewer calls.
             return [self.sample_outcome(batched[0], rngs[0], readout_error)]
-        count = 1 if readout_error is None else 1 + _num_qubits(batched)
-        uniforms = draw_block(rngs, count)
-        return self._outcomes_from_uniforms(
-            batched, uniforms[:, 0], readout_error, uniforms[:, 1:]
-        )
-
-    def _outcomes_from_uniforms(
-        self,
-        batched: np.ndarray,
-        draws: np.ndarray,
-        readout_error: ReadoutError | None,
-        flips: np.ndarray | None,
-    ) -> list[str]:
-        """Vectorised inverse-CDF pass over pre-drawn uniforms.
-
-        :func:`~repro.statevector.sampling.inverse_cdf_rows` draws, per
-        row, the outcome :meth:`sample_outcome` draws from the same
-        uniform, and rejects rows whose probabilities are not finite and
-        positive.
-        """
-        outcomes = inverse_cdf_rows(
-            self.probabilities(batched).cumsum(axis=1), draws
-        )
         num_qubits = _num_qubits(batched)
-        if readout_error is not None and flips is not None:
-            outcomes = self._readout_flips_from_uniforms(
-                outcomes, num_qubits, readout_error, flips
-            )
+        count = 1 if readout_error is None else 1 + num_qubits
+        outcomes = self.outcomes_from_uniforms(
+            batched, draw_block(rngs, count), readout_error
+        )
         return [index_to_bitstring(int(o), num_qubits) for o in outcomes]
+
+    def outcomes_from_uniforms(
+        self,
+        state: np.ndarray,
+        uniforms: np.ndarray,
+        readout_error: ReadoutError | None = None,
+    ) -> np.ndarray:
+        """The outcome index each row of a ``(B, count)`` uniform block
+        measures.
+
+        A row holds one trajectory's draws in stream order: the outcome
+        uniform, then one per bit for the readout flips.  ``state`` is a
+        ``(B, 2**n)`` block whose row ``b`` is measured with uniform row
+        ``b`` (:func:`~repro.statevector.sampling.inverse_cdf_rows`), or one
+        ``(2**n,)`` state that every row measures: one cumulative, searched
+        once per uniform (:func:`~repro.statevector.sampling.
+        inverse_cdf_index`).  Either way a row draws the outcome
+        :meth:`sample_outcome` draws from the same uniforms.  Raises
+        ``ValueError`` when the probabilities are not finite and positive.
+        """
+        probabilities = self.probabilities(state)
+        if state.ndim == 1:
+            outcomes = inverse_cdf_index(np.cumsum(probabilities), uniforms[:, 0])
+        else:
+            outcomes = inverse_cdf_rows(
+                probabilities.cumsum(axis=1), uniforms[:, 0]
+            )
+        if readout_error is not None:
+            outcomes = self._readout_flips_from_uniforms(
+                outcomes, _num_qubits(state), readout_error, uniforms[:, 1:]
+            )
+        return outcomes
 
     # ------------------------------------------------------------------
     # Measurement
@@ -381,8 +394,10 @@ class Backend(ABC):
         Uses an inverse-CDF draw (``cumsum`` + ``searchsorted``) instead of
         ``rng.choice(p=...)``, then one uniform per bit for the readout
         flips.  This is the one-row path of :meth:`sample_outcomes_multi`,
-        which draws the same uniforms for every row.  A block of one row is
-        sampled as that row; larger blocks need :meth:`sample_outcomes_multi`.
+        which draws the same uniforms for every row, on scalars: it skips
+        the array set-up of :meth:`outcomes_from_uniforms`, which costs a
+        one-row draw about twice as much.  A block of one row is sampled as
+        that row; larger blocks need :meth:`sample_outcomes_multi`.
         """
         if state.ndim == 2:
             if state.shape[0] != 1:
@@ -390,7 +405,7 @@ class Backend(ABC):
                                  "ambiguous; use sample_outcomes_multi")
             state = state[0]
         cumulative = np.cumsum(self.probabilities(state))
-        outcome = inverse_cdf_index(cumulative, rng)
+        outcome = int(inverse_cdf_index(cumulative, rng.random()))
         num_qubits = int(cumulative.size).bit_length() - 1
         if readout_error is not None:
             outcome = int(

@@ -25,6 +25,12 @@ layer (the Figure-9 footprint).  Every backend runs this traversal — the
 reference backend by looping its kernels over rows — and ``"batched"`` is
 only a registry alias of the optimized backend.
 
+Without gate noise every leaf holds the same pre-measurement state, the
+circuit's final state.  :meth:`TQSimEngine.sample_leaves` samples every
+leaf of a run from that one state with the traversal's own run key, child
+keys and outcome lookup, so its counts equal the traversal's bitwise; the
+serving layer's warm path is this call on a cached final state.
+
 Cost counters keep per-trajectory semantics at every chunk size
 (``gate_applications``, ``state_copies``, ``leaf_samples``,
 ``noise_applications``): a kernel advancing ``B`` rows counts as ``B``
@@ -85,12 +91,14 @@ from repro.core.pathrng import (
     child_keys_multi,
     draw_block,
     root_key_from_seed,
+    uniform_block,
 )
 from repro.core.results import CostCounters, SimulationResult
 from repro.noise.channels import KrausChannel
 from repro.noise.model import NoiseEvent, NoiseModel
 from repro.obs import clock
 from repro.obs.tracer import NULL_SPAN, NULL_TRACER, AnyTracer, get_tracer
+from repro.statevector.sampling import index_to_bitstring
 
 __all__ = [
     "TQSimEngine",
@@ -191,6 +199,17 @@ class _Walk(NamedTuple):
     #: ``windows[i]``: layer ``i``'s ``(lo, hi, booked)`` from
     #: :func:`frontier_windows`.
     windows: Sequence[tuple[int, int, int]]
+
+
+def _child_keys_below(
+    keys: np.ndarray, offset: int, count: int, arity: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flat children ``[offset, offset + count)`` of the layer below a chunk
+    whose row ``r`` is keyed ``keys[r]``; row ``r``'s child ``c`` is flat
+    index ``r * arity + c``.  Returns each child's parent row and its key,
+    derived in one vectorised hash."""
+    rows, children = np.divmod(np.arange(offset, offset + count), arity)
+    return rows, child_keys_multi(keys[rows], children)
 
 
 def _chunk_labels(
@@ -317,10 +336,7 @@ class TQSimEngine:
             )
         arities = plan.tree.arities
         if shard is None:
-            # Advancing the run index is what keeps repeated run() calls
-            # statistically independent under one fixed seed.
-            run_key = child_key(self._root_key, self._runs_started)
-            self._runs_started += 1
+            run_key = self._next_run_key()
             layer, start, stop = 0, 0, arities[0]
         else:
             run_key, layer, start, stop = shard
@@ -357,10 +373,88 @@ class TQSimEngine:
             )
         cost.wall_time_seconds = clock.perf_seconds() - began
 
-        metadata = {
+        return SimulationResult(
+            counts=counts,
+            num_qubits=circuit.num_qubits,
+            shots=produced,
+            cost=cost,
+            metadata=self._metadata(plan, shots, "tree-batched"),
+        )
+
+    def sample_leaves(
+        self, state: np.ndarray, plan: PartitionPlan
+    ) -> SimulationResult:
+        """Sample every leaf of this engine's next run from one state.
+
+        Without gate noise every leaf of ``plan``'s tree holds the
+        circuit's final state, so a caller that has it needs no traversal.
+        Each leaf is drawn with the traversal's own code: the run key of
+        :meth:`run` (advancing the same run counter), its child-key step
+        folded over the layers, and the backend's outcome lookup on the
+        first uniforms of the leaf's stream (the outcome draw, then any
+        readout flips).  So for the state :meth:`run` reaches, counts and
+        ``leaf_samples`` equal ``run(circuit, shots, plan=plan)`` bitwise;
+        no other counter moves and no span is opened.
+
+        Raises ``ValueError`` when a gate of ``plan`` matches a noise event
+        (readout error is allowed), when ``state`` is not one ``(2**n,)``
+        state of the plan's width, or when its probabilities are not finite
+        and positive.
+        """
+        if any(self._match_noise(sub).draws for sub in plan.subcircuits):
+            raise ValueError(
+                "sample_leaves needs a plan without gate noise, whose leaves "
+                "all hold one final state"
+            )
+        num_qubits = plan.subcircuits[0].num_qubits
+        if state.shape != (2**num_qubits,):
+            raise ValueError(
+                f"sample_leaves needs one ({2**num_qubits},) state, "
+                f"not {state.shape}"
+            )
+        began = clock.perf_seconds()
+        arities = plan.tree.arities
+        keys = child_keys(self._next_run_key(), 0, arities[0])
+        for arity in arities[1:]:
+            keys = _child_keys_below(keys, 0, len(keys) * arity, arity)[1]
+        readout = self.noise_model.readout_error if self.noise_model else None
+        count = 1 if readout is None else 1 + num_qubits
+        outcomes = self.backend.outcomes_from_uniforms(
+            state, uniform_block(keys, np.zeros_like(keys), count), readout
+        )
+        values, tallies = np.unique(outcomes, return_counts=True)
+        cost = CostCounters(
+            leaf_samples=len(keys),
+            wall_time_seconds=clock.perf_seconds() - began,
+        )
+        return SimulationResult(
+            counts={
+                index_to_bitstring(value, num_qubits): tally
+                for value, tally in zip(values.tolist(), tallies.tolist())
+            },
+            num_qubits=num_qubits,
+            shots=len(keys),
+            cost=cost,
+            metadata=self._metadata(
+                plan, plan.total_outcomes, "sample-leaves"
+            ),
+        )
+
+    def _next_run_key(self) -> int:
+        """The next run's key: advancing the run index keeps repeated runs
+        independent under one fixed seed."""
+        run_key = child_key(self._root_key, self._runs_started)
+        self._runs_started += 1
+        return run_key
+
+    def _metadata(
+        self, plan: PartitionPlan, shots: int, execution: str
+    ) -> dict:
+        """The metadata of a result produced from ``plan``."""
+        return {
             "simulator": "tqsim",
             "backend": self.backend.name,
-            "execution": "tree-batched",
+            "execution": execution,
             "policy": plan.policy,
             "tree": str(plan.tree),
             "subcircuit_lengths": plan.subcircuit_lengths,
@@ -372,13 +466,6 @@ class TQSimEngine:
             "noise_model": self.noise_model.name if self.noise_model else "ideal",
             "max_batch": self.max_batch,
         }
-        return SimulationResult(
-            counts=counts,
-            num_qubits=circuit.num_qubits,
-            shots=produced,
-            cost=cost,
-            metadata=metadata,
-        )
 
     def _match_noise(self, subcircuit: Circuit) -> _LayerNoise:
         """Match every gate of one subcircuit to its noise events, once."""
@@ -594,9 +681,8 @@ class TQSimEngine:
         base = first * arity
         begin, end = max(base, lo), min(base + len(batch) * arity, hi)
         for child_first in range(begin, end, len(buffer)):
-            offset = child_first - base
-            rows, children = np.divmod(
-                np.arange(offset, offset + min(len(buffer), end - child_first)),
+            rows, chunk_keys = _child_keys_below(
+                keys, child_first - base, min(len(buffer), end - child_first),
                 arity,
             )
             with (
@@ -609,6 +695,5 @@ class TQSimEngine:
             ):
                 self.backend.gather_into(buffer[: len(rows)], batch, rows)
             self._run_chunk(
-                walk, layer, buffer[: len(rows)],
-                child_keys_multi(keys[rows], children), child_first,
+                walk, layer, buffer[: len(rows)], chunk_keys, child_first
             )

@@ -25,10 +25,14 @@ initialisation).  Two properties carry the whole design:
   the batched traversal its 4.8x speedup in v5.
 
 :class:`PathStream` wraps one ``(key, counter)`` pair behind the
-``Generator.random(size)`` signature, so every existing consumption site
-(``inverse_cdf_index``, ``sample_mixture_index``, ``sample_channel_on_state``,
-readout flips) works unchanged, and scalar and block draws are bitwise
-identical by construction.
+``Generator.random(size)`` signature, so the per-state consumers
+(``Backend.sample_outcome`` with its readout flips, ``sample_mixture_index``,
+``sample_channel_on_state``) draw from it directly.  The engine's frontier
+chunks draw one block over their rows' streams (:func:`draw_block`), and
+its ``sample_leaves`` draws every leaf of a noiseless run at counter 0
+straight from the leaf key array.  All three reduce to
+:func:`uniform_block`, so scalar and block draws are bitwise identical by
+construction.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ __all__ = [
     "draw_block",
     "root_key_from_seed",
     "run_root_key",
+    "uniform_block",
 ]
 
 
@@ -56,13 +61,13 @@ class UniformStream(Protocol):
     Structural type of the ``Generator.random`` subset those helpers use:
     one scalar uniform, or a shaped block of uniforms.  Every trajectory
     draws from a :class:`PathStream`, which satisfies it.  The per-state
-    helpers (``inverse_cdf_index``, ``sample_mixture_index``,
-    ``sample_channel_on_state``, :meth:`~repro.backends.base.Backend.
-    sample_outcome`) call nothing else on a stream, so code outside the
-    trajectory path (the cost model's calibration, for one) may also hand
-    them a :class:`numpy.random.Generator`.  Vectorised draws over many
-    rows (:func:`draw_block`) need the ``(key, counter)`` pair of a
-    :class:`PathStream` itself.
+    helpers (``sample_mixture_index``, ``sample_channel_on_state``,
+    :meth:`~repro.backends.base.Backend.sample_outcome`) call nothing else
+    on a stream, so code outside the trajectory path (the cost model's
+    calibration, for one) may also hand them a
+    :class:`numpy.random.Generator`.  Vectorised draws over many rows
+    (:func:`draw_block`, :func:`uniform_block`) need the ``(key, counter)``
+    pairs themselves.
     """
 
     def random(

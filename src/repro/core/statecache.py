@@ -1,8 +1,8 @@
 """Byte-bounded LRU caches for memoised statevectors.
 
-The serving layer keeps noiseless intermediate states across requests
-(see :mod:`repro.serve.cache`).  :class:`PrefixStateCache` holds them in a
-byte-bounded LRU that
+The serving layer keeps one noiseless final state per circuit across
+requests, keyed by the fused circuit's hash (see :mod:`repro.serve.cache`).
+:class:`PrefixStateCache` holds them in a byte-bounded LRU that
 
 * **caps resident bytes** — inserts evict least-recently-used entries until
   the configured budget holds (an entry larger than the whole budget is
@@ -10,9 +10,8 @@ byte-bounded LRU that
 * **counts hits / misses / evictions** (:class:`CacheStats`) so callers can
   surface cache behaviour as obs counters;
 * **is shareable** — a lock makes ``get``/``put`` safe from the serving
-  layer's worker threads, and :meth:`PrefixStateCache.namespaced` returns a
-  keyspace view (a key prefix) that lets one cross-request cache hold
-  entries for many circuits, keyed by ``(circuit-hash, ..., depth)``.
+  layer's worker threads, so one cross-request cache holds the states of
+  many circuits.
 
 Entries are immutable by convention: nothing evolves a cached state in
 place, so sharing references across requests and threads is sound.
@@ -25,14 +24,13 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Hashable
+from typing import Hashable
 
 import numpy as np
 
 __all__ = [
     "CacheStats",
     "DEFAULT_PREFIX_CACHE_BYTES",
-    "NamespacedStateCache",
     "PrefixStateCache",
 ]
 
@@ -143,44 +141,9 @@ class PrefixStateCache:
             self._entries.clear()
             self._current_bytes = 0
 
-    # ------------------------------------------------------------------
-    def namespaced(self, *prefix: Hashable) -> "NamespacedStateCache":
-        """A view of this cache under a key prefix.
-
-        The view exposes the same ``get``/``put`` surface, mapping each key
-        ``k`` to ``(*prefix, k)`` in the shared cache.
-        """
-        return NamespacedStateCache(self, prefix)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         bound = "unbounded" if self.max_bytes is None else f"{self.max_bytes}B"
         return (
             f"<PrefixStateCache {len(self._entries)} entries, "
             f"{self._current_bytes}B resident, {bound}>"
         )
-
-
-class NamespacedStateCache:
-    """A keyspace view over a shared :class:`PrefixStateCache`."""
-
-    __slots__ = ("parent", "prefix")
-
-    def __init__(
-        self, parent: PrefixStateCache, prefix: tuple[Hashable, ...]
-    ) -> None:
-        self.parent = parent
-        self.prefix = tuple(prefix)
-
-    def _map(self, key: Any) -> Hashable:
-        return (*self.prefix, key)
-
-    def get(self, key: Any) -> np.ndarray | None:
-        return self.parent.get(self._map(key))
-
-    def put(self, key: Any, state: np.ndarray) -> bool:
-        return self.parent.put(self._map(key), state)
-
-    @property
-    def stats(self) -> CacheStats:
-        """The shared parent's stats (views do not keep their own)."""
-        return self.parent.stats

@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.circuits import stdgates
 from repro.statevector.apply import apply_phased_permutation, local_indices
-from repro.statevector.sampling import inverse_cdf_rows
+from repro.statevector.sampling import inverse_cdf_index, inverse_cdf_rows
 
 if TYPE_CHECKING:
     from repro.core.pathrng import UniformStream
@@ -334,16 +334,14 @@ class KrausChannel:
     ) -> np.ndarray:
         """Map pre-drawn uniforms in [0, 1) to mixture branch indices.
 
-        One vectorised inverse-CDF lookup over an array of any shape,
-        bitwise identical to feeding the same uniforms through
-        :meth:`sample_mixture_index` one at a time — which is what lets
-        batched engines draw a whole block of per-row counter-stream
+        One vectorised inverse-CDF lookup
+        (:func:`~repro.statevector.sampling.inverse_cdf_index`) over an
+        array of any shape, bitwise identical to feeding the same uniforms
+        through :meth:`sample_mixture_index` one at a time — which is what
+        lets batched engines draw a whole block of per-row counter-stream
         uniforms at once without changing any outcome.
         """
-        cumulative = self._checked_mixture().cumulative
-        draws = np.asarray(uniforms, dtype=float) * cumulative[-1]
-        indices = np.searchsorted(cumulative, draws, side="right")
-        return np.minimum(indices, cumulative.size - 1)
+        return inverse_cdf_index(self._checked_mixture().cumulative, uniforms)
 
     def mixture_hits(
         self, uniforms: np.ndarray

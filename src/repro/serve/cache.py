@@ -11,14 +11,13 @@ cosmetically different but semantically equal submissions share entries:
 * **plan** — DCP partition plans keyed by ``(fused-hash, shots,
   noise, backend)``.  The plan search is pure and (in calibrated mode)
   the most expensive non-simulation work a request triggers.
-* **prefix states** — noiseless intermediate statevectors in one shared
-  byte-bounded :class:`~repro.core.statecache.PrefixStateCache`, keyed by
-  ``(fused-hash, subcircuit-lengths, depth)``.  Under a trivial noise
-  model the state after ``d`` subcircuits is *path-independent* (every
-  tree node of one layer holds the same amplitudes), so one entry per
-  depth serves every path — and the depth-``L`` entry lets a warm request
-  skip the tree entirely and go straight to leaf sampling
-  (:meth:`~repro.serve.server.SimulationServer`).
+* **prefix** — noiseless final statevectors in one shared byte-bounded
+  :class:`~repro.core.statecache.PrefixStateCache`, keyed by the fused
+  hash.  Under a trivial noise model every leaf of any tree holds the
+  circuit's final state, whatever the partition, so one entry per circuit
+  serves every plan, shot count and seed, and lets a warm request skip the
+  tree entirely and go straight to leaf sampling
+  (:meth:`~repro.core.engine.TQSimEngine.sample_leaves`).
 
 Entry-count caches (:class:`LRUCache`) guard the small pure-Python
 objects; the statevector cache is byte-bounded because its entries are
@@ -34,11 +33,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Hashable
 
-from repro.core.statecache import (
-    CacheStats,
-    NamespacedStateCache,
-    PrefixStateCache,
-)
+from repro.core.statecache import CacheStats, PrefixStateCache
 
 __all__ = ["LRUCache", "ServeCaches", "DEFAULT_STATE_CACHE_BYTES"]
 
@@ -93,25 +88,11 @@ class LRUCache:
 class ServeCaches:
     """The server's three cross-request caches plus stat-flush bookkeeping."""
 
-    plan: LRUCache = field(default_factory=lambda: LRUCache(max_entries=256))
-    transpile: LRUCache = field(
-        default_factory=lambda: LRUCache(max_entries=256)
-    )
-    prefix: PrefixStateCache = field(
-        default_factory=lambda: PrefixStateCache(DEFAULT_STATE_CACHE_BYTES)
-    )
+    plan: LRUCache
+    transpile: LRUCache
+    prefix: PrefixStateCache
     #: Stats already flushed onto obs counters, per cache name.
     _flushed: dict[str, dict[str, int]] = field(default_factory=dict)
-
-    def state_view(
-        self, fused_hash: str, lengths: tuple[int, ...]
-    ) -> NamespacedStateCache:
-        """Depth-keyed view of the prefix cache for one (circuit, plan).
-
-        ``view.get(d)`` / ``view.put(d, state)`` address the noiseless
-        state after the first ``d`` subcircuits.
-        """
-        return self.prefix.namespaced(fused_hash, lengths)
 
     def stat_deltas(self) -> dict[str, dict[str, int]]:
         """Per-cache stat increments since the previous call.

@@ -11,14 +11,18 @@ event loop stays free to accept work):
 3. **plan** — the DCP partition search runs once per ``(circuit, shots,
    noise, backend)`` and is cached;
 4. **admit** — :func:`~repro.analysis.memory.admit_plan` checks the plan's
-   pooled buffers *plus* the prefix states the request will keep resident
-   against the request's memory budget, lowering the batch cap or
-   rejecting outright;
+   pooled buffers *plus*, for a noiseless request, the one final state it
+   keeps resident against the request's memory budget, lowering the batch
+   cap or rejecting outright;
 5. **execute** — a warm noiseless request samples its leaves directly from
-   the cached final state (no tree traversal at all); everything else runs
-   through a fresh :class:`~repro.core.engine.TQSimEngine` or a
+   the circuit's cached final state through
+   :meth:`~repro.core.engine.TQSimEngine.sample_leaves` (no tree traversal
+   at all); everything else runs through a fresh
+   :class:`~repro.core.engine.TQSimEngine` or a
    :class:`~repro.dispatch.dispatchers.PoolDispatcher`, bitwise identical
-   either way by the path-keyed seeding contract.
+   either way by the path-keyed seeding contract.  After a cold noiseless
+   run the final state is evolved once and cached under the fused
+   circuit's hash.
 
 Determinism: request IDs derive from a :mod:`repro.core.pathrng` key
 chain (no uuid/entropy), all clock reads go through
@@ -26,8 +30,9 @@ chain (no uuid/entropy), all clock reads go through
 ``(circuit, noise, shots, seed)`` — never on cache state, concurrency or
 arrival order.  The warm fast path is *bitwise* identical in counts to
 the cold run because, under trivial noise, every leaf's pre-measurement
-state equals the cached final state and every leaf stream sits at
-counter 0 when the outcome is drawn.
+state equals the cached final state, and the engine samples the leaves
+with the same run key, leaf keys and outcome lookup its traversal uses —
+serve holds no copy of that logic.
 
 Latency telemetry is counter-backed: each request's wall time lands in
 the cumulative ``serve.latency.le_*`` histogram buckets
@@ -44,15 +49,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-import numpy as np
-
 from repro.analysis.memory import (
     XEON_NODE_MEMORY_BYTES,
     AdmissionDecision,
     admit_plan,
     statevector_bytes,
 )
-from repro.backends import DEFAULT_BACKEND_NAME, get_backend
+from repro.backends import DEFAULT_BACKEND_NAME
 from repro.circuits.circuit import Circuit
 from repro.circuits.qasm import from_qasm
 from repro.circuits.transpile import fuse_single_qubit_runs
@@ -60,15 +63,9 @@ from repro.core.copycost import DEFAULT_COPY_COST_IN_GATES
 from repro.core.costmodel import CostModel
 from repro.core.engine import DEFAULT_MAX_TREE_BATCH, TQSimEngine
 from repro.core.partitioners import DynamicCircuitPartitioner, PartitionPlan
-from repro.core.pathrng import (
-    PathStream,
-    child_key,
-    child_keys,
-    child_keys_multi,
-    draw_block,
-    run_root_key,
-)
-from repro.core.results import CostCounters, SimulationResult
+from repro.core.pathrng import child_key, run_root_key
+from repro.core.results import SimulationResult
+from repro.core.statecache import PrefixStateCache
 from repro.dispatch.dispatchers import PoolDispatcher
 from repro.noise.model import NoiseModel
 from repro.noise.sycamore import noise_model_by_code
@@ -80,8 +77,8 @@ from repro.obs.schema import (
     record_latency,
 )
 from repro.obs.tracer import AnyTracer, MetricSet, NullTracer, Tracer
-from repro.serve.cache import DEFAULT_STATE_CACHE_BYTES, ServeCaches
-from repro.statevector.sampling import index_to_bitstring
+from repro.serve.cache import DEFAULT_STATE_CACHE_BYTES, LRUCache, ServeCaches
+from repro.statevector.simulator import StatevectorSimulator
 
 __all__ = [
     "SimulationRequest",
@@ -93,9 +90,6 @@ __all__ = [
 #: Domain separator of the request-ID key chain: keeps the IDs' pathrng
 #: stream disjoint from every simulation stream.
 _REQUEST_ID_SALT = 0x53525645  # "SRVE"
-
-#: Leaf keys sampled per vectorised warm-path block.
-_WARM_SAMPLE_CHUNK = 65536
 
 
 @dataclass
@@ -193,7 +187,9 @@ class SimulationServer:
         this mainly overlaps planning/transpile with execution — scale-out
         belongs to worker processes, not threads.
     state_cache_bytes / plan_cache_entries / transpile_cache_entries:
-        Budgets of the three cross-request caches.
+        Budgets of the three cross-request caches; out-of-range budgets
+        raise ``ValueError`` (``state_cache_bytes=0`` caches no state, and
+        ``None`` leaves the state cache unbounded).
     cost_model:
         Calibrated :class:`~repro.core.costmodel.CostModel` for admission's
         chunk-cap pick and the pool's shard sizing.
@@ -227,10 +223,11 @@ class SimulationServer:
         self.copy_cost_in_gates = copy_cost_in_gates
         self.cost_model = cost_model
         self.tracer: AnyTracer = tracer if tracer is not None else NullTracer()
-        self.caches = ServeCaches()
-        self.caches.prefix.max_bytes = state_cache_bytes
-        self.caches.plan.max_entries = plan_cache_entries
-        self.caches.transpile.max_entries = transpile_cache_entries
+        self.caches = ServeCaches(
+            plan=LRUCache(plan_cache_entries),
+            transpile=LRUCache(transpile_cache_entries),
+            prefix=PrefixStateCache(state_cache_bytes),
+        )
         #: Server-level counters (requests, cache stats, latency histogram);
         #: guarded by ``_lock`` — MetricSet is not thread-safe.
         self.metrics = MetricSet()
@@ -368,18 +365,16 @@ class SimulationServer:
                 )
             self.caches.plan.put(plan_key, plan)
 
-        # Admission: the pooled traversal buffers plus every prefix state
-        # this request will keep resident must fit the request's budget.
-        lengths = tuple(int(n) for n in plan.subcircuit_lengths)
-        prefix_states = plan.tree.num_subcircuits if noiseless else 0
+        # Admission: the pooled traversal buffers plus the final state a
+        # noiseless request keeps resident must fit the request's budget.
         decision = admit_plan(
             fused.num_qubits,
             plan.tree.arities,
-            lengths,
+            plan.subcircuit_lengths,
             memory_bytes=min(request.memory_bytes, self.default_memory_bytes),
             cost_model=self.cost_model,
             max_batch=self.max_batch,
-            prefix_states=prefix_states,
+            prefix_states=1 if noiseless else 0,
         )
         response.admission = _admission_dict(decision)
         if not decision.fits_memory:
@@ -391,7 +386,7 @@ class SimulationServer:
         result: SimulationResult | None = None
         if noiseless:
             result = self._try_warm(
-                request, plan, fused_hash, lengths, backend_name, tracer
+                request, plan, fused_hash, backend_name, tracer
             )
             response.cached = result is not None
         if result is None:
@@ -403,7 +398,7 @@ class SimulationServer:
                     decision, tracer,
                 )
             if noiseless:
-                self._populate_states(fused_hash, lengths, plan)
+                self._cache_final_state(fused_hash, fused)
         response.status = "ok"
         response.counts = dict(result.counts)
         response.shots = result.shots
@@ -449,126 +444,60 @@ class SimulationServer:
         return engine.run(fused, request.shots, plan=plan)
 
     # -- the warm fast path ---------------------------------------------
-    def _leaf_keys(self, seed: int, arities: Sequence[int]) -> list[int]:
-        """Every leaf's path key, exactly as run 0 of a fresh engine derives
-        them: first-layer keys from the run key, then each deeper layer's
-        whole frontier in one ``child_keys_multi`` call, the engine's own
-        derivation."""
-        level = child_keys(run_root_key(seed), 0, arities[0])
-        for arity in arities[1:]:
-            level = child_keys_multi(
-                np.repeat(level, arity), np.tile(np.arange(arity), len(level))
-            )
-        return level.tolist()
-
     def _try_warm(
         self,
         request: SimulationRequest,
         plan: PartitionPlan,
         fused_hash: str,
-        lengths: tuple[int, ...],
         backend_name: str,
         tracer: AnyTracer,
     ) -> SimulationResult | None:
         """Serve a noiseless request from the cached final state, or None.
 
-        Correctness: under trivial noise the pre-measurement state of every
-        leaf equals the depth-``L`` prefix state (evolution is deterministic
-        and path-independent), and each leaf's stream sits at counter 0
-        when its outcome is drawn (no noise draws precede sampling).  So
-        sampling each leaf key's first uniform against the cached state's
-        inverse CDF reproduces the cold tree's counts *bitwise* — only the
-        cost counters differ (no copies or gate applications happen).
+        Under trivial noise every leaf's pre-measurement state is the
+        circuit's final state, whatever the partition, so the engine a cold
+        run would build samples every leaf of its first run from the cached
+        state (:meth:`~repro.core.engine.TQSimEngine.sample_leaves`) with
+        the traversal's own keys and lookup: the counts are the cold run's,
+        bitwise, and only the cost counters differ (no copies or gate
+        applications happen).
         """
-        depth_view = self.caches.state_view(fused_hash, lengths)
-        state = depth_view.get(len(lengths))
+        state = self.caches.prefix.get(fused_hash)
         if state is None:
             return None
-        backend = get_backend(backend_name)
-        arities = plan.tree.arities
-        start = clock.perf_seconds()
-        counts: dict[str, int] = {}
-        with tracer.span(
-            "serve.warm_sample", leaves=plan.total_outcomes
-        ):
-            cumulative = np.cumsum(backend.probabilities(state))
-            total = cumulative[-1]
-            # NaN fails too; the cold run then reports the bad state.
-            if not 0 < total < np.inf:
+        engine = TQSimEngine(seed=request.seed, backend=backend_name)
+        with tracer.span("serve.warm_sample", leaves=plan.total_outcomes):
+            try:
+                result = engine.sample_leaves(state, plan)
+            except ValueError:
+                # Probabilities not finite and positive: the cold run
+                # reports the state.
                 return None
-            keys = self._leaf_keys(request.seed, arities)
-            num_qubits = int(cumulative.size).bit_length() - 1
-            for begin in range(0, len(keys), _WARM_SAMPLE_CHUNK):
-                chunk = keys[begin : begin + _WARM_SAMPLE_CHUNK]
-                streams = [PathStream(key) for key in chunk]
-                # One vectorised block draw, bitwise equal to each stream's
-                # scalar ``.random()`` — the same primitive the engine's
-                # leaf sampling consumes.
-                uniforms = draw_block(streams, 1)[:, 0]
-                positions = np.minimum(
-                    np.searchsorted(
-                        cumulative, uniforms * total, side="right"
-                    ),
-                    cumulative.size - 1,
-                )
-                for index, tally in zip(
-                    *np.unique(positions, return_counts=True)
-                ):
-                    bitstring = index_to_bitstring(int(index), num_qubits)
-                    counts[bitstring] = counts.get(bitstring, 0) + int(tally)
-        produced = len(keys)
-        cost = CostCounters(
-            leaf_samples=produced,
-            wall_time_seconds=clock.perf_seconds() - start,
+        result.metadata.update(
+            execution="serve-cached", requested_shots=request.shots
         )
-        metadata = {
-            "simulator": "tqsim",
-            "backend": backend_name,
-            "execution": "serve-cached",
-            "policy": plan.policy,
-            "tree": str(plan.tree),
-            "subcircuit_lengths": plan.subcircuit_lengths,
-            "requested_shots": request.shots,
-            "seeding": "path-keyed-counter-v2",
-            "noise_model": "ideal",
-        }
-        return SimulationResult(
-            counts=counts,
-            num_qubits=num_qubits,
-            shots=produced,
-            cost=cost,
-            metadata=metadata,
-        )
+        return result
 
-    def _populate_states(
-        self,
-        fused_hash: str,
-        lengths: tuple[int, ...],
-        plan: PartitionPlan,
-    ) -> None:
-        """Evolve |0..0> once through the subcircuit chain and cache every
-        depth's state.
+    def _cache_final_state(self, fused_hash: str, fused: Circuit) -> None:
+        """Evolve |0..0> through the fused circuit once and cache the final
+        state under its hash.
 
-        One noiseless trajectory (a few hundred gate applications) funds
-        warm service of *every* future request for this circuit.  States
-        are evolved on the ``"optimized"`` kernels; the cross-backend
-        bitwise contract (see ``tests/test_differential_harness.py``)
-        makes the resulting counts identical no matter which backend a
-        cold run would have used.
+        One noiseless trajectory funds warm service of *every* future
+        request for this circuit, whatever its shots, seed or plan.  The
+        state is evolved on the ``"optimized"`` kernels; the cross-backend
+        bitwise contract (see ``tests/test_differential_harness.py``) makes
+        the resulting counts identical no matter which backend a cold run
+        would have used.  A state the cache would reject is never evolved.
         """
-        depth_view = self.caches.state_view(fused_hash, lengths)
-        if depth_view.get(len(lengths)) is not None:
+        cache = self.caches.prefix
+        if fused_hash in cache:
             return
-        backend = get_backend("optimized")
-        num_qubits = plan.subcircuits[0].num_qubits
-        if statevector_bytes(num_qubits) > (self.caches.prefix.max_bytes
-                                            or float("inf")):
+        if (cache.max_bytes is not None
+                and statevector_bytes(fused.num_qubits) > cache.max_bytes):
             return
-        state = backend.reset_state(backend.allocate_state(num_qubits))
-        for depth, subcircuit in enumerate(plan.subcircuits, start=1):
-            for gate in subcircuit:
-                state = backend.apply_gate(state, gate)
-            depth_view.put(depth, backend.copy_state(state))
+        cache.put(
+            fused_hash, StatevectorSimulator(backend="optimized").run(fused).data
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,20 @@
-"""Measurement-outcome sampling utilities shared by every simulator."""
+"""Measurement-outcome sampling utilities shared by every simulator.
+
+Two inverse-CDF lookups serve every trajectory draw in the library, and
+both draw the same index from the same uniform.  :func:`inverse_cdf_index`
+searches one cumulative array once per uniform: the outcomes of one state
+(every leaf of a noiseless tree measures the same final state) and mixture
+branches.  :func:`inverse_cdf_rows` gives each row of a cumulative block
+its own uniform: the outcomes of a trajectory block and general-Kraus
+branches.
+"""
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from repro.core.pathrng import UniformStream
 
 __all__ = [
     "inverse_cdf_index",
@@ -22,21 +28,25 @@ __all__ = [
 ]
 
 
-def inverse_cdf_index(cumulative: np.ndarray, rng: UniformStream) -> int:
-    """Draw one index from an (unnormalised) cumulative probability array.
+def inverse_cdf_index(
+    cumulative: np.ndarray, uniforms: np.ndarray | float
+) -> np.ndarray:
+    """Draw one index per uniform from one (unnormalised) cumulative array.
 
-    Equivalent in distribution to ``rng.choice(len(p), p=p)`` but costs one
-    uniform draw plus a binary search.  This is the single-state sampling
-    primitive behind outcome sampling and mixture-branch selection;
-    :func:`inverse_cdf_rows` is its block form.  Raises ``ValueError`` when
-    the total is not finite and positive.
+    Equivalent in distribution to ``rng.choice(len(p), p=p)`` per uniform,
+    but costs one binary search each: an index is the number of interior
+    bounds (every entry but the total) at or below ``uniform * total``.
+    ``uniforms`` is an array of any shape or a scalar, which gives a
+    scalar.  This is the lookup behind outcome sampling from one state and
+    mixture-branch selection; :func:`inverse_cdf_rows` is its form for a
+    block of cumulative rows.  Raises ``ValueError`` when the total is not
+    finite and positive.
     """
     total = float(cumulative[-1])
     # Written so NaN fails too: every comparison with NaN is false.
     if not 0.0 < total < math.inf:
         raise ValueError("weights are not finite and positive")
-    position = np.searchsorted(cumulative, rng.random() * total, side="right")
-    return int(min(position, cumulative.size - 1))
+    return np.searchsorted(cumulative[:-1], uniforms * total, side="right")
 
 
 def inverse_cdf_rows(
@@ -45,9 +55,8 @@ def inverse_cdf_rows(
     """Draw one index per row of a ``(B, K)`` cumulative weight block.
 
     Row ``b`` takes the number of its interior bounds at or below
-    ``uniforms[b] * total_b``: ``searchsorted(side="right")`` clamped to the
-    last index, so each row draws the index :func:`inverse_cdf_index`
-    draws from the same uniform.  Raises ``ValueError`` when a row's total
+    ``uniforms[b] * total_b``, so each row draws the index
+    :func:`inverse_cdf_index` draws from the same uniform.  Raises ``ValueError`` when a row's total
     is not finite and positive.
     """
     totals = cumulative[:, -1]

@@ -23,6 +23,9 @@ channel) and random shard counts, then asserts the first six paths agree
 bit-for-bit.  Cases are deterministic per seed, so any failure reproduces
 with ``-k case_NN``.  The per-shot simulators are checked against the
 engine's one-layer plan under three noise settings on both backends.
+Without gate noise, ``TQSimEngine.sample_leaves`` on the circuit's final
+state is one more path: it is checked against ``run`` on one-layer,
+two-layer and deep plans, with and without readout error.
 """
 
 import numpy as np
@@ -41,6 +44,7 @@ from repro.core.pathrng import run_root_key
 from repro.dispatch import PoolDispatcher, SerialDispatcher
 from repro.noise import NoiseModel, ReadoutError, depolarizing_noise_model
 from repro.noise.channels import AmplitudeDampingChannel
+from repro.statevector.simulator import StatevectorSimulator
 
 NUM_CASES = 40
 
@@ -185,6 +189,45 @@ def test_per_shot_simulators_are_the_one_layer_tree(qft5, noise_choice,
     for name, result in results.items():
         assert (result.counts, _counter_tuple(result)) == expected, name
         assert result.shots == shots, name
+
+
+# ---------------------------------------------------------------------------
+# Without gate noise, every leaf samples the one final state
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("backend", ["optimized", "numpy"])
+@pytest.mark.parametrize("cap", [1, 64])
+@pytest.mark.parametrize("readout", [False, True], ids=["ideal", "readout"])
+@pytest.mark.parametrize("arities", [(37,), (4, 6), (3, 2, 3, 2)],
+                         ids=["one-layer", "two-layer", "deep"])
+def test_sample_leaves_equals_the_traversal(qft5, arities, readout, cap,
+                                            backend):
+    """``sample_leaves`` on the final state equals ``run`` on a twin engine
+    in counts and ``leaf_samples``, on each engine's first call and on its
+    second, which both take the next run key."""
+    noise = (
+        NoiseModel(readout_error=ReadoutError(0.02, 0.01), name="readout")
+        if readout else None
+    )
+    plan = ManualPartitioner(arities).plan(
+        qft5, int(np.prod(arities)), noise
+    )
+    state = StatevectorSimulator(backend=backend).run(qft5).data
+    sampler = TQSimEngine(noise, seed=61, backend=backend, max_batch=cap)
+    runner = TQSimEngine(noise, seed=61, backend=backend, max_batch=cap)
+    for call in ("first", "second"):
+        sampled = sampler.sample_leaves(state, plan)
+        traversed = runner.run(qft5, plan.total_outcomes, plan=plan)
+        assert sampled.counts == traversed.counts, call
+        assert sampled.cost.leaf_samples == traversed.cost.leaf_samples, call
+        assert sampled.shots == traversed.shots == plan.total_outcomes, call
+
+
+def test_sample_leaves_rejects_gate_noise(qft5):
+    noise = depolarizing_noise_model()
+    plan = ManualPartitioner((4, 6)).plan(qft5, 24, noise)
+    state = StatevectorSimulator().run(qft5).data
+    with pytest.raises(ValueError, match="gate noise"):
+        TQSimEngine(noise, seed=1).sample_leaves(state, plan)
 
 
 # ---------------------------------------------------------------------------

@@ -59,12 +59,9 @@ def test_serve_never_samples_a_non_finite_cached_state():
     circuit = qft_circuit(4)
     with SimulationServer() as server:
         cold = server.handle(SimulationRequest(circuit=circuit, shots=64))
-        lengths = tuple(int(n) for n in cold.metadata["subcircuit_lengths"])
-        view = server.caches.state_view(
-            cold.metadata["serve"]["fused_hash"], lengths
-        )
-        final = view.get(len(lengths))
-        view.put(len(lengths), np.full_like(final, np.nan))
+        fused_hash = cold.metadata["serve"]["fused_hash"]
+        final = server.caches.prefix.get(fused_hash)
+        server.caches.prefix.put(fused_hash, np.full_like(final, np.nan))
         again = server.handle(SimulationRequest(circuit=circuit, shots=64))
     assert again.ok and not again.cached
     assert again.counts == cold.counts
@@ -74,7 +71,7 @@ def test_serve_never_samples_a_non_finite_cached_state():
 def test_inverse_cdf_lookups_reject_non_finite_totals(bad):
     cumulative = np.array([0.25, bad])
     with pytest.raises(ValueError, match=MESSAGE):
-        inverse_cdf_index(cumulative, np.random.default_rng(0))
+        inverse_cdf_index(cumulative, 0.5)
     rows = np.array([[0.5, 1.0], [0.25, bad]])
     with pytest.raises(ValueError, match=MESSAGE):
         inverse_cdf_rows(rows, np.array([0.5, 0.5]))

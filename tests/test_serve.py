@@ -18,7 +18,13 @@ import json
 import numpy as np
 import pytest
 
+from repro.analysis.memory import (
+    batched_tree_simulation_bytes,
+    statevector_bytes,
+)
 from repro.circuits.library import ghz_circuit, qft_circuit
+from repro.circuits.transpile import fuse_single_qubit_runs
+from repro.core.partitioners import DynamicCircuitPartitioner
 from repro.core.statecache import PrefixStateCache
 from repro.obs.schema import (
     LATENCY_BUCKET_BOUNDS_MS,
@@ -74,16 +80,6 @@ def test_prefix_state_cache_byte_bound_and_rejection():
     assert not cache.put(("huge",), big)
     assert cache.stats.rejected == 1
     assert ("huge",) not in cache
-
-
-def test_namespaced_views_share_entries_and_stats():
-    state = np.ones(2, dtype=np.complex128)
-    cache = PrefixStateCache(max_bytes=1024)
-    depth_view = cache.namespaced("hash", (3, 2))
-    depth_view.put(1, state)
-    assert cache.namespaced("hash", (3, 2)).get(1) is not None
-    assert cache.namespaced("other", (3, 2)).get(1) is None
-    assert depth_view.stats is cache.stats
 
 
 # ---------------------------------------------------------------------------
@@ -203,19 +199,44 @@ def test_qasm_request_matches_circuit_request():
 # Eviction under pressure: caching must stay invisible
 # ---------------------------------------------------------------------------
 def test_prefix_eviction_pressure_keeps_counts_identical():
-    # Budget for exactly one 5-qubit state (512 bytes): populating evicts
-    # each shallower depth as the next is stored, leaving only depth L —
-    # so requests still warm up, with the evictions on the books.
-    circuit = qft_circuit(5)
+    # Budget for exactly one 5-qubit state (512 bytes): two circuits take
+    # turns evicting each other's final state, so a request warms up only
+    # while its own circuit's state is the resident one.
+    circuits = [qft_circuit(5), ghz_circuit(5)]
     with SimulationServer() as reference_server:
-        reference = reference_server.handle(_request(circuit, seed=4))
+        references = [
+            reference_server.handle(_request(c, seed=4)) for c in circuits
+        ]
     with SimulationServer(state_cache_bytes=600) as server:
-        cold = server.handle(_request(circuit, seed=4))
-        warm = server.handle(_request(circuit, seed=4))
+        cold = [server.handle(_request(c, seed=4)) for c in circuits]
+        warm = server.handle(_request(circuits[1], seed=4))
+        evicted = server.handle(_request(circuits[0], seed=4))
         counters = server.counters()
-    assert cold.counts == reference.counts
-    assert warm.counts == reference.counts
+    assert [r.counts for r in cold] == [r.counts for r in references]
+    assert not any(r.cached for r in cold)
+    assert warm.cached
+    assert warm.counts == references[1].counts
+    assert not evicted.cached
+    assert evicted.counts == references[0].counts
     assert counters.get("serve.cache.prefix.evictions", 0) >= 1
+
+
+def test_noiseless_request_keeps_one_final_state_resident():
+    """A cold noiseless request on a 3-layer plan caches one state, keyed
+    by the fused hash, and admission charges exactly that one state."""
+    circuit = qft_circuit(6)
+    plan = DynamicCircuitPartitioner().plan(
+        fuse_single_qubit_runs(circuit), SHOTS, None
+    )
+    assert plan.tree.num_subcircuits == 3
+    with SimulationServer() as server:
+        cold = server.handle(_request(circuit, seed=2))
+        assert len(server.caches.prefix) == 1
+        assert cold.metadata["serve"]["fused_hash"] in server.caches.prefix
+    pool = batched_tree_simulation_bytes(
+        6, plan.tree.arities, cold.admission["max_batch"]
+    )
+    assert cold.admission["peak_bytes"] == pool + statevector_bytes(6)
 
 
 def test_state_cache_too_small_degrades_to_cold_identically():
@@ -229,6 +250,34 @@ def test_state_cache_too_small_degrades_to_cold_identically():
     assert all(
         response.counts == reference.counts for response in responses
     )
+
+
+@pytest.mark.parametrize(
+    "budget",
+    [{"plan_cache_entries": 0}, {"transpile_cache_entries": 0},
+     {"state_cache_bytes": -1}],
+    ids=["plan-0", "transpile-0", "state-minus-1"],
+)
+def test_out_of_range_cache_budgets_raise(budget):
+    with pytest.raises(ValueError):
+        SimulationServer(**budget)
+
+
+def test_zero_state_budget_evolves_no_state():
+    circuit = qft_circuit(5)
+    with SimulationServer() as reference_server:
+        reference = reference_server.handle(_request(circuit, seed=4))
+    with SimulationServer(state_cache_bytes=0) as server:
+        responses = [server.handle(_request(circuit, seed=4))
+                     for _ in range(3)]
+        counters = server.counters()
+    assert all(not response.cached for response in responses)
+    assert all(
+        response.counts == reference.counts for response in responses
+    )
+    # A state the cache would reject is never evolved, so none is offered.
+    assert "serve.cache.prefix.puts" not in counters
+    assert "serve.cache.prefix.rejected" not in counters
 
 
 def test_plan_and_transpile_eviction_pressure_keeps_counts_identical():
