@@ -29,7 +29,12 @@ block keeps its ``(B, 2**n)`` shape and indexing.  The kernels of the
 optimized backend view any state amplitude-major with the rows innermost,
 so a gate on any target qubit runs inner loops over the whole chunk;
 C-ordered blocks (fancy-indexed rows, user arrays) go through the same view
-and give bitwise the same rows.  The reference backend loops over rows.
+and give bitwise the same rows.  On low targets an amplitude plane of a
+1-D state or a row-inner block is many short runs, so a dense 1q gate
+copies both planes through cache-sized contiguous scratch and back rather
+than letting numpy copy them on every ufunc call (C-ordered blocks stay in
+place); the products and sums, and so the bytes, are those of the in-place
+path.  The reference backend loops over rows.
 The batch helpers below (branch sampling, general-Kraus updates, outcome
 sampling) are written once on such blocks, so every backend shares one
 implementation.  A mixture branch (a Pauli, for instance) is a phased
@@ -40,8 +45,8 @@ bytes are the kernels'.
 A general-Kraus update prices every row's branches from the channel's
 effect operators ``K_i†K_i`` without applying any operator, then applies
 only the operators the rows drew through ``apply_unitary``: the most-drawn
-one to the whole block in place, a diagonal one as a multiply with no
-kernel call.
+one to the whole block in place (a one-row block's drawn one, without
+tallying the draws), a diagonal one as a multiply with no kernel call.
 
 Random streams
 --------------
@@ -273,15 +278,18 @@ class Backend(ABC):
         )
         chosen = weights[np.arange(len(indices)), indices]
         scales = (1.0 / np.sqrt(chosen))[:, None]
-        counts = np.bincount(indices)
-        major = int(counts.argmax())
         # The rows of every other drawn branch are copied out before the
-        # in-place write below.
+        # in-place write below; a one-row block has no other branch.
         others: list[tuple[int, np.ndarray, np.ndarray]] = []
-        for branch in np.flatnonzero(counts).tolist():
-            if branch != major:
-                rows = np.flatnonzero(indices == branch)
-                others.append((branch, rows, batched[rows]))
+        if len(indices) == 1:
+            major = int(indices[0])
+        else:
+            counts = np.bincount(indices)
+            major = int(counts.argmax())
+            for branch in np.flatnonzero(counts).tolist():
+                if branch != major:
+                    rows = np.flatnonzero(indices == branch)
+                    others.append((branch, rows, batched[rows]))
         out = self._apply_branch(batched, channel, major, event.qubits, scales)
         if out is not batched:
             np.copyto(batched, out)

@@ -7,7 +7,10 @@ gate in the benchmark circuits acts on one or two qubits, so this backend
 specialises those cases the way mature simulators do:
 
 * a 1-qubit gate on target ``t`` views the state as ``(-1, 2, 2**t, R)`` and
-  updates the two amplitude planes in place;
+  updates the two amplitude planes in place; a dense gate on a plane of
+  many short runs (a low target) copies both planes through contiguous
+  scratch instead, a cache-sized tile at a time, because numpy would copy
+  them once per ufunc call;
 * a 2-qubit gate views the state as ``(-1, 2, 2**gap, 2, 2**low, R)`` and
   updates the four planes in place, skipping zero matrix entries (so
   controlled gates and other sparse unitaries only touch the planes they
@@ -16,6 +19,10 @@ specialises those cases the way mature simulators do:
   take scale-only fast paths;
 * all temporaries live in a preallocated scratch buffer that is reused across
   gates, so steady-state gate application allocates nothing.
+
+Which path a gate takes depends on the matrix, the target, the state's
+layout and numpy's buffer size (``np.getbufsize()``) only, never on an
+option of this package.
 
 Gates on three or more qubits fall back to the reference contraction, with
 the result written back into the caller's buffer.
@@ -27,7 +34,8 @@ innermost.  Splitting one axis is always a view, so the kernels write the
 caller's array whatever its layout, and on a row-inner block from
 :meth:`~repro.backends.base.Backend.allocate_batch` every target qubit gets
 inner loops of at least ``R`` adjacent elements.  The elementwise
-operations are the same for every layout and block size, so each row
+operations are the same for every layout, block size and path (staged or
+in place: the same products and sums in the same order), so each row
 evolves bit for bit like a single state.  That is the batch axis the
 engine's frontier-chunk traversal runs on (Figure 8: one small statevector
 update does not fill the machine, so trajectories advance together).
@@ -54,9 +62,11 @@ class OptimizedNumpyBackend(Backend):
     name = "optimized"
 
     def __init__(self) -> None:
-        # Full-size scratch (holds copies of the input planes) plus a
-        # quarter-size accumulator for the 2-qubit kernel; both grow on
-        # demand and are reused for every subsequent gate.
+        # Scratch (copies of the input planes, at least a full state, or
+        # the staged 1q kernel's four tiles of up to ``np.getbufsize()``
+        # elements each) plus a quarter-size accumulator for the 2-qubit
+        # kernel; both grow on demand and are reused for every subsequent
+        # gate.
         self._scratch: np.ndarray | None = None
         self._accumulator: np.ndarray | None = None
 
@@ -139,7 +149,21 @@ class OptimizedNumpyBackend(Backend):
                 np.multiply(saved0, m10, out=plane1)
             return
         # General dense 2x2 (H, SX, RX, RY, U, ...): both products are
-        # taken before either plane is overwritten.
+        # taken before either plane is overwritten.  A plane is
+        # ``len(view)`` runs of ``rows << target`` adjacent elements when
+        # the rows are adjacent (a 1-D state or a row-inner block).  numpy's
+        # buffered iterator copies a plane operand whose runs fill at most
+        # half its buffer, or a third when the plane is also the output,
+        # once per ufunc call (numpy 2.4).  Where that holds for all six
+        # calls the planes are staged instead, unless the plane is one
+        # strided loop (runs of one element) or at most two runs: measured,
+        # those run faster in place.
+        run = rows << target
+        if run > 1 and state.strides[0] == state.itemsize and len(view) > 2:
+            bufsize = np.getbufsize()
+            if 3 * run <= bufsize:
+                self._apply_dense_staged(view, m00, m01, m10, m11, run, bufsize)
+                return
         temp = scratch[half : 2 * half].reshape(plane0.shape)
         np.multiply(plane0, m10, out=saved0)
         np.multiply(plane1, m01, out=temp)
@@ -147,6 +171,45 @@ class OptimizedNumpyBackend(Backend):
         plane0 += temp
         np.multiply(plane1, m11, out=plane1)
         plane1 += saved0
+
+    def _apply_dense_staged(
+        self,
+        view: np.ndarray,
+        m00: complex,
+        m01: complex,
+        m10: complex,
+        m11: complex,
+        run: int,
+        bufsize: int,
+    ) -> None:
+        """The dense 1q update of ``view``'s two planes through contiguous
+        scratch, a tile of at most ``bufsize`` elements per plane at a time.
+
+        Each tile is copied out in one call (plane 0 then plane 1), takes
+        the in-place path's four products and two sums on contiguous
+        arrays, and is copied back in one call, so every row ends with the
+        in-place path's bytes.  The tile keeps the scratch cache-sized
+        whatever the width; the last tile is partial when the number of
+        runs per tile does not divide ``len(view)``.
+        """
+        runs = min(bufsize // run, len(view))
+        size = runs * run
+        scratch = self._scratch_for(4 * size)
+        work = scratch[: 2 * size].reshape(2, runs, *view.shape[2:])
+        products = scratch[2 * size : 4 * size].reshape(work.shape)
+        for start in range(0, len(view), runs):
+            planes = view[start : start + runs].swapaxes(0, 1)
+            if planes.shape[1] < runs:
+                work = work[:, : planes.shape[1]]
+                products = products[:, : planes.shape[1]]
+            np.copyto(work, planes)
+            # products[k] is what the in-place path adds to plane k.
+            np.multiply(work[1], m01, out=products[0])
+            np.multiply(work[0], m10, out=products[1])
+            np.multiply(work[0], m00, out=work[0])
+            np.multiply(work[1], m11, out=work[1])
+            work += products
+            np.copyto(planes, work)
 
     # ------------------------------------------------------------------
     def _apply_2q(

@@ -183,6 +183,66 @@ def test_optimized_backend_applies_in_place(layout):
         np.testing.assert_allclose(state, expected, atol=ATOL, rtol=0)
 
 
+def _dense_1q_matrices() -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(20)
+    unitary, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return {
+        "h": Gate.standard("h", (0,)).to_matrix(),
+        "sw": Gate.standard("sw", (0,)).to_matrix(),
+        "random": unitary,
+    }
+
+
+def _dense_1q_by_formula(rows: np.ndarray, matrix: np.ndarray, target: int) -> np.ndarray:
+    """Each row updated on its own by the textbook 2x2 product: the
+    kernel's four products and two sums, on plain arrays."""
+    (m00, m01), (m10, m11) = matrix.tolist()
+    planes = np.array(rows).reshape(len(rows), -1, 2, 1 << target)
+    out = np.empty_like(planes)
+    out[:, :, 0] = planes[:, :, 0] * m00 + planes[:, :, 1] * m01
+    out[:, :, 1] = planes[:, :, 1] * m11 + planes[:, :, 0] * m10
+    return out.reshape(len(rows), -1)
+
+
+@pytest.mark.parametrize(
+    "layout, rows",
+    [("single", 1)] + [(layout, rows) for layout in BLOCK_LAYOUTS
+                       for rows in (1, 2, 3, 27, 64)],
+)
+@pytest.mark.parametrize("num_qubits", [3, 5, 8, 10])
+def test_dense_1q_block_rows_equal_single_states_bytewise(num_qubits, rows, layout):
+    """A dense 1q gate gives every row of a block the bytes it gives that
+    row alone as a 1-D state, and the bytes of the textbook product, on
+    every target and in every layout.
+
+    Row-inner blocks, and 1-D states above target 0, take the staged
+    kernel on low targets (planes copied through contiguous scratch, tile
+    by tile); at n=10, 27 and 64 rows make several tiles per plane, and 27
+    rows a partial last tile.  The states hold +0.0 and -0.0 so that
+    signed zeros are compared too.
+    """
+    backend = OptimizedNumpyBackend()
+    rng = np.random.default_rng(num_qubits * 100 + rows)
+    dim = 1 << num_qubits
+    data = rng.normal(size=(rows, dim)) + 1j * rng.normal(size=(rows, dim))
+    data.real[:, ::5] = 0.0
+    data.imag[:, 1::5] = -0.0
+    data[:, 2::9] = complex(-0.0, -0.0)
+    state = data[0].copy() if layout == "single" else in_layout(data, layout)
+    for name, matrix in _dense_1q_matrices().items():
+        for target in range(num_qubits):
+            before = state.reshape(rows, dim)
+            expected = _dense_1q_by_formula(before, matrix, target)
+            alone = np.array([
+                backend.apply_unitary(np.array(before[row]), matrix, (target,))
+                for row in range(rows)
+            ])
+            result = backend.apply_unitary(state, matrix, (target,))
+            assert result is state
+            assert alone.tobytes() == expected.tobytes(), (name, target)
+            assert state.tobytes() == expected.tobytes(), (name, target)
+
+
 def test_reference_backend_does_not_mutate_input():
     backend = NumpyBackend()
     state = backend.initial_state(3)
