@@ -50,11 +50,7 @@ def test_fig13_multinode_scaling(benchmark, bench_config):
                 "seconds": faulty.pool_seconds,
             },
             {
-                "leg": "resilient",
-                "seconds": faulty.resilient_seconds,
-            },
-            {
-                "leg": "resilient+crash",
+                "leg": "pool+crash",
                 "seconds": faulty.faulty_seconds,
             },
         ],

@@ -167,11 +167,6 @@ def _add_experiment_arguments(parser: argparse.ArgumentParser) -> None:
                         help="microbenchmark the default backend and use the "
                              "measured copy cost instead of the analytic "
                              "value")
-    parser.add_argument("--resilient", action="store_true",
-                        help="run the measured dispatch legs through the "
-                             "fault-tolerant ResilientPoolDispatcher "
-                             "(per-shard timeouts, deterministic retries, "
-                             "straggler re-shard) instead of the plain pool")
 
 
 def _describe(value: Any, indent: str = "  ") -> list[str]:
@@ -245,8 +240,6 @@ def _experiment_config(args: argparse.Namespace):
             print("--max-depth must be >= 1")
             return None
         extra["max_depth"] = args.max_depth
-    if args.resilient:
-        extra["resilient"] = True
     if args.copy_cost is not None and args.calibrated:
         print("--copy-cost and --calibrated are mutually exclusive")
         return None

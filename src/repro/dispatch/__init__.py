@@ -21,12 +21,12 @@ decomposition exact: serial, pooled and single-engine execution of the same
 root seed produce bitwise-identical merged counts and cost counters, for any
 shard count, any split depth, any backend and any worker scheduling order.
 
-That exactness also powers the fault-tolerant layer
-(:class:`ResilientPoolDispatcher`, :mod:`repro.dispatch.resilient`): retries,
-speculative re-shards (:func:`~repro.dispatch.planner.split_shard_spec`) and
-crash-recovery re-executions all reproduce their shard's counts bitwise, so
-the merged result is identical whatever faults occurred along the way.
-Failures surface as typed :class:`DispatchError` subclasses
+That exactness also powers the pool dispatcher's supervision loop: its
+retries, speculative re-shards
+(:func:`~repro.dispatch.planner.split_shard_spec`) and crash-recovery
+re-executions all reproduce their shard's counts bitwise, so the merged
+result is identical whatever faults occurred along the way.  Failures
+surface as typed :class:`DispatchError` subclasses
 (:mod:`repro.dispatch.faults`), and the deterministic :class:`FaultInjector`
 drives the fault-injection tests and benchmarks.
 """
@@ -41,30 +41,24 @@ from repro.dispatch.faults import (
     DispatchError,
     FaultInjector,
     InjectedFaultError,
-    PoolBrokenError,
-    ShardExecutionError,
     ShardRetryExhaustedError,
     ShardTimeoutError,
 )
 from repro.dispatch.planner import ShardPlanner, ShardSpec, split_shard_spec
-from repro.dispatch.resilient import ResilientPoolDispatcher
 from repro.dispatch.worker import run_shard
 
 __all__ = [
     "Dispatcher",
     "SerialDispatcher",
     "PoolDispatcher",
-    "ResilientPoolDispatcher",
     "ShardPlanner",
     "ShardSpec",
     "child_key",
     "run_shard",
     "split_shard_spec",
     "DispatchError",
-    "ShardExecutionError",
     "ShardTimeoutError",
     "ShardRetryExhaustedError",
-    "PoolBrokenError",
     "InjectedFaultError",
     "FaultInjector",
 ]

@@ -32,10 +32,8 @@ from dataclasses import dataclass, field
 
 __all__ = [
     "DispatchError",
-    "ShardExecutionError",
     "ShardTimeoutError",
     "ShardRetryExhaustedError",
-    "PoolBrokenError",
     "InjectedFaultError",
     "FaultInjector",
 ]
@@ -51,24 +49,6 @@ DEFAULT_HANG_SECONDS = 3600.0
 
 class DispatchError(RuntimeError):
     """Base of every typed failure the dispatch layer raises or records."""
-
-
-class ShardExecutionError(DispatchError):
-    """A shard attempt raised inside the worker.
-
-    The original exception is chained as ``__cause__`` by the raising site;
-    ``shard`` and ``attempt`` pin the failure to one telemetry row.
-    """
-
-    def __init__(self, shard: int, attempt: int, message: str = "") -> None:
-        self.shard = shard
-        self.attempt = attempt
-        super().__init__(
-            message or f"shard {shard} failed on attempt {attempt}"
-        )
-
-    def __reduce__(self) -> tuple:
-        return (type(self), (self.shard, self.attempt, str(self)))
 
 
 class ShardTimeoutError(DispatchError):
@@ -104,10 +84,6 @@ class ShardRetryExhaustedError(DispatchError):
 
     def __reduce__(self) -> tuple:
         return (type(self), (self.shard, self.attempts, self.last_error))
-
-
-class PoolBrokenError(DispatchError):
-    """The worker pool died (a worker crashed or was killed)."""
 
 
 class InjectedFaultError(DispatchError):

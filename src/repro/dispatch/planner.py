@@ -295,8 +295,8 @@ def split_shard_spec(spec: ShardSpec, parts: int) -> list[ShardSpec]:
     """Re-split one shard's range into ``parts`` contiguous sub-ranges.
 
     This is the speculative-re-shard primitive: when a shard straggles, the
-    :class:`~repro.dispatch.resilient.ResilientPoolDispatcher` re-executes
-    its range as several smaller shards on idle workers.  The split is
+    :class:`~repro.dispatch.dispatchers.PoolDispatcher` re-executes its
+    range as several smaller shards on idle workers.  The split is
     *exact by construction* — the sub-ranges partition the original range
     of the same layer and run, every node draws from the same
     path-addressed stream whichever range holds it, and each ancestor is

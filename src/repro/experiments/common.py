@@ -359,28 +359,12 @@ def measure_dispatch_scaling(
     smaller than the worker count — the low-arity sweeps would otherwise
     starve the pool at ``A0`` shards.
 
-    ``config.extra["resilient"]`` (the CLI's ``--resilient``) swaps the
-    measured pool for the fault-tolerant
-    :class:`~repro.dispatch.ResilientPoolDispatcher`; the bitwise contract
-    is unchanged (the resilient pool's fault-free path is the plain pool's
-    plus supervision), so ``counts_match_serial`` must stay True and any
-    wall-clock delta is the supervision overhead.
-
     ``tracer`` (default: the ambient tracer) is handed to every dispatcher,
     so a traced sweep collects one merged cross-process timeline; tracing
     is inert, so the bitwise contracts above are unaffected.
     """
-    from repro.dispatch import (
-        PoolDispatcher,
-        ResilientPoolDispatcher,
-        SerialDispatcher,
-    )
+    from repro.dispatch import PoolDispatcher, SerialDispatcher
 
-    pool_class = (
-        ResilientPoolDispatcher
-        if config.extra.get("resilient")
-        else PoolDispatcher
-    )
     if worker_counts is None:
         worker_counts = dispatch_worker_counts(config)
     if max_depth is None:
@@ -402,7 +386,7 @@ def measure_dispatch_scaling(
     points: list[DispatchPoint] = []
     counts_match = True
     for workers in worker_counts:
-        dispatcher = pool_class(
+        dispatcher = PoolDispatcher(
             noise_model, seed=seed, num_workers=workers, num_shards=workers,
             copy_cost_in_gates=config.copy_cost_in_gates,
             max_depth=max_depth,
@@ -439,35 +423,27 @@ def measure_dispatch_scaling(
 
 @dataclass(frozen=True)
 class FaultyDispatchMeasurement:
-    """Measured fault-tolerant dispatch of one plan, healthy and under fire.
+    """Measured pool dispatch of one plan, healthy and under fire.
 
-    Three legs share one seed and one shard decomposition: the plain pool
-    (``pool_seconds``), the resilient pool with no faults
-    (``resilient_seconds`` — the supervision overhead leg), and the
-    resilient pool with one injected worker crash (``faulty_seconds`` — the
-    recovery leg).  ``counts_match_serial`` asserts the load-bearing claim:
-    all three produce counts bitwise identical to serial dispatch, crash or
-    no crash.
+    Two legs share one seed and one shard decomposition: the healthy pool
+    (``pool_seconds``) and the pool with one injected worker crash
+    (``faulty_seconds`` — the recovery leg).  ``counts_match_serial``
+    asserts the load-bearing claim: both produce counts bitwise identical
+    to serial dispatch, crash or no crash.
     """
 
     name: str
     num_qubits: int
     num_workers: int
     pool_seconds: float
-    resilient_seconds: float
     faulty_seconds: float
     counts_match_serial: bool
     pool_rebuilds: int
 
     @property
-    def fault_free_overhead(self) -> float:
-        """Fractional overhead of supervision with no faults (0.03 = 3%)."""
-        return self.resilient_seconds / self.pool_seconds - 1.0
-
-    @property
     def recovery_overhead_seconds(self) -> float:
         """Extra wall time the injected crash cost (detect + rerun)."""
-        return self.faulty_seconds - self.resilient_seconds
+        return self.faulty_seconds - self.pool_seconds
 
 
 def measure_faulty_dispatch(
@@ -479,22 +455,17 @@ def measure_faulty_dispatch(
     repeats: int = 2,
     tracer: AnyTracer | None = None,
 ) -> FaultyDispatchMeasurement:
-    """Measure resilient-dispatch overhead and crash recovery on one plan.
+    """Measure pool dispatch and its crash recovery on one plan.
 
     The injected fault crashes shard 0's first attempt (``os._exit`` in the
     worker — a real process death, not an exception), which forces the full
-    recovery path: broken-pool detection, pool rebuild and shard re-run.
+    recovery path: broken-pool detection, worker rebuild and shard re-run.
     Timing legs are best-of-``repeats``; the crash leg keeps retry backoff
     near zero so the measurement isolates detection + re-execution.
-    ``tracer`` is threaded to all four dispatchers, so a traced measurement
-    yields one timeline covering the healthy legs and the recovery.
+    ``tracer`` is threaded to all three dispatchers, so a traced measurement
+    yields one timeline covering the healthy leg and the recovery.
     """
-    from repro.dispatch import (
-        FaultInjector,
-        PoolDispatcher,
-        ResilientPoolDispatcher,
-        SerialDispatcher,
-    )
+    from repro.dispatch import FaultInjector, PoolDispatcher, SerialDispatcher
 
     seed = config.seed + 2
     serial = SerialDispatcher(
@@ -520,13 +491,7 @@ def measure_faulty_dispatch(
         copy_cost_in_gates=config.copy_cost_in_gates,
         tracer=tracer,
     ))
-    resilient = best_run(ResilientPoolDispatcher(
-        noise_model, seed=seed, num_workers=num_workers,
-        num_shards=num_workers,
-        copy_cost_in_gates=config.copy_cost_in_gates,
-        tracer=tracer,
-    ))
-    faulty = best_run(ResilientPoolDispatcher(
+    faulty = best_run(PoolDispatcher(
         noise_model, seed=seed, num_workers=num_workers,
         num_shards=num_workers,
         copy_cost_in_gates=config.copy_cost_in_gates,
@@ -536,16 +501,13 @@ def measure_faulty_dispatch(
     ))
 
     counts_match = (
-        pool.counts == serial.counts
-        and resilient.counts == serial.counts
-        and faulty.counts == serial.counts
+        pool.counts == serial.counts and faulty.counts == serial.counts
     )
     return FaultyDispatchMeasurement(
         name=circuit.name or "circuit",
         num_qubits=circuit.num_qubits,
         num_workers=num_workers,
         pool_seconds=pool.metadata["dispatch"]["wall_time_seconds"],
-        resilient_seconds=resilient.metadata["dispatch"]["wall_time_seconds"],
         faulty_seconds=faulty.metadata["dispatch"]["wall_time_seconds"],
         counts_match_serial=counts_match,
         pool_rebuilds=faulty.metadata["dispatch"]["resilience"][

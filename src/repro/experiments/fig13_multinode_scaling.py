@@ -65,9 +65,9 @@ class MultiNodeResult:
     process pool on one shared plan); ``measured_deep`` repeats it on a
     low-first-layer-arity plan where only deep (path-based) sharding can
     feed the pool.  ``measured_faulty`` runs the fault-tolerance leg: the
-    resilient pool healthy (supervision overhead) and with one injected
-    worker crash (recovery cost), both bitwise-checked against serial — the
-    single-host analogue of a cluster losing a node mid-run.  The modeled
+    pool healthy and with one injected worker crash (recovery cost), both
+    bitwise-checked against serial — the single-host analogue of a cluster
+    losing a node mid-run.  The modeled
     points keep the paper's cluster story at widths the NumPy substrate
     cannot time directly.
     """
@@ -140,11 +140,10 @@ def measured_faulty_dispatch_scaling(
 ) -> FaultyDispatchMeasurement:
     """Measure fault-tolerant dispatch on the high-arity QFT plan.
 
-    Three legs on the ``measured`` sweep's plan: plain pool, resilient pool
-    (fault-free — its delta over the plain pool is the supervision
-    overhead, kept under a few percent), and resilient pool with shard 0's
-    first attempt killed by a real ``os._exit`` in the worker (the delta
-    over the fault-free leg is the detect-rebuild-rerun recovery cost).
+    Two legs on the ``measured`` sweep's plan: the healthy pool, and the
+    pool with shard 0's first attempt killed by a real ``os._exit`` in the
+    worker (the delta over the healthy leg is the detect-rebuild-rerun
+    recovery cost).
     """
     noise_model = depolarizing_noise_model()
     width = min(config.max_qubits, 10)

@@ -135,9 +135,10 @@ DEFAULT_ALLOWLIST: tuple[AllowlistEntry, ...] = (
     ),
     # -- det-clock: the single sanctioned clock site -----------------------
     # Every other module (engine CostCounters, dispatcher wall times, the
-    # resilient supervision loop, calibration timers, experiment harnesses)
-    # now routes through these helpers, so one entry covers the whole tree
-    # and the ``obs-clock`` rule enforces the routing structurally.
+    # pool dispatcher's supervision loop, calibration timers, experiment
+    # harnesses) now routes through these helpers, so one entry covers the
+    # whole tree and the ``obs-clock`` rule enforces the routing
+    # structurally.
     AllowlistEntry(
         "det-clock", "*obs/clock.py", "time.*",
         "repro.obs.clock is the one sanctioned clock surface: it wraps "

@@ -34,7 +34,7 @@ __all__ = [
 DISPATCH_PREFIX = "dispatch."
 #: Counter mirroring ``metadata["dispatch"]["replayed_prefix_gates"]``.
 REPLAYED_PREFIX_GATES = DISPATCH_PREFIX + "replayed_prefix_gates"
-#: Namespace for the resilient supervision loop's scalar telemetry.
+#: Namespace for the pool dispatcher's supervision telemetry (scalars).
 RESILIENCE_PREFIX = DISPATCH_PREFIX + "resilience."
 
 #: Scalar counts kept as counters (``RESILIENCE_PREFIX + name``).

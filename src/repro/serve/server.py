@@ -422,7 +422,7 @@ class SimulationServer:
         tracer: AnyTracer,
     ) -> SimulationResult:
         if self.workers > 1:
-            dispatcher = PoolDispatcher(
+            with PoolDispatcher(
                 noise_model=noise_model,
                 seed=request.seed,
                 num_workers=self.workers,
@@ -431,8 +431,8 @@ class SimulationServer:
                 max_batch=decision.max_batch,
                 cost_model=self.cost_model,
                 tracer=tracer,
-            )
-            return dispatcher.run(fused, request.shots, plan=plan)
+            ) as dispatcher:
+                return dispatcher.run(fused, request.shots, plan=plan)
         engine = TQSimEngine(
             noise_model=noise_model,
             seed=request.seed,

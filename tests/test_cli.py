@@ -135,10 +135,3 @@ def test_parser_accepts_calibration_flags():
 def test_run_rejects_non_positive_shots(capsys, bad_shots):
     assert main(["run", "fig13", "--shots", bad_shots]) == 2
     assert "--shots must be >= 1" in capsys.readouterr().out
-
-
-def test_parser_accepts_resilient_flag():
-    args = build_parser().parse_args(["run", "fig13", "--resilient"])
-    assert args.resilient is True
-    args = build_parser().parse_args(["run", "fig13"])
-    assert args.resilient is False

@@ -22,10 +22,10 @@ from repro.core.engine import frontier_windows
 from repro.core.pathrng import run_root_key
 from repro.dispatch import (
     FaultInjector,
-    PoolBrokenError,
     PoolDispatcher,
     SerialDispatcher,
     ShardPlanner,
+    ShardRetryExhaustedError,
     ShardSpec,
     run_shard,
 )
@@ -256,9 +256,9 @@ def test_pool_dispatcher_starts_a_fresh_pool_after_a_failed_run(qft5):
     noise = _noise()
     dispatcher = PoolDispatcher(
         noise, seed=29, num_workers=2, num_shards=2,
-        fault_injector=FaultInjector(crashes=((0, 0),)),
+        fault_injector=FaultInjector(raises=((0, 0),)), max_retries=0,
     )
-    with pytest.raises(PoolBrokenError):
+    with pytest.raises(ShardRetryExhaustedError):
         dispatcher.run(qft5, SHOTS, partitioner=PARTITIONER)
     dispatcher.fault_injector = None
     result = dispatcher.run(qft5, SHOTS, partitioner=PARTITIONER)

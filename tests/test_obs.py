@@ -7,7 +7,7 @@ Two families of guarantees:
   summary and drift aggregation, the ambient-tracer context manager.
 * **Inertness** — the load-bearing claim that enabling tracing cannot
   change results: the five-way bitwise identity (the engine under both
-  registry names, Serial/Pool/Resilient dispatch — the resilient leg with an
+  registry names, Serial and Pool dispatch, and Pool dispatch with an
   injected worker crash) re-run traced and untraced, plus the
   backward-compatible telemetry views that keep the legacy metadata keys
   byte-for-byte while the counters live on the obs schema.
@@ -26,7 +26,6 @@ from repro.core.engine import TQSimEngine
 from repro.dispatch import (
     FaultInjector,
     PoolDispatcher,
-    ResilientPoolDispatcher,
     SerialDispatcher,
 )
 from repro.noise import depolarizing_noise_model
@@ -391,7 +390,7 @@ def _five_ways(qft5, plan):
         "pool": lambda: PoolDispatcher(
             _noise(), seed=SEED, num_shards=2, num_workers=2
         ).run(qft5, SHOTS, plan=plan),
-        "resilient-crash": lambda: ResilientPoolDispatcher(
+        "pool-crash": lambda: PoolDispatcher(
             _noise(), seed=SEED, num_shards=2, num_workers=4,
             fault_injector=injector, backoff_base_seconds=0.0,
         ).run(qft5, SHOTS, plan=plan),
@@ -430,14 +429,14 @@ def test_untraced_runs_record_no_spans(qft5):
 def test_traced_resilient_crash_produces_merged_cross_process_trace(qft5):
     """The acceptance scenario: 4 workers, one injected crash, one trace."""
     plan = _plan(qft5)
-    untraced = ResilientPoolDispatcher(
+    untraced = PoolDispatcher(
         _noise(), seed=SEED, num_shards=2, num_workers=4,
         fault_injector=FaultInjector(crashes=((0, 0),)),
         backoff_base_seconds=0.0,
     ).run(qft5, SHOTS, plan=plan)
 
     tracer = Tracer()
-    traced = ResilientPoolDispatcher(
+    traced = PoolDispatcher(
         _noise(), seed=SEED, num_shards=2, num_workers=4,
         fault_injector=FaultInjector(crashes=((0, 0),)),
         backoff_base_seconds=0.0, tracer=tracer,
@@ -467,7 +466,7 @@ def test_legacy_dispatch_metadata_identical_traced_and_untraced(qft5):
     plan = _plan(qft5)
 
     def run(tracer):
-        return ResilientPoolDispatcher(
+        return PoolDispatcher(
             _noise(), seed=SEED, num_shards=2, num_workers=2,
             fault_injector=FaultInjector(crashes=((0, 0),)),
             backoff_base_seconds=0.0, tracer=tracer,

@@ -1,7 +1,7 @@
 """Fault-tolerant dispatch: every failure mode, bitwise-checked.
 
-The load-bearing claim of :mod:`repro.dispatch.resilient`: whatever faults
-strike — worker crashes, hangs past the timeout, transient exceptions,
+The load-bearing claim of the pool dispatcher's supervision loop: whatever
+faults strike — worker crashes, hangs past the timeout, transient exceptions,
 stragglers racing a speculative re-shard, even a full degrade to in-process
 execution — the merged counts *and* cost counters are bitwise identical to
 the :class:`~repro.dispatch.SerialDispatcher` with the same root seed.  The
@@ -13,7 +13,10 @@ plain assertion instead of a flaky stress test, and the telemetry under
 from __future__ import annotations
 
 import multiprocessing
+import os
 import pickle
+import signal
+import sys
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, wait
@@ -26,16 +29,14 @@ from repro.dispatch import (
     DispatchError,
     FaultInjector,
     InjectedFaultError,
-    PoolBrokenError,
     PoolDispatcher,
-    ResilientPoolDispatcher,
     SerialDispatcher,
-    ShardExecutionError,
     ShardPlanner,
     ShardRetryExhaustedError,
     ShardTimeoutError,
     split_shard_spec,
 )
+from repro.dispatch.dispatchers import MP_CONTEXT
 from repro.noise import ReadoutError, depolarizing_noise_model
 
 SHOTS = 180
@@ -58,15 +59,15 @@ def _noise():
     return model
 
 
-def _serial(qft5):
+def _serial(qft5, partitioner=PARTITIONER):
     return SerialDispatcher(
         _noise(), seed=SEED, num_shards=3
-    ).run(qft5, SHOTS, partitioner=PARTITIONER)
+    ).run(qft5, SHOTS, partitioner=partitioner)
 
 
-def _resilient(qft5, workers, injector=None, **kwargs):
+def _pool(qft5, workers, injector=None, **kwargs):
     options = {**FAST, **kwargs}
-    dispatcher = ResilientPoolDispatcher(
+    dispatcher = PoolDispatcher(
         _noise(), seed=SEED, num_shards=3, num_workers=workers,
         fault_injector=injector, **options,
     )
@@ -108,7 +109,7 @@ def _assert_no_orphans(pre_existing, deadline_seconds=5.0):
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
 def test_fault_free_bitwise_identical_to_serial(qft5, workers):
     reference = _serial(qft5)
-    result = _resilient(qft5, workers)
+    result = _pool(qft5, workers)
     _assert_bitwise(result, reference)
     telemetry = _telemetry(result)
     assert telemetry["attempts"] == [1, 1, 1]
@@ -117,7 +118,7 @@ def test_fault_free_bitwise_identical_to_serial(qft5, workers):
     assert telemetry["failures"] == []
     assert telemetry["pool_rebuilds"] == 0
     assert telemetry["degraded"] is False
-    assert result.metadata["dispatch"]["mode"] == "resilient-pool"
+    assert result.metadata["dispatch"]["mode"] == "pool"
     # The timeout budget is derived per shard from the cost estimate.
     assert len(telemetry["timeout_seconds"]) == 3
     assert all(t > 0 for t in telemetry["timeout_seconds"])
@@ -130,7 +131,7 @@ def test_fault_free_bitwise_identical_to_serial(qft5, workers):
 def test_worker_crash_recovers_bitwise(qft5, workers):
     reference = _serial(qft5)
     injector = FaultInjector(crashes=((1, 0),))
-    result = _resilient(qft5, workers, injector)
+    result = _pool(qft5, workers, injector)
     _assert_bitwise(result, reference)
     telemetry = _telemetry(result)
     assert telemetry["pool_rebuilds"] >= 1
@@ -156,12 +157,12 @@ def test_crash_before_next_submit_recovers_bitwise(qft5, monkeypatch):
             self.last = super().submit(fn, *args, **kwargs)
             return self.last
 
-    def make_pool(self, num_workers):
-        context = multiprocessing.get_context(self.mp_context)
-        return SubmitsAfterPreviousFinished(num_workers, mp_context=context)
+    def make_slot(self):
+        context = multiprocessing.get_context(MP_CONTEXT)
+        return SubmitsAfterPreviousFinished(1, mp_context=context)
 
-    monkeypatch.setattr(ResilientPoolDispatcher, "_make_pool", make_pool)
-    result = _resilient(qft5, 2, FaultInjector(crashes=((0, 0),)))
+    monkeypatch.setattr(PoolDispatcher, "_make_slot", make_slot)
+    result = _pool(qft5, 2, FaultInjector(crashes=((0, 0),)))
     _assert_bitwise(result, _serial(qft5))
     telemetry = _telemetry(result)
     assert telemetry["pool_rebuilds"] == 1
@@ -178,7 +179,7 @@ def test_crash_is_charged_to_the_crashed_shard_alone(qft5, workers):
     timing.  Shard 2's fault on attempt 1 never fires, because the crash
     of shard 1 does not cost shard 2 its first attempt."""
     injector = FaultInjector(crashes=((1, 0),), raises=((2, 1),))
-    result = _resilient(qft5, workers, injector)
+    result = _pool(qft5, workers, injector)
     _assert_bitwise(result, _serial(qft5))
     telemetry = _telemetry(result)
     assert telemetry["attempts"] == [1, 2, 1]
@@ -204,12 +205,12 @@ def test_worker_death_while_idle_recovers_without_charging_a_shard(
                 raise BrokenProcessPool("worker died while idle")
             return super().submit(fn, *args, **kwargs)
 
-    def make_pool(self, num_workers):
-        context = multiprocessing.get_context(self.mp_context)
-        return BreaksOnSecondSubmit(num_workers, mp_context=context)
+    def make_slot(self):
+        context = multiprocessing.get_context(MP_CONTEXT)
+        return BreaksOnSecondSubmit(1, mp_context=context)
 
-    monkeypatch.setattr(ResilientPoolDispatcher, "_make_pool", make_pool)
-    result = _resilient(qft5, 1)
+    monkeypatch.setattr(PoolDispatcher, "_make_slot", make_slot)
+    result = _pool(qft5, 1)
     _assert_bitwise(result, _serial(qft5))
     telemetry = _telemetry(result)
     assert submits == [0, 1, 1, 2]
@@ -226,7 +227,7 @@ def test_hang_times_out_and_retries_bitwise(qft5, workers):
     reference = _serial(qft5)
     pre_existing = set(multiprocessing.active_children())
     injector = FaultInjector(hangs=((0, 0),), hang_seconds=30.0)
-    result = _resilient(
+    result = _pool(
         qft5, workers, injector,
         min_timeout_seconds=0.4, max_timeout_seconds=0.4,
     )
@@ -251,7 +252,7 @@ def test_hang_times_out_and_retries_bitwise(qft5, workers):
 def test_transient_failure_retries_bitwise(qft5, workers):
     reference = _serial(qft5)
     injector = FaultInjector(raises=((2, 0),))
-    result = _resilient(qft5, workers, injector)
+    result = _pool(qft5, workers, injector)
     _assert_bitwise(result, reference)
     telemetry = _telemetry(result)
     assert telemetry["retries"] >= 1
@@ -267,7 +268,7 @@ def test_transient_failure_retries_bitwise(qft5, workers):
 def test_retries_exhausted_raises_typed_error(qft5):
     # Shard 2 fails on every attempt it is allowed: initial + 1 retry.
     injector = FaultInjector(raises=((2, 0), (2, 1)))
-    dispatcher = ResilientPoolDispatcher(
+    dispatcher = PoolDispatcher(
         _noise(), seed=SEED, num_shards=3, num_workers=2,
         fault_injector=injector, max_retries=1, **FAST,
     )
@@ -287,7 +288,7 @@ def test_straggler_speculation_wins_bitwise(qft5, workers):
     # the other workers go idle; the speculative re-shard must win the race
     # and merge to the same bits.
     injector = FaultInjector(slowdowns=((1, 0, 8.0),))
-    result = _resilient(
+    result = _pool(
         qft5, workers, injector,
         straggler_min_seconds=0.3, straggler_factor=1.0,
     )
@@ -304,7 +305,7 @@ def test_straggler_speculation_loses_gracefully(qft5):
     # could (speculation itself is also slowed by the injected delay on
     # higher attempts being absent — the primary simply wins).
     injector = FaultInjector(slowdowns=((1, 0, 0.4),))
-    result = _resilient(
+    result = _pool(
         qft5, 2, injector,
         straggler_min_seconds=0.1, straggler_factor=1.0,
     )
@@ -328,7 +329,7 @@ def test_degrades_to_in_process_after_rebuild_budget(qft5):
     injector = FaultInjector(
         crashes=((0, 0), (0, 1), (0, 2), (0, 3), (0, 4))
     )
-    result = _resilient(
+    result = _pool(
         qft5, 2, injector, max_pool_rebuilds=2, max_retries=10,
     )
     _assert_bitwise(result, reference)
@@ -343,14 +344,14 @@ def test_degrades_to_in_process_after_rebuild_budget(qft5):
 # ---------------------------------------------------------------------------
 def test_faulty_run_is_run_to_run_deterministic(qft5):
     injector = FaultInjector(crashes=((1, 0),), raises=((2, 1),))
-    first = _resilient(qft5, 2, injector)
-    second = _resilient(qft5, 2, injector)
+    first = _pool(qft5, 2, injector)
+    second = _pool(qft5, 2, injector)
     _assert_bitwise(first, second)
     assert _telemetry(first)["attempts"] == _telemetry(second)["attempts"]
 
 
 def test_backoff_jitter_is_deterministic(qft5):
-    dispatcher = ResilientPoolDispatcher(_noise(), seed=SEED, num_workers=2)
+    dispatcher = PoolDispatcher(_noise(), seed=SEED, num_workers=2)
     delays = [dispatcher._backoff_seconds(3, a) for a in (1, 2, 3)]
     again = [dispatcher._backoff_seconds(3, a) for a in (1, 2, 3)]
     assert delays == again
@@ -360,23 +361,21 @@ def test_backoff_jitter_is_deterministic(qft5):
 
 
 # ---------------------------------------------------------------------------
-# Satellite 1: PoolDispatcher cancels pending futures on shard failure
+# Fail fast: max_retries=0 raises on the first failed attempt
 # ---------------------------------------------------------------------------
 def test_pool_dispatcher_cancels_pending_on_failure(qft5):
     # One worker, three shards: shard 0 raises immediately, shards 1 and 2
-    # are slowed by 2 s each and still queued when it does.  Without
-    # cancel_futures the shutdown would run both to completion (~4 s).
+    # are slowed by 2 s each and still waiting for the worker when it does.
+    # A failed run must not wait them out (~4 s).
     injector = FaultInjector(
         raises=((0, 0),), slowdowns=((1, 0, 2.0), (2, 0, 2.0))
     )
     dispatcher = PoolDispatcher(
         _noise(), seed=SEED, num_shards=3, num_workers=1,
-        fault_injector=injector,
+        fault_injector=injector, max_retries=0,
     )
     start = time.monotonic()
-    # InjectedFaultError is already a typed DispatchError, so it propagates
-    # unwrapped; a foreign exception would be wrapped as ShardExecutionError.
-    with pytest.raises(DispatchError):
+    with pytest.raises(ShardRetryExhaustedError):
         dispatcher.run(qft5, SHOTS, partitioner=PARTITIONER)
     elapsed = time.monotonic() - start
     assert elapsed < 1.5, "pending shards were not cancelled on failure"
@@ -392,22 +391,114 @@ def test_failed_pool_run_leaves_no_pool_thread_behind(qft5):
     )
     dispatcher = PoolDispatcher(
         _noise(), seed=SEED, num_shards=3, num_workers=1,
-        fault_injector=injector,
+        fault_injector=injector, max_retries=0,
     )
     before = set(threading.enumerate())
-    with pytest.raises(DispatchError):
+    with pytest.raises(ShardRetryExhaustedError):
         dispatcher.run(qft5, SHOTS, partitioner=PARTITIONER)
     assert set(threading.enumerate()) <= before
 
 
-def test_pool_dispatcher_wraps_worker_crash_as_typed_error(qft5):
-    injector = FaultInjector(crashes=((0, 0),))
-    dispatcher = PoolDispatcher(
-        _noise(), seed=SEED, num_shards=3, num_workers=1,
-        fault_injector=injector,
-    )
-    with pytest.raises(PoolBrokenError):
+# ---------------------------------------------------------------------------
+# Worker slots kept between runs
+# ---------------------------------------------------------------------------
+def _slot_pids(dispatcher):
+    """Each kept slot's worker pid (None before the slot's first attempt)."""
+    return [
+        next(iter(pool._processes or {}), None) for pool in dispatcher._slots
+    ]
+
+
+@pytest.mark.parametrize("workers", WORKER_COUNTS)
+def test_two_runs_reuse_the_same_worker_pids(qft5, workers):
+    reference = _serial(qft5)
+    with PoolDispatcher(
+        _noise(), seed=SEED, num_shards=3, num_workers=workers, **FAST
+    ) as dispatcher:
+        first = dispatcher.run(qft5, SHOTS, partitioner=PARTITIONER)
+        pids = _slot_pids(dispatcher)
+        second = dispatcher.run(qft5, SHOTS, partitioner=PARTITIONER)
+        assert _slot_pids(dispatcher) == pids
+    assert None not in pids
+    for result in (first, second):
+        _assert_bitwise(result, reference)
+
+
+def test_recovered_crash_replaces_only_the_crashed_worker(qft5):
+    with PoolDispatcher(
+        _noise(), seed=SEED, num_shards=3, num_workers=3, **FAST
+    ) as dispatcher:
         dispatcher.run(qft5, SHOTS, partitioner=PARTITIONER)
+        before = _slot_pids(dispatcher)
+        dispatcher.fault_injector = FaultInjector(crashes=((1, 0),))
+        result = dispatcher.run(qft5, SHOTS, partitioner=PARTITIONER)
+        after = _slot_pids(dispatcher)
+    _assert_bitwise(result, _serial(qft5))
+    assert _telemetry(result)["pool_rebuilds"] == 1
+    # Shard s starts on slot s, so the crash of shard 1 costs slot 1 alone.
+    assert (after[0], after[2]) == (before[0], before[2])
+    assert after[1] != before[1]
+
+
+def test_worker_killed_between_runs_is_replaced_free_of_charge(qft5):
+    with PoolDispatcher(
+        _noise(), seed=SEED, num_shards=3, num_workers=2, **FAST
+    ) as dispatcher:
+        dispatcher.run(qft5, SHOTS, partitioner=PARTITIONER)
+        pids = _slot_pids(dispatcher)
+        victim = dispatcher._slots[1]
+        os.kill(pids[1], signal.SIGKILL)
+        deadline = time.monotonic() + 5.0
+        while not getattr(victim, "_broken", False):
+            assert time.monotonic() < deadline, "the dead worker went unseen"
+            time.sleep(0.01)
+        result = dispatcher.run(qft5, SHOTS, partitioner=PARTITIONER)
+        assert dispatcher._slots[1] is not victim
+        assert _slot_pids(dispatcher)[0] == pids[0]
+    _assert_bitwise(result, _serial(qft5))
+    telemetry = _telemetry(result)
+    assert telemetry["pool_rebuilds"] == 0
+    assert telemetry["failures"] == []
+    assert telemetry["attempts"] == [1, 1, 1]
+
+
+def test_threads_sharing_a_dispatcher_take_turns(qft5):
+    """Runs share the dispatcher's slots, so they take turns: each merges
+    to its own serial bits and reports its own telemetry."""
+    partitioners = {3: PARTITIONER, 2: ManualPartitioner((2, 90))}
+    dispatcher = PoolDispatcher(
+        _noise(), seed=SEED, num_shards=3, num_workers=2, **FAST
+    )
+    results = {shards: [] for shards in partitioners}
+
+    def client(shards):
+        for _ in range(3):
+            results[shards].append(dispatcher.run(
+                qft5, SHOTS, partitioner=partitioners[shards]
+            ))
+
+    threads = [
+        threading.Thread(target=client, args=(shards,))
+        for shards in partitioners
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120.0)
+    finally:
+        sys.setswitchinterval(interval)
+        dispatcher.close()
+    assert not any(thread.is_alive() for thread in threads)
+    for shards, partitioner in partitioners.items():
+        reference = _serial(qft5, partitioner)
+        assert len(results[shards]) == 3
+        for result in results[shards]:
+            _assert_bitwise(result, reference)
+            assert result.metadata["dispatch"]["num_shards"] == shards
+            assert _telemetry(result)["attempts"] == [1] * shards
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +507,7 @@ def test_pool_dispatcher_wraps_worker_crash_as_typed_error(qft5):
 @pytest.mark.parametrize("shots", [0, -1])
 @pytest.mark.parametrize(
     "dispatcher_class",
-    [SerialDispatcher, PoolDispatcher, ResilientPoolDispatcher],
+    [SerialDispatcher, PoolDispatcher],
 )
 def test_dispatchers_reject_non_positive_shots(qft5, dispatcher_class, shots):
     dispatcher = dispatcher_class(_noise(), seed=SEED, num_shards=2)
@@ -483,10 +574,8 @@ def test_fault_injector_is_picklable_and_inert_by_default():
 
 def test_dispatch_errors_pickle_round_trip():
     errors = [
-        ShardExecutionError(3, 1, "boom"),
         ShardTimeoutError(2, 0, 1.5),
         ShardRetryExhaustedError(1, 4, "last"),
-        PoolBrokenError("pool died"),
         InjectedFaultError("injected"),
     ]
     for error in errors:
@@ -494,8 +583,8 @@ def test_dispatch_errors_pickle_round_trip():
         assert type(clone) is type(error)
         assert str(clone) == str(error)
         assert isinstance(clone, DispatchError)
-    clone = pickle.loads(pickle.dumps(errors[0]))
-    assert (clone.shard, clone.attempt) == (3, 1)
+    clone = pickle.loads(pickle.dumps(errors[1]))
+    assert (clone.shard, clone.attempts) == (1, 4)
 
 
 def test_injector_faults_recorded_in_worker_metadata(qft5):

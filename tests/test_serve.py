@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -157,6 +158,19 @@ def test_warm_counts_bitwise_identical_to_pool_cold():
     assert cold.counts == reference.counts
     assert warm.cached
     assert warm.counts == reference.counts
+
+
+def test_pool_cold_requests_leave_no_child_process_alive():
+    """A multi-worker cold request closes the dispatcher it starts."""
+    before = set(multiprocessing.active_children())
+    with SimulationServer(workers=2) as server:
+        for seed in (1, 2):
+            response = server.handle(
+                _request(qft_circuit(5), noise="DC", seed=seed)
+            )
+            assert response.ok and not response.cached
+            assert "dispatch" in response.metadata
+            assert set(multiprocessing.active_children()) <= before
 
 
 def test_distinct_seeds_share_caches_but_not_counts():
