@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.core.costmodel import CostModel
+from repro.core.engine import default_chunk_cap
 
 __all__ = [
     "AdmissionDecision",
@@ -79,7 +80,11 @@ def batched_tree_pool_states(arities, max_batch: int) -> int:
     traversal's frontier chunks span the children of several parents, so
     it holds one ``(min(frontier_i, max_batch), 2**n)`` buffer per layer
     (see :class:`~repro.core.engine.TQSimEngine`); this is their total row
-    count — at most ``layers * cap``, and one state per layer at cap 1.
+    count — at most ``layers * cap`` states, and one state per layer at
+    cap 1.  At the default cap
+    (:func:`~repro.core.engine.default_chunk_cap`) that bound is
+    ``layers * max(2**15, 2**n)`` amplitudes: a layer holds about 512 KiB
+    below 15 qubits and one state from 15 qubits up.
     """
     if max_batch < 1:
         raise ValueError("max_batch must be >= 1")
@@ -170,12 +175,14 @@ def admit_plan(
     subcircuit_lengths: Sequence[int],
     memory_bytes: float,
     cost_model: CostModel | None = None,
-    max_batch: int = 64,
+    max_batch: int | None = None,
     prefix_states: int = 0,
 ) -> AdmissionDecision:
     """Admit one plan under a memory budget and pick its chunk cap.
 
-    Memory first: the requested cap is lowered (via
+    The requested cap is ``max_batch``, or the engine's default cap at
+    ``num_qubits`` (:func:`~repro.core.engine.default_chunk_cap`) when it
+    is ``None``.  Memory first: the requested cap is lowered (via
     :func:`max_batch_for_budget`) until the chunk pool fits, bottoming out
     at the one-state-per-layer footprint.  Then, when a calibrated cost
     model is available, the plan is priced with
@@ -191,6 +198,8 @@ def admit_plan(
     reported as part of ``peak_bytes``, so a cache-warmed run cannot be
     admitted past what it will actually hold resident.
     """
+    if max_batch is None:
+        max_batch = default_chunk_cap(num_qubits)
     if max_batch < 1:
         raise ValueError("max_batch must be >= 1")
     if prefix_states < 0:

@@ -121,7 +121,7 @@ class CostModel:
         arities: Sequence[int],
         subcircuit_lengths: Sequence[int],
         batched: bool = True,
-        max_batch: int = 64,
+        max_batch: int | None = None,
     ) -> float:
         """Predicted wall seconds of one tree traversal of the plan.
 
@@ -130,14 +130,21 @@ class CostModel:
         costs one copy, and the nodes execute in ``ceil(frontier_i /
         max_batch)`` frontier chunks (a chunk spans the children of several
         parents), each gate costing one kernel call per chunk at the affine
-        batched rate.  ``batched=False`` prices one node at a time (cap 1)
-        at the single-state ``gate_ns`` instead.  Leaves add one outcome
-        draw each.
+        batched rate.  ``max_batch=None`` prices the cap the engine runs
+        by default at this model's width
+        (:func:`~repro.core.engine.default_chunk_cap`).  ``batched=False``
+        prices one node at a time (cap 1) at the single-state ``gate_ns``
+        instead.  Leaves add one outcome draw each.
         """
         arities = [int(a) for a in arities]
         lengths = [int(length) for length in subcircuit_lengths]
         if len(arities) != len(lengths):
             raise ValueError("need one arity per subcircuit")
+        if max_batch is None:
+            # The engine imports this module through the partitioners.
+            from repro.core.engine import default_chunk_cap
+
+            max_batch = default_chunk_cap(self.num_qubits)
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         total_ns = 0.0
@@ -165,9 +172,10 @@ class CostModel:
         arities: Sequence[int],
         subcircuit_lengths: Sequence[int],
         batched: bool = True,
-        max_batch: int = 64,
+        max_batch: int | None = None,
     ) -> float:
-        """Baseline-over-plan wall-time ratio at the plan's own leaf count."""
+        """Baseline-over-plan wall-time ratio at the plan's own leaf count
+        (``max_batch`` as in :meth:`plan_seconds`)."""
         leaves = math.prod(int(a) for a in arities)
         total = sum(int(length) for length in subcircuit_lengths)
         return self.baseline_seconds(total, leaves) / self.plan_seconds(

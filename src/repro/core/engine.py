@@ -10,16 +10,20 @@ One traversal implements that contract, over *frontier chunks*.  The
 layer-``i+1`` nodes below a chunk of layer-``i`` nodes are the chunk's
 flattened children (row ``r``'s child ``c`` is flat index
 ``r * A_{i+1} + c``), and they execute *together*, the next at most
-``max_batch`` of them per chunk — so one chunk spans the children of
-several parents, and layer ``i`` runs about ``ceil(frontier_i / cap)``
-chunks, where ``frontier_i = A_0 * ... * A_i`` is its node count.  One row
+``cap`` of them per chunk — so one chunk spans the children of several
+parents, and layer ``i`` runs about ``ceil(frontier_i / cap)`` chunks,
+where ``frontier_i = A_0 * ... * A_i`` is its node count.  One row
 gather copies every row's parent state into a ``(B, 2**n)`` block and the
 child subcircuit runs once through the backend's batched kernels instead of
 ``B`` separate passes (the paper's Figure-8 argument: one small statevector
 update does not fill the machine).  At the leaf layer all ``B`` outcomes are
-drawn in one inverse-CDF pass.  The pool holds one
+drawn in one inverse-CDF pass.  The cap is ``max_batch`` when one is given
+and otherwise :func:`default_chunk_cap` of the circuit's width: as many rows
+as fit :data:`DEFAULT_CHUNK_AMPLITUDES` amplitudes, so a chunk holds about
+the same bytes at every width.  The pool holds one
 ``(min(frontier_i, cap), 2**n)`` buffer per layer, so peak memory is
-``sum_i min(frontier_i, cap)`` statevectors, at most ``layers * cap``;
+``sum_i min(frontier_i, cap)`` statevectors, at most ``layers * cap``
+(``layers * max(2**15, 2**n)`` amplitudes at the default cap);
 ``max_batch=1`` is the classic depth-first order with one statevector per
 layer (the Figure-9 footprint).  Every backend runs this traversal — the
 reference backend by looping its kernels over rows — and ``"batched"`` is
@@ -102,16 +106,25 @@ from repro.statevector.sampling import index_to_bitstring
 
 __all__ = [
     "TQSimEngine",
-    "DEFAULT_MAX_TREE_BATCH",
+    "DEFAULT_CHUNK_AMPLITUDES",
+    "default_chunk_cap",
     "frontier_windows",
 ]
 
 
-#: Default ceiling on the frontier-chunk size of the traversal.  Each
-#: layer's pooled buffer holds ``min(frontier_i, max_batch)`` statevectors,
-#: so this bounds peak memory at ``num_layers * max_batch`` states
-#: regardless of arity.
-DEFAULT_MAX_TREE_BATCH = 64
+#: Amplitudes one frontier chunk holds by default: ``2**15`` complex128
+#: amplitudes, 512 KiB.  A chunk of small states fills a kernel call with
+#: many rows and a chunk of wide states with few, so the per-call dispatch
+#: is amortised over about the same work at every width.
+DEFAULT_CHUNK_AMPLITUDES = 2**15
+
+
+def default_chunk_cap(num_qubits: int) -> int:
+    """The frontier-chunk cap a run at ``num_qubits`` uses when no
+    ``max_batch`` is given: the rows that fit
+    :data:`DEFAULT_CHUNK_AMPLITUDES`, and at least one (2048 at 4 qubits,
+    128 at 8, 32 at 10, 1 from 15 up)."""
+    return max(1, DEFAULT_CHUNK_AMPLITUDES >> num_qubits)
 
 
 def frontier_windows(
@@ -235,7 +248,7 @@ class TQSimEngine:
         seed: int | np.random.SeedSequence | None = None,
         backend: str | Backend | None = None,
         copy_cost_in_gates: float = DEFAULT_COPY_COST_IN_GATES,
-        max_batch: int = DEFAULT_MAX_TREE_BATCH,
+        max_batch: int | None = None,
         tracer: AnyTracer | None = None,
     ) -> None:
         """Configure the engine.
@@ -260,7 +273,11 @@ class TQSimEngine:
             statevectors (``frontier_i`` is layer ``i``'s node count).
             Larger values amortise more Python dispatch per kernel call;
             ``1`` runs one node at a time with one statevector per layer.
-            Counts never depend on it.
+            ``None`` — the default — resolves each run to
+            :func:`default_chunk_cap` of the circuit's width, a chunk of
+            :data:`DEFAULT_CHUNK_AMPLITUDES` amplitudes; the resolved cap
+            is recorded under ``metadata["max_batch"]``.  Counts never
+            depend on it.
         tracer:
             Observability hook (see :mod:`repro.obs`).  ``None`` — the
             default — defers to the process-wide tracer from
@@ -269,12 +286,12 @@ class TQSimEngine:
             inert by contract: it never changes counts, counters or RNG
             draws (all clock reads live in :mod:`repro.obs.clock`).
         """
-        if max_batch < 1:
+        if max_batch is not None and max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         self.noise_model = noise_model
         self.backend = get_backend(backend)
         self.copy_cost_in_gates = float(copy_cost_in_gates)
-        self.max_batch = int(max_batch)
+        self.max_batch = None if max_batch is None else int(max_batch)
         self.tracer = tracer
         self._root_key = root_key_from_seed(seed)
         self._runs_started = 0
@@ -342,6 +359,7 @@ class TQSimEngine:
             run_key, layer, start, stop = shard
         windows = frontier_windows(arities, layer, start, stop)
         produced = (stop - start) * math.prod(arities[layer + 1 :])
+        cap = self._chunk_cap(circuit.num_qubits)
 
         tracer = self.tracer if self.tracer is not None else get_tracer()
         counts: dict[str, int] = {}
@@ -355,7 +373,7 @@ class TQSimEngine:
                 lengths=[int(length) for length in plan.subcircuit_lengths],
                 backend=self.backend.name,
                 qubits=circuit.num_qubits,
-                chunk_cap=self.max_batch,
+                chunk_cap=cap,
                 # Drift comparisons only make sense for runs covering the
                 # whole tree, which is what CostModel.plan_seconds models.
                 full_tree=(layer, start, stop) == (0, 0, arities[0]),
@@ -369,7 +387,8 @@ class TQSimEngine:
         ):
             noise = [self._match_noise(sub) for sub in plan.subcircuits]
             self._run_tree(
-                circuit, plan, noise, counts, cost, run_key, windows, tracer
+                circuit, plan, noise, counts, cost, run_key, windows, cap,
+                tracer,
             )
         cost.wall_time_seconds = clock.perf_seconds() - began
 
@@ -378,7 +397,7 @@ class TQSimEngine:
             num_qubits=circuit.num_qubits,
             shots=produced,
             cost=cost,
-            metadata=self._metadata(plan, shots, "tree-batched"),
+            metadata=self._metadata(plan, shots, "tree-batched", cap),
         )
 
     def sample_leaves(
@@ -436,7 +455,8 @@ class TQSimEngine:
             shots=len(keys),
             cost=cost,
             metadata=self._metadata(
-                plan, plan.total_outcomes, "sample-leaves"
+                plan, plan.total_outcomes, "sample-leaves",
+                self._chunk_cap(num_qubits),
             ),
         )
 
@@ -447,10 +467,18 @@ class TQSimEngine:
         self._runs_started += 1
         return run_key
 
+    def _chunk_cap(self, num_qubits: int) -> int:
+        """The chunk cap of a run at ``num_qubits``: ``max_batch``, or
+        :func:`default_chunk_cap` when none was given."""
+        if self.max_batch is None:
+            return default_chunk_cap(num_qubits)
+        return self.max_batch
+
     def _metadata(
-        self, plan: PartitionPlan, shots: int, execution: str
+        self, plan: PartitionPlan, shots: int, execution: str, cap: int
     ) -> dict:
-        """The metadata of a result produced from ``plan``."""
+        """The metadata of a result produced from ``plan`` at chunk cap
+        ``cap``."""
         return {
             "simulator": "tqsim",
             "backend": self.backend.name,
@@ -464,7 +492,7 @@ class TQSimEngine:
                 self.copy_cost_in_gates
             ),
             "noise_model": self.noise_model.name if self.noise_model else "ideal",
-            "max_batch": self.max_batch,
+            "max_batch": cap,
         }
 
     def _match_noise(self, subcircuit: Circuit) -> _LayerNoise:
@@ -571,15 +599,17 @@ class TQSimEngine:
         cost: CostCounters,
         run_key: int,
         windows: Sequence[tuple[int, int, int]],
+        cap: int,
         tracer: AnyTracer = NULL_TRACER,
     ) -> None:
-        """Depth-first traversal over frontier chunks.
+        """Depth-first traversal over frontier chunks of at most ``cap``
+        rows.
 
         Runs layer ``i``'s nodes ``[lo, hi)`` of ``windows[i]`` (every node
         for a full run).  The nodes of layer ``i`` below the live
         layer-``i-1`` chunk are that chunk's flattened children — row ``r``'s
         child ``c`` is flat index ``r * A_i + c`` — clamped to the layer's
-        window, and each chunk takes the next at most ``max_batch`` of them,
+        window, and each chunk takes the next at most ``cap`` of them,
         so one chunk spans the children of several parents and layer ``i``
         runs about ``ceil((hi - lo) / cap)`` chunks.  ``pool[i]`` is a
         ``(min(hi - lo, cap), 2**n)`` buffer.  A chunk runs one batched
@@ -597,7 +627,6 @@ class TQSimEngine:
         into chunks — which is what makes both the chunking and any sharding
         of the tree bitwise reproducible.
         """
-        cap = self.max_batch
         pool = [
             self.backend.allocate_batch(circuit.num_qubits, min(hi - lo, cap))
             for lo, hi, _ in windows

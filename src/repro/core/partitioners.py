@@ -235,7 +235,8 @@ class DynamicCircuitPartitioner(CircuitPartitioner):
     trusting the single analytic ``k``: it sweeps every feasible remaining
     subcircuit count (see
     :func:`repro.circuits.partition.candidate_part_counts`), prices each
-    candidate tree with :meth:`CostModel.plan_seconds` — which knows about
+    candidate tree with :meth:`CostModel.plan_seconds` at the chunk cap a
+    default engine runs the circuit at — the model knows about
     batched-kernel amortisation and chunking, not just gate counts — and
     returns the plan with the lowest predicted wall time.  The analytic plan
     is always among the candidates, so calibration can only match or beat
@@ -292,6 +293,9 @@ class DynamicCircuitPartitioner(CircuitPartitioner):
     def _plan_calibrated(self, circuit: Circuit, shots: int,
                          noise_model: NoiseModel | None) -> PartitionPlan:
         """Sweep feasible subcircuit counts, pick the cheapest predicted plan."""
+        # The engine imports this module.
+        from repro.core.engine import default_chunk_cap
+
         model = self.cost_model
         assert model is not None
         min_gates = max(1, int(math.ceil(self.copy_cost_in_gates)))
@@ -304,6 +308,9 @@ class DynamicCircuitPartitioner(CircuitPartitioner):
                     remaining, min_gates, self.max_candidate_subcircuits
                 )
             )
+        # Each candidate is priced at the cap a default engine runs it at,
+        # which depends on the circuit's width, not the model's.
+        cap = default_chunk_cap(circuit.num_qubits)
         best: PartitionPlan | None = None
         best_seconds = math.inf
         seen: set[tuple] = set()
@@ -321,7 +328,7 @@ class DynamicCircuitPartitioner(CircuitPartitioner):
             seen.add(signature)
             considered += 1
             seconds = model.plan_seconds(
-                plan.tree.arities, plan.subcircuit_lengths
+                plan.tree.arities, plan.subcircuit_lengths, max_batch=cap
             )
             if seconds < best_seconds:
                 best, best_seconds = plan, seconds

@@ -89,6 +89,7 @@ from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wai
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import suppress
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait as wait_for_sentinels
 from typing import Any
 
 import numpy as np
@@ -96,7 +97,6 @@ import numpy as np
 from repro.circuits.circuit import Circuit
 from repro.core.copycost import DEFAULT_COPY_COST_IN_GATES
 from repro.core.costmodel import CostModel, estimate_shard_seconds
-from repro.core.engine import DEFAULT_MAX_TREE_BATCH
 from repro.core.partitioners import CircuitPartitioner, PartitionPlan
 from repro.core.pathrng import PathStream, child_key, run_root_key
 from repro.core.results import SimulationResult, merge_many
@@ -197,6 +197,17 @@ def _reap_executor_processes(
         manager.join(timeout=grace_seconds)
 
 
+def _slot_worker_exited(pool: ProcessPoolExecutor) -> bool:
+    """Whether a kept slot's worker has died: the executor already noticed
+    (its ``_broken`` flag), or the process has exited (its sentinel is
+    ready) before the executor's manager thread saw it."""
+    if getattr(pool, "_broken", False):
+        return True
+    processes = (getattr(pool, "_processes", None) or {}).values()
+    sentinels = [process.sentinel for process in processes]
+    return bool(sentinels) and bool(wait_for_sentinels(sentinels, timeout=0))
+
+
 def _shutdown_slots(slots: list[ProcessPoolExecutor | None]) -> None:
     """Shut every kept slot down, waiting for its worker to exit."""
     for pool in slots:
@@ -218,7 +229,7 @@ class Dispatcher(ABC):
         num_shards: int | None = None,
         backend: str = "optimized",
         copy_cost_in_gates: float = DEFAULT_COPY_COST_IN_GATES,
-        max_batch: int = DEFAULT_MAX_TREE_BATCH,
+        max_batch: int | None = None,
         max_depth: int = 1,
         cost_model: CostModel | None = None,
         tracer: AnyTracer | None = None,
@@ -481,7 +492,7 @@ class PoolDispatcher(Dispatcher):
         num_shards: int | None = None,
         backend: str = "optimized",
         copy_cost_in_gates: float = DEFAULT_COPY_COST_IN_GATES,
-        max_batch: int = DEFAULT_MAX_TREE_BATCH,
+        max_batch: int | None = None,
         max_depth: int = 1,
         cost_model: CostModel | None = None,
         fault_injector: FaultInjector | None = None,
@@ -663,7 +674,7 @@ class PoolDispatcher(Dispatcher):
             _shutdown_slots(slots)
             slots.extend([None] * num_workers)
         for slot, kept in enumerate(slots):
-            if kept is None or getattr(kept, "_broken", False):
+            if kept is None or _slot_worker_exited(kept):
                 # Not started yet, stopped by the last run, or its worker
                 # died idle: a fresh worker, charged to no run.
                 if kept is not None:

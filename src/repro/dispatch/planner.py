@@ -40,7 +40,7 @@ import numpy as np
 from repro.circuits.circuit import Circuit
 from repro.core.copycost import DEFAULT_COPY_COST_IN_GATES
 from repro.core.costmodel import CostModel
-from repro.core.engine import DEFAULT_MAX_TREE_BATCH, frontier_windows
+from repro.core.engine import default_chunk_cap, frontier_windows
 from repro.core.partitioners import (
     CircuitPartitioner,
     DynamicCircuitPartitioner,
@@ -70,6 +70,11 @@ class ShardSpec:
         The slice: nodes ``[start, stop)`` of layer ``layer``'s flattened
         frontier in the run keyed ``run_key``, with every subtree below
         them (:meth:`~repro.core.engine.TQSimEngine.run`'s ``shard``).
+    max_batch:
+        The worker engine's chunk cap; ``None`` resolves at construction
+        to the engine's default cap at the circuit's width
+        (:func:`~repro.core.engine.default_chunk_cap`), so a spec always
+        carries the int its shard runs at.
     estimated_cost:
         The planner's load estimate for this shard — gate-equivalents
         (subtree gates + state copies at the configured copy cost +
@@ -90,7 +95,7 @@ class ShardSpec:
     requested_shots: int
     backend: str = "optimized"
     copy_cost_in_gates: float = DEFAULT_COPY_COST_IN_GATES
-    max_batch: int = DEFAULT_MAX_TREE_BATCH
+    max_batch: int | None = None
     estimated_cost: float = field(default=0.0, compare=False)
 
     def __post_init__(self) -> None:
@@ -98,6 +103,10 @@ class ShardSpec:
         frontier_windows(
             self.plan.tree.arities, self.layer, self.start, self.stop
         )
+        if self.max_batch is None:
+            object.__setattr__(
+                self, "max_batch", default_chunk_cap(self.circuit.num_qubits)
+            )
 
     @property
     def replayed_prefix_gates(self) -> int:
@@ -139,7 +148,7 @@ class ShardPlanner:
         noise_model: NoiseModel | None = None,
         backend: str = "optimized",
         copy_cost_in_gates: float = DEFAULT_COPY_COST_IN_GATES,
-        max_batch: int = DEFAULT_MAX_TREE_BATCH,
+        max_batch: int | None = None,
         max_depth: int = 1,
         cost_model: CostModel | None = None,
     ) -> None:
@@ -148,7 +157,7 @@ class ShardPlanner:
         self.noise_model = noise_model
         self.backend = backend
         self.copy_cost_in_gates = float(copy_cost_in_gates)
-        self.max_batch = int(max_batch)
+        self.max_batch = None if max_batch is None else int(max_batch)
         self.max_depth = int(max_depth)
         self.cost_model = cost_model
 

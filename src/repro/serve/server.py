@@ -61,7 +61,7 @@ from repro.circuits.qasm import from_qasm
 from repro.circuits.transpile import fuse_single_qubit_runs
 from repro.core.copycost import DEFAULT_COPY_COST_IN_GATES
 from repro.core.costmodel import CostModel
-from repro.core.engine import DEFAULT_MAX_TREE_BATCH, TQSimEngine
+from repro.core.engine import TQSimEngine
 from repro.core.partitioners import DynamicCircuitPartitioner, PartitionPlan
 from repro.core.pathrng import child_key, run_root_key
 from repro.core.results import SimulationResult
@@ -186,6 +186,11 @@ class SimulationServer:
         executor (the job queue).  Simulation releases the GIL poorly, so
         this mainly overlaps planning/transpile with execution — scale-out
         belongs to worker processes, not threads.
+    max_batch:
+        Frontier-chunk cap admission requests; ``None`` — the default —
+        requests the engine's default cap at each request's width
+        (:func:`~repro.core.engine.default_chunk_cap`).  Admission may
+        lower it, and the admitted cap is what the engine runs.
     state_cache_bytes / plan_cache_entries / transpile_cache_entries:
         Budgets of the three cross-request caches; out-of-range budgets
         raise ``ValueError`` (``state_cache_bytes=0`` caches no state, and
@@ -204,7 +209,7 @@ class SimulationServer:
         workers: int = 1,
         executor_threads: int = 4,
         memory_bytes: float = XEON_NODE_MEMORY_BYTES,
-        max_batch: int = DEFAULT_MAX_TREE_BATCH,
+        max_batch: int | None = None,
         copy_cost_in_gates: float = DEFAULT_COPY_COST_IN_GATES,
         cost_model: CostModel | None = None,
         state_cache_bytes: int = DEFAULT_STATE_CACHE_BYTES,

@@ -11,7 +11,11 @@ import math
 
 import pytest
 
-from repro.analysis.memory import AdmissionDecision, admit_plan
+from repro.analysis.memory import (
+    AdmissionDecision,
+    admit_plan,
+    statevector_bytes,
+)
 from repro.circuits.library import qft_circuit
 from repro.circuits.partition import candidate_part_counts
 from repro.core.costmodel import (
@@ -22,6 +26,7 @@ from repro.core.costmodel import (
     load_cost_model_cache,
     save_cost_model_cache,
 )
+from repro.core.engine import default_chunk_cap
 from repro.core.partitioners import DynamicCircuitPartitioner
 from repro.noise import depolarizing_noise_model
 
@@ -83,6 +88,17 @@ def test_plan_seconds_prices_frontier_chunks():
     expected_ns = layer0 + layer1 + 30 * 100 + 30 * 500
     assert model.plan_seconds((3, 10), (2, 5), batched=True,
                               max_batch=4) == pytest.approx(expected_ns * 1e-9)
+
+
+def test_plan_seconds_defaults_to_the_engine_cap_at_the_model_width():
+    model = synthetic_model()
+    # 2**15 amplitudes are 128 eight-qubit rows: 4 chunks of 512 nodes.
+    assert model.plan_seconds((512,), (3,)) == pytest.approx(
+        model.plan_seconds((512,), (3,), max_batch=128)
+    )
+    assert model.plan_seconds((512,), (3,)) < model.plan_seconds(
+        (512,), (3,), max_batch=64
+    )
 
 
 def test_plan_seconds_batched_beats_sequential_when_overhead_dominates():
@@ -256,6 +272,28 @@ def test_calibrated_dcp_annotates_and_never_loses_to_analytic():
     ) * (1 + 1e-12)
 
 
+def test_calibrated_dcp_prices_the_default_cap_of_the_circuit_width():
+    """Candidates are priced at the cap a default engine runs the circuit
+    at (128 rows at 8 qubits), not at the model's width or at 64."""
+    circuit = qft_circuit(8)
+    noise = depolarizing_noise_model()
+    model = synthetic_model(num_qubits=10)
+    plan = DynamicCircuitPartitioner(cost_model=model).plan(
+        circuit, 512, noise
+    )
+    assert math.prod(plan.tree.arities) > 64
+    lengths = plan.subcircuit_lengths
+    predicted = plan.parameters["predicted_seconds"]
+    assert predicted == pytest.approx(
+        model.plan_seconds(
+            plan.tree.arities, lengths, max_batch=default_chunk_cap(8)
+        )
+    )
+    assert predicted < model.plan_seconds(
+        plan.tree.arities, lengths, max_batch=64
+    )
+
+
 def test_calibrated_dcp_still_covers_circuit_and_shots():
     circuit = qft_circuit(5)
     noise = depolarizing_noise_model()
@@ -291,6 +329,20 @@ def test_admit_plan_memory_only_path():
     # Frontier chunks span parents: the cap reaches the largest frontier.
     assert decision.max_batch == 64
     assert decision.predicted_seconds is None
+
+
+def test_admit_plan_without_a_cap_admits_one_wide_state_per_layer():
+    # The default cap at 20 qubits is one row: a default admission holds
+    # one 16 MiB state per layer, where 64 rows were 1 GiB per layer.
+    decision = admit_plan(
+        num_qubits=20,
+        arities=(64, 4),
+        subcircuit_lengths=(10, 10),
+        memory_bytes=8 * 2**30,
+    )
+    assert decision.fits_memory
+    assert decision.max_batch == 1
+    assert decision.peak_bytes == 2 * statevector_bytes(20)
 
 
 def test_admit_plan_shrinks_batch_under_tight_budget():

@@ -13,13 +13,14 @@ import pytest
 
 from repro.analysis.memory import batched_tree_pool_states
 from repro.backends import OptimizedNumpyBackend, get_backend
+from repro.circuits import Circuit
 from repro.core import (
     DynamicCircuitPartitioner,
     ManualPartitioner,
     TQSimEngine,
     UniformCircuitPartitioner,
 )
-from repro.core.engine import DEFAULT_MAX_TREE_BATCH
+from repro.core.engine import DEFAULT_CHUNK_AMPLITUDES, default_chunk_cap
 from repro.noise import NoiseModel, ReadoutError, depolarizing_noise_model
 
 
@@ -49,7 +50,11 @@ def test_noiseless_counts_identical_to_sequential(qft5, max_batch):
     caps = {} if max_batch is None else {"max_batch": max_batch}
     batched = _run(qft5, shots, plan, **caps)
     assert batched.counts == sequential.counts
-    assert batched.metadata["max_batch"] == (max_batch or DEFAULT_MAX_TREE_BATCH)
+    # With no cap given the run resolves the default for the circuit's
+    # width: 2**15 amplitudes are 1024 five-qubit rows.
+    assert batched.metadata["max_batch"] == (
+        max_batch or default_chunk_cap(qft5.num_qubits)
+    )
 
 
 def test_noiseless_counts_identical_with_full_arity_chunks(qft5):
@@ -130,9 +135,45 @@ def test_shots_records_actual_leaves_and_requested_in_metadata(qft5):
 # ---------------------------------------------------------------------------
 # Engine configuration and backend plumbing
 # ---------------------------------------------------------------------------
-def test_max_batch_sets_the_chunk_cap():
-    assert TQSimEngine(max_batch=8).max_batch == 8
-    assert TQSimEngine(backend="batched").max_batch == DEFAULT_MAX_TREE_BATCH
+def test_max_batch_sets_the_chunk_cap(qft5):
+    plan = ManualPartitioner((8, 2)).plan(qft5, 16, None)
+    pinned = TQSimEngine(max_batch=8)
+    assert pinned.max_batch == 8
+    assert pinned.run(qft5, 16, plan=plan).metadata["max_batch"] == 8
+    # Without a cap the engine keeps none and each run resolves the rule's
+    # cap at the circuit's width.
+    default = TQSimEngine(backend="batched")
+    assert default.max_batch is None
+    assert default.run(qft5, 16, plan=plan).metadata["max_batch"] == (
+        default_chunk_cap(qft5.num_qubits)
+    )
+
+
+@pytest.mark.parametrize(
+    "num_qubits, cap",
+    [(1, 16384), (4, 2048), (8, 128), (9, 64), (15, 1), (20, 1)],
+)
+def test_default_chunk_cap_fills_the_amplitude_budget(num_qubits, cap):
+    """The default cap holds 2**15 amplitudes, and at least one state."""
+    assert DEFAULT_CHUNK_AMPLITUDES == 2**15
+    assert default_chunk_cap(num_qubits) == cap
+
+
+def test_default_run_resolves_the_cap_per_width(depolarizing_model):
+    """One default engine runs each circuit at its own width's cap and
+    records it in the metadata and on the ``engine.run`` span."""
+    from repro.obs import Tracer
+
+    tracer = Tracer()
+    engine = TQSimEngine(depolarizing_model, seed=3, tracer=tracer)
+    caps = []
+    for width in (4, 10):
+        circuit = Circuit(width).h(0).cx(0, width - 1)
+        plan = ManualPartitioner((4, 2)).plan(circuit, 8, depolarizing_model)
+        caps.append(engine.run(circuit, 8, plan=plan).metadata["max_batch"])
+    spans = [s for s in tracer.spans if s.name == "engine.run"]
+    assert caps == [2048, 32]
+    assert [s.attributes["chunk_cap"] for s in spans] == caps
 
 
 def test_max_batch_must_be_positive():
@@ -223,6 +264,20 @@ def test_pool_holds_capped_frontiers(qft5, arities, cap, pooled):
     assert sum(backend.rows) == pooled
     assert batched_tree_pool_states(arities, cap) == pooled
     assert len(backend.rows) == len(arities)
+
+
+def test_default_cap_holds_one_wide_state_per_layer(depolarizing_model):
+    """From 15 qubits up a default run pools one state per layer: a
+    16-qubit state is 1 MiB, where 64 rows were 64 MiB per layer."""
+    backend = _RecordingBackend()
+    circuit = Circuit(16).h(0).cx(0, 15).x(7)
+    plan = ManualPartitioner((2, 2)).plan(circuit, 4, depolarizing_model)
+    result = TQSimEngine(depolarizing_model, seed=5, backend=backend).run(
+        circuit, 4, plan=plan
+    )
+    assert backend.rows == [1, 1]
+    assert result.metadata["max_batch"] == 1
+    assert result.cost.leaf_samples == 4
 
 
 def test_pool_is_freed_when_run_returns(qft5, depolarizing_model):

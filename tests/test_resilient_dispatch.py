@@ -21,6 +21,7 @@ import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
+from multiprocessing.connection import wait as wait_for_sentinels
 
 import pytest
 
@@ -452,6 +453,28 @@ def test_worker_killed_between_runs_is_replaced_free_of_charge(qft5):
         while not getattr(victim, "_broken", False):
             assert time.monotonic() < deadline, "the dead worker went unseen"
             time.sleep(0.01)
+        result = dispatcher.run(qft5, SHOTS, partitioner=PARTITIONER)
+        assert dispatcher._slots[1] is not victim
+        assert _slot_pids(dispatcher)[0] == pids[0]
+    _assert_bitwise(result, _serial(qft5))
+    telemetry = _telemetry(result)
+    assert telemetry["pool_rebuilds"] == 0
+    assert telemetry["failures"] == []
+    assert telemetry["attempts"] == [1, 1, 1]
+
+
+def test_worker_killed_just_before_a_run_is_replaced_free_of_charge(qft5):
+    """A run started as soon as the worker is gone, before the executor's
+    manager thread has flagged the slot broken, still replaces it first."""
+    with PoolDispatcher(
+        _noise(), seed=SEED, num_shards=3, num_workers=2, **FAST
+    ) as dispatcher:
+        dispatcher.run(qft5, SHOTS, partitioner=PARTITIONER)
+        pids = _slot_pids(dispatcher)
+        victim = dispatcher._slots[1]
+        process = victim._processes[pids[1]]
+        os.kill(pids[1], signal.SIGKILL)
+        assert wait_for_sentinels([process.sentinel], timeout=5.0)
         result = dispatcher.run(qft5, SHOTS, partitioner=PARTITIONER)
         assert dispatcher._slots[1] is not victim
         assert _slot_pids(dispatcher)[0] == pids[0]
