@@ -2,7 +2,7 @@
 
 Times one full :func:`~repro.core.costmodel.calibrate_cost_model` pass on the
 default backend at the acceptance width and prints the resulting model — the
-per-gate, per-copy, per-batch-row and per-sample costs the calibrated
+per-call, per-batch-row, per-copy and per-sample costs the calibrated
 partition search and the shard balancer consume.  The calibrated model is
 persisted as a JSON artifact (``REPRO_CALIBRATION_CACHE``, default
 ``calibration.json`` next to this file) so CI can diff and archive the
@@ -45,11 +45,11 @@ def test_costmodel_calibration(benchmark):
         f"Calibrated cost model — optimized backend, "
         f"{DEFAULT_CALIBRATION_QUBITS} qubits",
         [
-            {"primitive": "gate_ns", "value": model.gate_ns},
             {"primitive": "copy_ns", "value": model.copy_ns},
             {"primitive": "batch_overhead_ns", "value": model.batch_overhead_ns},
             {"primitive": "batch_row_ns", "value": model.batch_row_ns},
             {"primitive": "sample_ns", "value": model.sample_ns},
+            {"primitive": "one_node_gate_ns", "value": model.one_node_gate_ns},
             {"primitive": "copy_cost_in_gates", "value": model.copy_cost_in_gates},
         ],
     )
@@ -57,7 +57,6 @@ def test_costmodel_calibration(benchmark):
     # positive and the artifact round-trips the exact model.
     assert model.backend == "optimized"
     assert model.num_qubits == DEFAULT_CALIBRATION_QUBITS
-    assert model.gate_ns > 0
     assert model.copy_ns > 0
     assert model.sample_ns > 0
     cached = load_cost_model_cache(ARTIFACT)

@@ -363,19 +363,20 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         return 2
     print(f"== cost model: backend={model.backend} qubits={model.num_qubits} ==")
     rows = [
-        ("gate_ns", model.gate_ns, "one 1q/2q kernel call, single state"),
         ("copy_ns", model.copy_ns, "one statevector copy (the reuse price)"),
         ("batch_overhead_ns", model.batch_overhead_ns,
          "fixed cost per batched kernel call"),
         ("batch_row_ns", model.batch_row_ns,
          "incremental cost per batch row"),
         ("sample_ns", model.sample_ns, "one leaf outcome draw"),
+        ("one_node_gate_ns", model.one_node_gate_ns,
+         "one gate on one node: overhead + one row"),
     ]
     width = max(len(name) for name, _, _ in rows)
     for name, value, note in rows:
         print(f"{name.ljust(width)}  {value:14,.1f}  {note}")
     print(f"{'copy_cost_in_gates'.ljust(width)}  "
-          f"{model.copy_cost_in_gates:14.4f}  measured copies-per-gate ratio")
+          f"{model.copy_cost_in_gates:14.4f}  copy_ns / one_node_gate_ns")
     if args.cache is not None:
         print(f"cached to {args.cache}")
     return 0

@@ -1,7 +1,9 @@
-"""Memory-footprint models (paper Figures 4, 5 and 9).
+"""Memory-footprint models (paper Figures 4, 5 and 9) and plan admission.
 
 All sizes assume complex128 amplitudes (16 bytes), the format every simulator
-in this package uses.
+in this package uses.  :func:`admit_plan` fits a plan's frontier-chunk cap to
+a memory budget and reads memory only: the cost model never prices a larger
+cap slower, so the largest cap that fits is also the cheapest.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.core.costmodel import CostModel
 from repro.core.engine import default_chunk_cap
 
 __all__ = [
@@ -148,25 +149,13 @@ class AdmissionDecision:
 
     ``max_batch`` is the admitted frontier-chunk cap of the engine's
     traversal (1 runs one node at a time, the one-state-per-layer
-    footprint) and ``peak_bytes`` the pool size at that cap.  When a
-    calibrated :class:`~repro.core.costmodel.CostModel` was supplied, the
-    ``predicted_*_seconds`` legs price the plan at the memory-admitted cap
-    and one node at a time, and the cap drops to 1 when that is cheaper.
+    footprint) and ``peak_bytes`` the pool size at that cap.
     """
 
     fits_memory: bool
     max_batch: int
     peak_bytes: float
     reason: str
-    predicted_batched_seconds: float | None = None
-    predicted_sequential_seconds: float | None = None
-
-    @property
-    def predicted_seconds(self) -> float | None:
-        """Predicted wall time at the admitted cap (model runs only)."""
-        if self.max_batch == 1:
-            return self.predicted_sequential_seconds
-        return self.predicted_batched_seconds
 
 
 def admit_plan(
@@ -174,7 +163,6 @@ def admit_plan(
     arities: Sequence[int],
     subcircuit_lengths: Sequence[int],
     memory_bytes: float,
-    cost_model: CostModel | None = None,
     max_batch: int | None = None,
     prefix_states: int = 0,
 ) -> AdmissionDecision:
@@ -182,14 +170,12 @@ def admit_plan(
 
     The requested cap is ``max_batch``, or the engine's default cap at
     ``num_qubits`` (:func:`~repro.core.engine.default_chunk_cap`) when it
-    is ``None``.  Memory first: the requested cap is lowered (via
-    :func:`max_batch_for_budget`) until the chunk pool fits, bottoming out
-    at the one-state-per-layer footprint.  Then, when a calibrated cost
-    model is available, the plan is priced with
-    :meth:`CostModel.plan_seconds` at the admitted cap and one node at a
-    time — so a plan whose admitted cap is too small to amortise the
-    batched-kernel overhead runs at cap 1 by measurement, not by a
-    hard-coded threshold.
+    is ``None``.  It is lowered (via :func:`max_batch_for_budget`) until
+    the chunk pool fits, bottoming out at the one-state-per-layer
+    footprint.  Admission reads memory only: under the cost model's one
+    affine kernel price a larger cap is never priced slower
+    (:meth:`~repro.core.costmodel.CostModel.plan_seconds`), so the largest
+    cap that fits is also the cheapest.
 
     ``prefix_states`` is the number of *extra* resident statevectors the
     run keeps outside the traversal pool — memoised prefix states such as
@@ -221,25 +207,12 @@ def admit_plan(
             <= pool_budget
             else "even the one-state-per-layer pool exceeds the budget"
         )
-    batched_seconds = sequential_seconds = None
-    if cost_model is not None:
-        batched_seconds = cost_model.plan_seconds(
-            arities, subcircuit_lengths, batched=True, max_batch=cap
-        )
-        sequential_seconds = cost_model.plan_seconds(
-            arities, subcircuit_lengths, batched=False
-        )
-        if cap > 1 and sequential_seconds < batched_seconds:
-            cap = 1
-            reason = f"{reason}; cap 1 is priced cheaper"
     peak = batched_tree_simulation_bytes(num_qubits, arities, cap) + prefix_bytes
     return AdmissionDecision(
         fits_memory=peak <= memory_bytes,
         max_batch=cap,
         peak_bytes=peak,
         reason=reason,
-        predicted_batched_seconds=batched_seconds,
-        predicted_sequential_seconds=sequential_seconds,
     )
 
 

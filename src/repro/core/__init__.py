@@ -22,8 +22,6 @@ from repro.core.batched import BatchedTrajectorySimulator
 from repro.core.copycost import (
     DEFAULT_COPY_COST_IN_GATES,
     MODELED_SYSTEM_COPY_COSTS,
-    CopyCostProfile,
-    measure_copy_cost,
 )
 from repro.core.costmodel import CostModel, calibrate_cost_model, get_cost_model
 from repro.core.engine import TQSimEngine
@@ -98,8 +96,6 @@ __all__ = [
     "RTX_3060",
     "V100",
     "A100",
-    "CopyCostProfile",
-    "measure_copy_cost",
     "MODELED_SYSTEM_COPY_COSTS",
     "DEFAULT_COPY_COST_IN_GATES",
     "combined_error_rate",

@@ -1,26 +1,16 @@
-"""State-copy cost profiling (paper Section 3.6 and Figure 10).
+"""State-copy cost constants (paper Section 3.6 and Figure 10).
 
 TQSim's partitioner needs to know how expensive copying a statevector is
 relative to applying one gate on the same machine.  The paper profiles this
-ratio on six CPU/GPU systems (Figure 10); here we both *measure* it on the
-local machine and provide the paper's reported values as modeled presets.
+ratio on six CPU/GPU systems (Figure 10); this module holds the paper's
+reported values as modeled presets and the analytic default.  The local
+machine's ratio is measured by the calibrated cost model
+(:attr:`~repro.core.costmodel.CostModel.copy_cost_in_gates`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from statistics import mean
-from typing import Sequence
-
-import numpy as np
-
-from repro.circuits.stdgates import h_matrix, cx_matrix
-from repro.obs import clock
-from repro.statevector.apply import apply_unitary
-
 __all__ = [
-    "CopyCostProfile",
-    "measure_copy_cost",
     "MODELED_SYSTEM_COPY_COSTS",
     "DEFAULT_COPY_COST_IN_GATES",
 ]
@@ -42,65 +32,3 @@ MODELED_SYSTEM_COPY_COSTS: dict[str, float] = {
 #: here behaves much closer to a desktop CPU, so a measured value should be
 #: preferred whenever available.
 DEFAULT_COPY_COST_IN_GATES = 20.0
-
-
-@dataclass(frozen=True)
-class CopyCostProfile:
-    """Measured copy-vs-gate cost for a set of circuit widths."""
-
-    per_width: dict[int, float]
-    gate_seconds: dict[int, float]
-    copy_seconds: dict[int, float]
-
-    @property
-    def average(self) -> float:
-        """Width-averaged copy cost (the paper averages over 5–28 qubits)."""
-        return float(mean(self.per_width.values()))
-
-    def cost_for(self, num_qubits: int) -> float:
-        """Copy cost for a width (nearest measured width when absent)."""
-        if num_qubits in self.per_width:
-            return self.per_width[num_qubits]
-        nearest = min(self.per_width, key=lambda w: abs(w - num_qubits))
-        return self.per_width[nearest]
-
-
-def _time_callable(func, repeats: int) -> float:
-    start = clock.perf_seconds()
-    for _ in range(repeats):
-        func()
-    return (clock.perf_seconds() - start) / repeats
-
-
-def measure_copy_cost(
-    widths: Sequence[int] = (8, 10, 12, 14),
-    repeats: int = 20,
-    rng: np.random.Generator | None = None,
-) -> CopyCostProfile:
-    """Measure the state-copy cost (in gate executions) on this machine.
-
-    For each width the routine times (a) copying a random statevector and
-    (b) applying one representative gate (the average of an H and a CX), and
-    reports the ratio, exactly as the paper's profiling step does.
-    """
-    rng = rng if rng is not None else np.random.default_rng(2025)
-    per_width: dict[int, float] = {}
-    gate_seconds: dict[int, float] = {}
-    copy_seconds: dict[int, float] = {}
-    h = h_matrix()
-    cx = cx_matrix()
-    for width in widths:
-        if width < 2:
-            raise ValueError("profiling widths must be >= 2 qubits")
-        state = rng.normal(size=2**width) + 1j * rng.normal(size=2**width)
-        state /= np.linalg.norm(state)
-        copy_time = _time_callable(lambda: state.copy(), repeats)
-        h_time = _time_callable(lambda: apply_unitary(state, h, (0,)), repeats)
-        cx_time = _time_callable(
-            lambda: apply_unitary(state, cx, (0, width - 1)), repeats
-        )
-        gate_time = 0.5 * (h_time + cx_time)
-        per_width[width] = copy_time / gate_time if gate_time > 0 else float("inf")
-        gate_seconds[width] = gate_time
-        copy_seconds[width] = copy_time
-    return CopyCostProfile(per_width, gate_seconds, copy_seconds)

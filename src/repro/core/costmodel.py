@@ -10,17 +10,19 @@ measure-then-plan structure of QTensor's cost analyses, this module times
 the primitives on the *active backend at the target width* and hands the
 planners a :class:`CostModel` instead of a guess:
 
-* ``gate_ns`` — one 1q/2q kernel call on a single statevector;
-* ``copy_ns`` — one statevector copy (the price of reuse);
 * ``batch_overhead_ns`` / ``batch_row_ns`` — the affine cost
-  ``t(B) = overhead + B * row`` of one batched kernel call, solved from
-  measurements at ``B = 1`` and ``B = CALIBRATION_BATCH_ROWS``;
-* ``sample_ns`` — one leaf outcome draw.
+  ``t(B) = overhead + B * row`` of one kernel call on a ``B``-row block,
+  solved from measurements at ``B = 1`` and ``B = CALIBRATION_BATCH_ROWS``;
+  ``t(1)`` is the price of one gate on one node (cap 1);
+* ``copy_ns`` — one statevector copy (the price of reuse);
+* ``sample_ns`` — one leaf outcome draw from a
+  :class:`~repro.core.pathrng.PathStream`.
 
-:meth:`CostModel.plan_seconds` turns a partition plan into predicted wall
-time at a chunk cap, which is what lets the DCP search, the shard
-balancer and the admission logic compare candidate plans in measured
-nanoseconds rather than gate-equivalents.  Models are cached per
+:meth:`CostModel.plan_seconds` is the one price of a run: the wall time of
+any frontier range of a partition plan (a full run is the range ``[0,
+A_0)`` of layer 0) at a chunk cap.  The DCP search compares candidate
+plans with it and the shard balancer prices each shard's range with it, in
+measured nanoseconds rather than gate-equivalents.  Models are cached per
 ``(backend, num_qubits)`` in memory and optionally persisted to a JSON
 artifact so CI can diff calibration drift across commits.
 """
@@ -37,6 +39,7 @@ import numpy as np
 
 from repro.backends import Backend, get_backend
 from repro.circuits.stdgates import cx_matrix, h_matrix
+from repro.core.pathrng import PathStream
 from repro.obs import clock
 
 __all__ = [
@@ -74,7 +77,6 @@ class CostModel:
 
     backend: str
     num_qubits: int
-    gate_ns: float
     copy_ns: float
     batch_overhead_ns: float
     batch_row_ns: float
@@ -83,7 +85,7 @@ class CostModel:
     def __post_init__(self) -> None:
         if self.num_qubits < 1:
             raise ValueError("num_qubits must be >= 1")
-        for name in ("gate_ns", "copy_ns", "batch_row_ns", "sample_ns"):
+        for name in ("copy_ns", "batch_row_ns", "sample_ns"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.batch_overhead_ns < 0:
@@ -91,96 +93,69 @@ class CostModel:
 
     # ------------------------------------------------------------------
     @property
+    def one_node_gate_ns(self) -> float:
+        """One gate on one node: the affine kernel fit at ``B = 1``."""
+        return self.batch_overhead_ns + self.batch_row_ns
+
+    @property
     def copy_cost_in_gates(self) -> float:
         """The measured counterpart of ``DEFAULT_COPY_COST_IN_GATES``.
 
-        How many sequential gate executions one reuse copy is worth on this
+        How many one-node gate executions one reuse copy is worth on this
         backend — the scalar the analytic DCP consumes, now grounded in
         measurement.
         """
-        return self.copy_ns / self.gate_ns
-
-    def batched_gate_row_ns(self, rows: int) -> float:
-        """Effective per-row cost of one batched kernel call on ``rows``."""
-        if rows < 1:
-            raise ValueError("rows must be >= 1")
-        return self.batch_overhead_ns / rows + self.batch_row_ns
-
-    def batched_copy_cost_in_gates(self, rows: int) -> float:
-        """Copy cost in *batched* gate-equivalents at the given chunk size.
-
-        Batching makes each row's share of a kernel call cheaper, so the
-        same copy is worth more batched gates than sequential ones — the
-        economics shift the analytic scalar cannot see.
-        """
-        return self.copy_ns / self.batched_gate_row_ns(rows)
+        return self.copy_ns / self.one_node_gate_ns
 
     # ------------------------------------------------------------------
     def plan_seconds(
         self,
         arities: Sequence[int],
         subcircuit_lengths: Sequence[int],
-        batched: bool = True,
         max_batch: int | None = None,
+        frontier_range: tuple[int, int, int] | None = None,
     ) -> float:
-        """Predicted wall seconds of one tree traversal of the plan.
+        """Predicted wall seconds of a run over one frontier range of the plan.
 
-        Mirrors the engine's execution shape layer by layer: layer ``i``
-        runs ``frontier_i = prod(arities[:i+1])`` nodes, each reuse node
-        costs one copy, and the nodes execute in ``ceil(frontier_i /
-        max_batch)`` frontier chunks (a chunk spans the children of several
-        parents), each gate costing one kernel call per chunk at the affine
-        batched rate.  ``max_batch=None`` prices the cap the engine runs
-        by default at this model's width
-        (:func:`~repro.core.engine.default_chunk_cap`).  ``batched=False``
-        prices one node at a time (cap 1) at the single-state ``gate_ns``
-        instead.  Leaves add one outcome draw each.
+        ``frontier_range`` is ``(layer, start, stop)``, the nodes ``[start,
+        stop)`` of layer ``layer``'s flattened frontier that a shard runs;
+        ``None`` is the full run, the range ``[0, A_0)`` of layer 0.  The
+        run executes the range's window on every layer
+        (:func:`~repro.core.engine.frontier_windows`: its ancestors above,
+        the range itself, every subtree below) in ``ceil(window /
+        max_batch)`` frontier chunks, each gate one kernel call per chunk
+        at the affine rate ``batch_overhead_ns + rows * batch_row_ns``.
+        Each node below layer 0 adds one copy and each leaf one outcome
+        draw.  ``max_batch=None`` prices the cap the engine runs by default
+        at this model's width (:func:`~repro.core.engine.default_chunk_cap`);
+        ``max_batch=1`` prices one node at a time.  A larger cap is never
+        priced slower.
         """
+        # The engine imports this module through the partitioners.
+        from repro.core.engine import default_chunk_cap, frontier_windows
+
         arities = [int(a) for a in arities]
         lengths = [int(length) for length in subcircuit_lengths]
         if len(arities) != len(lengths):
             raise ValueError("need one arity per subcircuit")
         if max_batch is None:
-            # The engine imports this module through the partitioners.
-            from repro.core.engine import default_chunk_cap
-
             max_batch = default_chunk_cap(self.num_qubits)
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
+        windows = frontier_windows(
+            arities, *(frontier_range or (0, 0, arities[0]))
+        )
         total_ns = 0.0
-        nodes = 1
-        for layer, (arity, length) in enumerate(zip(arities, lengths)):
-            nodes *= arity
-            if batched:
-                chunks = -(-nodes // max_batch)
-                total_ns += length * (
-                    chunks * self.batch_overhead_ns + nodes * self.batch_row_ns
-                )
-            else:
-                total_ns += nodes * length * self.gate_ns
-            if layer >= 1:
+        for i, ((lo, hi, _), length) in enumerate(zip(windows, lengths)):
+            nodes = hi - lo
+            chunks = -(-nodes // max_batch)
+            total_ns += length * (
+                chunks * self.batch_overhead_ns + nodes * self.batch_row_ns
+            )
+            if i >= 1:
                 total_ns += nodes * self.copy_ns
         total_ns += nodes * self.sample_ns
         return total_ns * 1e-9
-
-    def baseline_seconds(self, num_gates: int, shots: int) -> float:
-        """Predicted wall seconds of the no-reuse baseline (shots full runs)."""
-        return shots * (num_gates * self.gate_ns + self.sample_ns) * 1e-9
-
-    def predicted_speedup(
-        self,
-        arities: Sequence[int],
-        subcircuit_lengths: Sequence[int],
-        batched: bool = True,
-        max_batch: int | None = None,
-    ) -> float:
-        """Baseline-over-plan wall-time ratio at the plan's own leaf count
-        (``max_batch`` as in :meth:`plan_seconds`)."""
-        leaves = math.prod(int(a) for a in arities)
-        total = sum(int(length) for length in subcircuit_lengths)
-        return self.baseline_seconds(total, leaves) / self.plan_seconds(
-            arities, subcircuit_lengths, batched=batched, max_batch=max_batch
-        )
 
     # ------------------------------------------------------------------
     def as_dict(self) -> dict:
@@ -193,7 +168,6 @@ class CostModel:
         return cls(
             backend=str(data["backend"]),
             num_qubits=int(data["num_qubits"]),
-            gate_ns=float(data["gate_ns"]),
             copy_ns=float(data["copy_ns"]),
             batch_overhead_ns=float(data["batch_overhead_ns"]),
             batch_row_ns=float(data["batch_row_ns"]),
@@ -207,10 +181,10 @@ def estimate_shard_seconds(
     """Wall-seconds estimate for one shard's planner cost figure.
 
     The shard planner prices a :class:`~repro.dispatch.planner.ShardSpec`
-    in measured nanoseconds when it was given a calibrated model and in
-    analytic gate-equivalents otherwise (see
-    ``ShardPlanner._load_estimates``); this helper collapses both into
-    seconds so timeout and straggler thresholds can be derived uniformly.
+    in measured nanoseconds (:meth:`CostModel.plan_seconds` of its range)
+    when it was given a calibrated model and in analytic gate-equivalents
+    otherwise; this helper collapses both into seconds so timeout and
+    straggler thresholds can be derived uniformly.
     Uncalibrated estimates use the deliberately conservative
     :data:`DEFAULT_ASSUMED_GATE_NS` rate.
     """
@@ -253,10 +227,11 @@ def calibrate_cost_model(
 ) -> CostModel:
     """Measure one backend's primitive costs at the given width.
 
-    Times the 1q/2q kernels (an H / CX mix, unitary so the state stays
-    normalised across repeats), the state copy, the leaf outcome draw and
-    the kernel on a block of 1 and ``CALIBRATION_BATCH_ROWS`` rows to solve
-    the affine per-call model.
+    Times the kernels (an H / CX mix, unitary so the state stays normalised
+    across repeats) on an ``allocate_batch`` block of 1 and
+    ``CALIBRATION_BATCH_ROWS`` rows to solve the affine per-call model, the
+    state copy, and the leaf outcome draw from a
+    :class:`~repro.core.pathrng.PathStream`.
     """
     if num_qubits < 1:
         raise ValueError("num_qubits must be >= 1")
@@ -271,30 +246,19 @@ def calibrate_cost_model(
     state = resolved.copy_state(
         np.ascontiguousarray(_random_state(num_qubits, rng))
     )
-
-    def one_gate() -> None:
-        nonlocal state
-        state = resolved.apply_unitary(state, h, (0,))
-        if far:
-            state = resolved.apply_unitary(state, cx, (0, far))
-
-    calls_per_burst = 2 if far else 1
-    gate_ns = (
-        _best_ns_per_call(one_gate, repeats, rounds) / calls_per_burst
-    )
     copy_ns = _best_ns_per_call(
         lambda: resolved.copy_state(state), max(repeats * 4, 64), rounds
     )
-    sample_rng = np.random.default_rng(2025)
-    single = state if state.ndim == 1 else state[0]
+    stream = PathStream(2025)
     sample_ns = _best_ns_per_call(
-        lambda: resolved.sample_outcome(single, sample_rng), repeats, rounds
+        lambda: resolved.sample_outcome(state, stream), repeats, rounds
     )
 
+    calls_per_burst = 2 if far else 1
     per_call: dict[int, float] = {}
     for rows in (1, CALIBRATION_BATCH_ROWS):
         batch = resolved.allocate_batch(num_qubits, rows)
-        resolved.broadcast_into(batch, single)
+        resolved.broadcast_into(batch, state)
 
         def one_batched_gate() -> None:
             resolved.apply_unitary(batch, h, (0,))
@@ -314,7 +278,6 @@ def calibrate_cost_model(
     return CostModel(
         backend=resolved.name,
         num_qubits=int(num_qubits),
-        gate_ns=gate_ns,
         copy_ns=copy_ns,
         batch_overhead_ns=batch_overhead_ns,
         batch_row_ns=batch_row_ns,

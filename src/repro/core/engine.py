@@ -374,8 +374,7 @@ class TQSimEngine:
                 backend=self.backend.name,
                 qubits=circuit.num_qubits,
                 chunk_cap=cap,
-                # Drift comparisons only make sense for runs covering the
-                # whole tree, which is what CostModel.plan_seconds models.
+                # obs.drift compares only runs covering the whole tree.
                 full_tree=(layer, start, stop) == (0, 0, arities[0]),
                 layer=layer,
                 start=start,

@@ -13,12 +13,13 @@ When ``A0 < num_shards`` the planner *descends*: it splits a deeper layer's
 frontier instead, up to ``max_depth`` layers down, so a ``(2, 64)`` plan can
 still feed 16 workers.  A shard below layer 0 also runs the ancestors of its
 range (cheap by construction — the DCP plans put the short subcircuits
-first), and the load-aware balancer accounts that prefix in
-gate-equivalents (via the configured state-copy cost from
-:mod:`repro.core.copycost`) when choosing shard boundaries.  When a
-calibrated :class:`~repro.core.costmodel.CostModel` is supplied, the
-balancer prices units and prefixes in measured nanoseconds instead of the
-analytic gate-equivalent ratio.
+first), and the load-aware balancer prices what a range runs on every layer
+(:func:`~repro.core.engine.frontier_windows`) when choosing shard
+boundaries: in gate-equivalents (via the configured state-copy cost from
+:mod:`repro.core.copycost`) by default, and with a calibrated
+:class:`~repro.core.costmodel.CostModel` as
+:meth:`~repro.core.costmodel.CostModel.plan_seconds` of the range at the
+shards' chunk cap, in measured nanoseconds.
 
 Because every node's stream key derives statelessly from the run key
 (:mod:`repro.core.pathrng`) and each ancestor's work is accounted by the
@@ -77,10 +78,11 @@ class ShardSpec:
         carries the int its shard runs at.
     estimated_cost:
         The planner's load estimate for this shard — gate-equivalents
-        (subtree gates + state copies at the configured copy cost +
-        ancestor prefixes) by default, measured nanoseconds when the planner
-        was given a calibrated cost model.  Recorded so dispatch metadata
-        can expose the balance.
+        (the gates and state copies, at the configured copy cost, of every
+        node the range runs) by default, and the calibrated cost model's
+        :meth:`~repro.core.costmodel.CostModel.plan_seconds` of the range
+        in nanoseconds when the planner was given one.  Recorded so
+        dispatch metadata can expose the balance.
     """
 
     index: int
@@ -140,7 +142,7 @@ class ShardPlanner:
     engine; ``max_depth`` is the one extra knob (how many tree layers the
     planner may descend: 1 reproduces classic first-layer sharding), and an
     optional calibrated ``cost_model`` switches the balancer from analytic
-    gate-equivalents to measured per-gate / per-copy nanoseconds.
+    gate-equivalents to the model's price of each range.
     """
 
     def __init__(
@@ -225,11 +227,22 @@ class ShardPlanner:
             num_shards = units_total
 
         run_key = run_root_key(seed)
-        unit_cost, ancestor_costs = self._load_estimates(plan, depth)
+        lengths = plan.subcircuit_lengths
+        cap = (
+            default_chunk_cap(circuit.num_qubits)
+            if self.max_batch is None
+            else self.max_batch
+        )
 
         def range_cost(start: int, stop: int) -> float:
-            return _range_cost(
-                arities, depth, start, stop, unit_cost, ancestor_costs
+            if self.cost_model is None:
+                return _range_gate_equivalents(
+                    arities, lengths, depth, start, stop,
+                    self.copy_cost_in_gates,
+                )
+            return 1e9 * self.cost_model.plan_seconds(
+                arities, lengths, max_batch=cap,
+                frontier_range=(depth, start, stop),
             )
 
         ranges = _balanced_unit_ranges(units_total, num_shards, range_cost)
@@ -247,57 +260,11 @@ class ShardPlanner:
                 requested_shots=shots,
                 backend=self.backend,
                 copy_cost_in_gates=self.copy_cost_in_gates,
-                max_batch=self.max_batch,
+                max_batch=cap,
                 estimated_cost=range_cost(start, stop),
             )
             for index, (start, stop) in enumerate(ranges)
         ]
-
-    # ------------------------------------------------------------------
-    def _load_estimates(
-        self, plan: PartitionPlan, depth: int
-    ) -> tuple[float, list[float]]:
-        """Cost of one unit subtree and of one ancestor on each layer above.
-
-        A *unit* is one child subtree hanging below the split layer: its
-        cost is every subcircuit execution inside it plus its state copies
-        at the configured copy cost (paper Section 3.6).  A shard also runs
-        each distinct ancestor above its range once — a layer-``i``
-        ancestor costs its subcircuit plus, below layer 0, its state copy —
-        which is the load the balancer trades off against unit counts.
-
-        Without a calibrated model the unit is gate-equivalents (one gate =
-        1.0, one copy = ``copy_cost_in_gates``); with one, both figures are
-        measured nanoseconds (one gate = ``gate_ns``, one copy =
-        ``copy_ns``).  Only the *ratio* steers the boundary search, so the
-        two modes differ exactly where the analytic ratio mis-prices copies.
-        """
-        arities = plan.tree.arities
-        lengths = plan.subcircuit_lengths
-        num_layers = len(arities)
-        if self.cost_model is not None:
-            gate_unit = self.cost_model.gate_ns
-            copy_unit = self.cost_model.copy_ns
-        else:
-            gate_unit = 1.0
-            copy_unit = self.copy_cost_in_gates
-
-        unit_gates = 0.0
-        unit_copies = 0.0
-        instances = 1
-        for layer in range(depth, num_layers):
-            if layer > depth:
-                instances *= arities[layer]
-            unit_gates += instances * lengths[layer]
-            if layer >= 1:
-                unit_copies += instances
-        unit_cost = gate_unit * unit_gates + copy_unit * unit_copies
-
-        ancestor_costs = [
-            gate_unit * lengths[layer] + (copy_unit if layer else 0.0)
-            for layer in range(depth)
-        ]
-        return unit_cost, ancestor_costs
 
 
 def split_shard_spec(spec: ShardSpec, parts: int) -> list[ShardSpec]:
@@ -342,23 +309,25 @@ def _even_bounds(start: int, stop: int, parts: int) -> list[int]:
     return bounds
 
 
-def _range_cost(
+def _range_gate_equivalents(
     arities: Sequence[int],
+    lengths: Sequence[int],
     layer: int,
     start: int,
     stop: int,
-    unit_cost: float,
-    ancestor_costs: Sequence[float],
+    copy_cost_in_gates: float,
 ) -> float:
-    """Estimated cost of executing units ``[start, stop)`` of ``layer``.
+    """Gate-equivalents of a run over units ``[start, stop)`` of ``layer``.
 
-    The units, plus every distinct ancestor above the range once: the
-    windows of :func:`~repro.core.engine.frontier_windows`, the arithmetic
-    of :attr:`ShardSpec.replayed_prefix_gates`.
+    Every node of every window of
+    :func:`~repro.core.engine.frontier_windows` — each distinct ancestor
+    above the range once, the range, every subtree below it — runs its
+    subcircuit, and below layer 0 costs one state copy.
     """
     windows = frontier_windows(arities, layer, start, stop)
-    return (stop - start) * unit_cost + sum(
-        (hi - lo) * cost for (lo, hi, _), cost in zip(windows, ancestor_costs)
+    return sum(
+        (hi - lo) * (length + (copy_cost_in_gates if i else 0.0))
+        for i, ((lo, hi, _), length) in enumerate(zip(windows, lengths))
     )
 
 

@@ -20,8 +20,8 @@ Grounds for exemption, in the order the rules list them:
   unseeded fallbacks are user-facing conveniences outside the engine.
 * **The clock surface** (``obs/clock.py``) is the only module that reads
   clocks; every metric and calibration timer (engine/dispatcher wall-time
-  counters, ``core/copycost.py``, ``core/costmodel.py``, experiment
-  harnesses, ``vqa/landscape.py``) imports its helpers, and the
+  counters, ``core/costmodel.py``, experiment harnesses,
+  ``vqa/landscape.py``) imports its helpers, and the
   ``obs-clock`` rule rejects any direct read elsewhere — no timed value
   ever feeds a random draw or a simulation outcome.
 * **Analysis helpers** (``statevector/sampling.py``,
@@ -124,14 +124,9 @@ DEFAULT_ALLOWLIST: tuple[AllowlistEntry, ...] = (
         "draws; an offline analysis, not an engine path",
     ),
     AllowlistEntry(
-        "det-rng", "*core/copycost.py", _RNG,
-        "copy-cost calibration perturbs a scratch state with a pinned seed; "
-        "measurement harness, not a simulation path",
-    ),
-    AllowlistEntry(
         "det-rng", "*core/costmodel.py", _RNG,
-        "cost-model calibration builds scratch states/draws with pinned "
-        "seeds; measurement harness, not a simulation path",
+        "cost-model calibration builds its scratch state with a pinned "
+        "seed; measurement harness, not a simulation path",
     ),
     # -- det-clock: the single sanctioned clock site -----------------------
     # Every other module (engine CostCounters, dispatcher wall times, the

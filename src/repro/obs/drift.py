@@ -2,20 +2,20 @@
 
 The calibrated :class:`~repro.core.costmodel.CostModel` predicts a plan's
 traversal wall time (:meth:`~repro.core.costmodel.CostModel.plan_seconds`)
-and those predictions steer the DCP plan search, the shard balancer and
-admission control — but until now nothing ever checked them against what
-the engine actually did.  Tracing closes the loop: every ``engine.run``
-span carries the plan shape (arities, subcircuit lengths, backend, width,
-chunk cap) as attributes, so a traced run can be grouped
-by plan and compared against the model's prediction for exactly that
-shape.
+and those predictions steer the DCP plan search and the shard balancer —
+but until now nothing ever checked them against what the engine actually
+did.  Tracing closes the loop: every ``engine.run`` span carries the plan
+shape (arities, subcircuit lengths, backend, width, chunk cap) as
+attributes, so a traced run can be grouped by plan and compared against
+the model's prediction for exactly that shape.
 
 ``drift_ratio`` > 1 means the run was slower than predicted (the model
 under-prices this substrate), < 1 faster.  Persistent drift on one
 backend/width is the signal to re-run ``python -m repro calibrate``.
 
-Only *full-tree* runs are compared: a shard's ``engine.run`` covers a
-frontier range plus its ancestors, which ``plan_seconds`` does not model.
+Only *full-tree* runs are compared.  ``plan_seconds`` prices any frontier
+range (``frontier_range``), so comparing a shard's ``engine.run`` would only
+need its span's ``(layer, start, stop)``.
 """
 
 from __future__ import annotations

@@ -6,8 +6,9 @@ everything again" into "look the hard parts up", all keyed by the stable
 cosmetically different but semantically equal submissions share entries:
 
 * **transpile** — :func:`~repro.circuits.transpile.fuse_single_qubit_runs`
-  output keyed by the *raw* circuit hash.  Fusion is pure, so the fused
-  circuit is shared by every request that submits the same gates.
+  output with its hash, keyed by the *raw* circuit hash.  Fusion is pure,
+  so the fused circuit is shared by every request that submits the same
+  gates, and a warm request hashes only the circuit it sent.
 * **plan** — DCP partition plans keyed by ``(fused-hash, shots,
   noise, backend)``.  The plan search is pure and (in calibrated mode)
   the most expensive non-simulation work a request triggers.

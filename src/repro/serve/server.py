@@ -196,8 +196,9 @@ class SimulationServer:
         raise ``ValueError`` (``state_cache_bytes=0`` caches no state, and
         ``None`` leaves the state cache unbounded).
     cost_model:
-        Calibrated :class:`~repro.core.costmodel.CostModel` for admission's
-        chunk-cap pick and the pool's shard sizing.
+        Calibrated :class:`~repro.core.costmodel.CostModel` for the DCP
+        plan search and the pool's shard sizing.  Admission reads memory
+        only.
     tracer:
         When given (and enabled), each request records spans into its own
         :class:`~repro.obs.tracer.Tracer` (tracers are not thread-safe)
@@ -347,16 +348,16 @@ class SimulationServer:
 
         # Transpile (cached): fusion is pure, and both the cold and the
         # warm path simulate the *fused* circuit, so caching cannot change
-        # what a request observes.
+        # what a request observes.  The entry keeps the fused circuit's
+        # hash, so a warm request hashes only the circuit it sent.
         raw_hash = circuit.content_hash()
-        fused = self.caches.transpile.get(raw_hash)
-        if fused is None:
+        transpiled = self.caches.transpile.get(raw_hash)
+        if transpiled is None:
             with tracer.span("serve.transpile", gates=circuit.num_gates):
                 fused = fuse_single_qubit_runs(circuit)
-            self.caches.transpile.put(raw_hash, fused)
-        fused_hash = (
-            fused.content_hash() if fused is not circuit else raw_hash
-        )
+            transpiled = (fused, fused.content_hash())
+            self.caches.transpile.put(raw_hash, transpiled)
+        fused, fused_hash = transpiled
 
         # Plan (cached): the DCP search depends on the fused circuit, the
         # shot count and the noise model (error-rate-aware depth choice).
@@ -377,7 +378,6 @@ class SimulationServer:
             plan.tree.arities,
             plan.subcircuit_lengths,
             memory_bytes=min(request.memory_bytes, self.default_memory_bytes),
-            cost_model=self.cost_model,
             max_batch=self.max_batch,
             prefix_states=1 if noiseless else 0,
         )

@@ -82,8 +82,8 @@ def test_calibrate_prints_table_and_caches(capsys, tmp_path):
     assert main(["calibrate", "--qubits", "5", "--repeats", "4",
                  "--cache", str(cache)]) == 0
     output = capsys.readouterr().out
-    for field in ("gate_ns", "copy_ns", "batch_overhead_ns",
-                  "batch_row_ns", "sample_ns", "copy_cost_in_gates"):
+    for field in ("copy_ns", "batch_overhead_ns", "batch_row_ns",
+                  "sample_ns", "one_node_gate_ns", "copy_cost_in_gates"):
         assert field in output
     assert f"cached to {cache}" in output
     assert ("optimized", 5) in load_cost_model_cache(str(cache))

@@ -2,12 +2,14 @@
 
 Calibration is timed against the real backends (tiny widths, few repeats so
 the suite stays fast); everything downstream of a measurement — the plan
-pricing, the caches, the calibrated partition search and the admission
-logic — is exercised with synthetic models so the assertions are exact.
+and range pricing, the caches, the calibrated partition search and the
+calibrated shard balancer — is exercised with synthetic models so the
+assertions are exact.  Admission reads memory only.
 """
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -26,8 +28,9 @@ from repro.core.costmodel import (
     load_cost_model_cache,
     save_cost_model_cache,
 )
-from repro.core.engine import default_chunk_cap
-from repro.core.partitioners import DynamicCircuitPartitioner
+from repro.core.engine import TQSimEngine, default_chunk_cap
+from repro.core.partitioners import DynamicCircuitPartitioner, ManualPartitioner
+from repro.dispatch import PoolDispatcher, SerialDispatcher, ShardPlanner
 from repro.noise import depolarizing_noise_model
 
 
@@ -36,7 +39,6 @@ def synthetic_model(**overrides) -> CostModel:
     values = dict(
         backend="batched",
         num_qubits=8,
-        gate_ns=1000.0,
         copy_ns=100.0,
         batch_overhead_ns=900.0,
         batch_row_ns=100.0,
@@ -51,10 +53,9 @@ def synthetic_model(**overrides) -> CostModel:
 # ----------------------------------------------------------------------
 def test_copy_cost_ratios():
     model = synthetic_model()
+    # One gate on one node is the affine fit at one row: 900 + 100 ns.
+    assert model.one_node_gate_ns == pytest.approx(1000.0)
     assert model.copy_cost_in_gates == pytest.approx(0.1)
-    # One batched call on 10 rows: (900/10 + 100) ns per row.
-    assert model.batched_gate_row_ns(10) == pytest.approx(190.0)
-    assert model.batched_copy_cost_in_gates(10) == pytest.approx(100 / 190)
 
 
 def test_plan_seconds_sequential_counts_every_node():
@@ -62,7 +63,7 @@ def test_plan_seconds_sequential_counts_every_node():
     # Tree (2, 3), lengths (4, 5): layer0 = 2*4 gates, layer1 = 6*5 gates,
     # 6 reuse copies, 6 leaf samples.
     expected_ns = (2 * 4 + 6 * 5) * 1000 + 6 * 100 + 6 * 500
-    assert model.plan_seconds((2, 3), (4, 5), batched=False) == pytest.approx(
+    assert model.plan_seconds((2, 3), (4, 5), max_batch=1) == pytest.approx(
         expected_ns * 1e-9
     )
 
@@ -74,7 +75,7 @@ def test_plan_seconds_batched_mirrors_engine_chunking():
     per_gate = 2 * (900 + 4 * 100) + (900 + 2 * 100)
     # One layer of 3 gates; layer 0 never copies, so only leaf samples add.
     expected_ns = 3 * per_gate + 10 * 500
-    assert model.plan_seconds((10,), (3,), batched=True,
+    assert model.plan_seconds((10,), (3,),
                               max_batch=4) == pytest.approx(expected_ns * 1e-9)
 
 
@@ -86,7 +87,7 @@ def test_plan_seconds_prices_frontier_chunks():
     layer0 = 2 * (900 + 3 * 100)
     layer1 = 5 * (8 * 900 + 30 * 100)
     expected_ns = layer0 + layer1 + 30 * 100 + 30 * 500
-    assert model.plan_seconds((3, 10), (2, 5), batched=True,
+    assert model.plan_seconds((3, 10), (2, 5),
                               max_batch=4) == pytest.approx(expected_ns * 1e-9)
 
 
@@ -103,8 +104,45 @@ def test_plan_seconds_defaults_to_the_engine_cap_at_the_model_width():
 
 def test_plan_seconds_batched_beats_sequential_when_overhead_dominates():
     model = synthetic_model()
-    assert model.plan_seconds((16, 16), (10, 10), batched=True, max_batch=16) \
-        < model.plan_seconds((16, 16), (10, 10), batched=False)
+    assert model.plan_seconds((16, 16), (10, 10), max_batch=16) \
+        < model.plan_seconds((16, 16), (10, 10), max_batch=1)
+
+
+@pytest.mark.parametrize(
+    "arities, lengths",
+    [((10,), (3,)), ((3, 10), (2, 5)), ((16, 16), (10, 10)),
+     ((2, 3, 4), (1, 7, 2))],
+)
+@pytest.mark.parametrize("overhead", [0.0, 900.0, 1e6])
+def test_plan_seconds_never_rises_with_the_cap(arities, lengths, overhead):
+    """A larger cap runs no more chunks, and a chunk's overhead is never
+    negative, so no cap is priced slower than a smaller one: admission can
+    take the largest cap memory admits."""
+    model = synthetic_model(batch_overhead_ns=overhead)
+    prices = [
+        model.plan_seconds(arities, lengths, max_batch=cap)
+        for cap in (1, 2, 3, 4, 7, 16, 64, 1024)
+    ]
+    assert all(later <= earlier for earlier, later in zip(prices, prices[1:]))
+
+
+def test_plan_seconds_prices_a_frontier_range():
+    model = synthetic_model()
+    # Nodes [5, 11) of layer 2 of (2, 3, 4) at cap 4 run ancestor 0 on
+    # layer 0, parents [1, 3) on layer 1 and the 6 nodes in 2 chunks.
+    layer0 = 2 * (900 + 1 * 100)
+    layer1 = 3 * (900 + 2 * 100) + 2 * 100
+    layer2 = 4 * (2 * 900 + 6 * 100) + 6 * 100
+    expected_ns = layer0 + layer1 + layer2 + 6 * 500
+    assert model.plan_seconds(
+        (2, 3, 4), (2, 3, 4), max_batch=4, frontier_range=(2, 5, 11)
+    ) == pytest.approx(expected_ns * 1e-9)
+    # The full run is the range [0, A_0) of layer 0.
+    assert model.plan_seconds(
+        (2, 3, 4), (2, 3, 4), max_batch=4, frontier_range=(0, 0, 2)
+    ) == model.plan_seconds((2, 3, 4), (2, 3, 4), max_batch=4)
+    with pytest.raises(ValueError, match="range"):
+        model.plan_seconds((2, 3), (1, 1), frontier_range=(1, 4, 7))
 
 
 def test_plan_seconds_monotone_in_subcircuit_length():
@@ -114,10 +152,12 @@ def test_plan_seconds_monotone_in_subcircuit_length():
     assert longer > short
 
 
-def test_predicted_speedup_favors_reuse():
+def test_plan_seconds_favors_reuse():
     model = synthetic_model()
-    # 20-gate circuit split in half vs 256 flat runs of the whole circuit.
-    assert model.predicted_speedup((16, 16), (10, 10), batched=False) > 1.0
+    # 20-gate circuit split in half vs 256 flat runs of the whole circuit,
+    # one node at a time: the per-shot baseline is the one-layer plan.
+    assert model.plan_seconds((256,), (20,), max_batch=1) \
+        > model.plan_seconds((16, 16), (10, 10), max_batch=1)
 
 
 def test_plan_seconds_validation():
@@ -131,7 +171,6 @@ def test_plan_seconds_validation():
 @pytest.mark.parametrize(
     "field, value",
     [
-        ("gate_ns", 0.0),
         ("copy_ns", -1.0),
         ("batch_row_ns", 0.0),
         ("sample_ns", -5.0),
@@ -156,8 +195,7 @@ def test_calibrate_measures_positive_costs():
     model = calibrate_cost_model("batched", num_qubits=4, repeats=4, rounds=1)
     assert model.backend == "optimized"  # "batched" is an alias
     assert model.num_qubits == 4
-    for value in (model.gate_ns, model.copy_ns, model.batch_row_ns,
-                  model.sample_ns):
+    for value in (model.copy_ns, model.batch_row_ns, model.sample_ns):
         assert value > 0
     assert model.batch_overhead_ns >= 0
 
@@ -179,6 +217,17 @@ def test_cache_round_trip(tmp_path):
     }
     save_cost_model_cache(models, path)
     assert load_cost_model_cache(path) == models
+
+
+def test_cache_entry_carrying_gate_ns_still_loads(tmp_path):
+    """Artifacts written while models also timed a gate on a single state
+    load into the six-field model; the extra key is ignored."""
+    entry = dict(synthetic_model().as_dict(), gate_ns=1000.0)
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps({"version": 1, "models": [entry]}))
+    assert load_cost_model_cache(str(path)) == {
+        ("batched", 8): synthetic_model()
+    }
 
 
 def test_load_cache_tolerates_missing_and_corrupt_files(tmp_path):
@@ -315,7 +364,55 @@ def test_calibrated_dcp_takes_copy_cost_from_model():
 
 
 # ----------------------------------------------------------------------
-# Cost-aware admission
+# Calibrated shard pricing
+# ----------------------------------------------------------------------
+def test_calibrated_shard_estimates_are_the_price_of_each_range():
+    """A calibrated planner prices each shard's range with plan_seconds at
+    the shards' chunk cap, in ns: ancestors, chunks and leaf draws
+    included."""
+    circuit = qft_circuit(5)
+    plan = ManualPartitioner((2, 3, 4)).plan(circuit, 24, None)
+    arities, lengths = plan.tree.arities, plan.subcircuit_lengths
+    model = synthetic_model(num_qubits=5)
+    shards = ShardPlanner(max_depth=3, cost_model=model).plan_shards(
+        circuit, 24, 8, seed=0, plan=plan
+    )
+    assert len(shards) == 8 and {s.layer for s in shards} == {2}
+    for spec in shards:
+        assert spec.max_batch == default_chunk_cap(5)
+        assert spec.estimated_cost == pytest.approx(
+            1e9 * model.plan_seconds(
+                arities, lengths, max_batch=spec.max_batch,
+                frontier_range=(2, spec.start, spec.stop),
+            )
+        )
+    (whole,) = ShardPlanner(cost_model=model).plan_shards(
+        circuit, 24, 1, seed=0, plan=plan
+    )
+    assert whole.estimated_cost == pytest.approx(
+        1e9 * model.plan_seconds(arities, lengths, max_batch=whole.max_batch)
+    )
+
+
+def test_calibrated_dispatchers_equal_the_engine_bitwise():
+    circuit = qft_circuit(5)
+    noise = depolarizing_noise_model()
+    plan = ManualPartitioner((2, 3, 4)).plan(circuit, 24, noise)
+    model = synthetic_model(num_qubits=5)
+    single = TQSimEngine(noise, seed=23).run(circuit, 24, plan=plan)
+    serial = SerialDispatcher(
+        noise, seed=23, num_shards=8, max_depth=3, cost_model=model
+    ).run(circuit, 24, plan=plan)
+    with PoolDispatcher(
+        noise, seed=23, num_workers=2, max_depth=3, cost_model=model
+    ) as pool:
+        pooled = pool.run(circuit, 24, plan=plan)
+    assert serial.counts == single.counts
+    assert pooled.counts == single.counts
+
+
+# ----------------------------------------------------------------------
+# Admission (memory only)
 # ----------------------------------------------------------------------
 def test_admit_plan_memory_only_path():
     decision = admit_plan(
@@ -328,7 +425,6 @@ def test_admit_plan_memory_only_path():
     assert decision.fits_memory
     # Frontier chunks span parents: the cap reaches the largest frontier.
     assert decision.max_batch == 64
-    assert decision.predicted_seconds is None
 
 
 def test_admit_plan_without_a_cap_admits_one_wide_state_per_layer():
@@ -415,58 +511,22 @@ def test_admit_plan_validates_prefix_states():
         )
 
 
-def test_admit_plan_consults_cost_model():
-    # Make batching catastrophically expensive: the model should drop the
-    # cap to 1 even though memory admits the full batch.
-    slow_batch = synthetic_model(
-        batch_overhead_ns=1e9, batch_row_ns=1e9, gate_ns=10.0
-    )
-    decision = admit_plan(
-        num_qubits=4,
-        arities=(16,),
-        subcircuit_lengths=(6,),
-        memory_bytes=8 * 2**30,
-        cost_model=slow_batch,
-    )
-    assert decision.max_batch == 1
-    assert "cap 1" in decision.reason
-    assert decision.predicted_sequential_seconds is not None
-    assert decision.predicted_seconds == pytest.approx(
-        decision.predicted_sequential_seconds
-    )
-    # And a model where batching is nearly free picks the batched leg.
-    fast_batch = synthetic_model(
-        batch_overhead_ns=0.0, batch_row_ns=1.0, gate_ns=1000.0
-    )
-    decision = admit_plan(
-        num_qubits=4,
-        arities=(16,),
-        subcircuit_lengths=(6,),
-        memory_bytes=8 * 2**30,
-        cost_model=fast_batch,
-    )
-    assert decision.max_batch == 16
-    assert decision.predicted_seconds == pytest.approx(
-        decision.predicted_batched_seconds
-    )
-
-
 def test_cap_one_verdict_reproduces_default_cap_counts():
-    """A model pricing cap 1 cheaper only changes the chunking: the server
-    hands the admitted cap to the engine and the counts stay bitwise."""
+    """A budget of one state per layer only changes the chunking: the
+    server hands the admitted cap 1 to the engine and the counts stay
+    bitwise."""
     from repro.serve import SimulationRequest, SimulationServer
 
-    slow_batch = synthetic_model(
-        num_qubits=4, batch_overhead_ns=1e9, batch_row_ns=1e9, gate_ns=10.0
-    )
     request = SimulationRequest(
         circuit=qft_circuit(4), noise=depolarizing_noise_model(), shots=64,
         seed=3,
     )
-    with SimulationServer(cost_model=slow_batch) as server:
-        capped = server.handle(request)
     with SimulationServer() as server:
         default = server.handle(request)
+    layers = len(default.metadata["subcircuit_lengths"])
+    tight = replace(request, memory_bytes=layers * statevector_bytes(4))
+    with SimulationServer() as server:
+        capped = server.handle(tight)
     assert capped.ok and default.ok
     assert capped.admission["max_batch"] == 1
     assert capped.metadata["max_batch"] == 1

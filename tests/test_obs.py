@@ -280,7 +280,7 @@ def test_summary_self_time_subtracts_children():
 
 def test_drift_report_prices_full_tree_runs():
     class FakeModel:
-        def plan_seconds(self, arities, lengths, batched=True, max_batch=64):
+        def plan_seconds(self, arities, lengths, max_batch=64):
             return 0.25
 
     tracer = Tracer()

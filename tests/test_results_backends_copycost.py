@@ -1,4 +1,4 @@
-"""Tests for cost counters, result containers, device profiles and profiling."""
+"""Tests for cost counters, result containers and device profiles."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from repro.core import (
     CostCounters,
     NumpyBackend,
     SimulationResult,
-    measure_copy_cost,
     merge_many,
     merge_results,
 )
@@ -307,19 +306,3 @@ def test_device_profiles_registry():
         name for name in list(DEVICE_PROFILES) + list(MODELED_SYSTEM_COPY_COSTS)
     }
     assert "a100_server_gpu" in DEVICE_PROFILES
-
-
-# ---------------------------------------------------------------------------
-# Copy-cost profiling
-# ---------------------------------------------------------------------------
-def test_measure_copy_cost_profile():
-    profile = measure_copy_cost(widths=(6, 8), repeats=3)
-    assert set(profile.per_width) == {6, 8}
-    assert profile.average > 0
-    assert profile.cost_for(7) in profile.per_width.values()
-    assert all(value > 0 for value in profile.gate_seconds.values())
-
-
-def test_measure_copy_cost_validates_width():
-    with pytest.raises(ValueError):
-        measure_copy_cost(widths=(1,), repeats=1)

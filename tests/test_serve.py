@@ -23,6 +23,7 @@ from repro.analysis.memory import (
     batched_tree_simulation_bytes,
     statevector_bytes,
 )
+from repro.circuits.circuit import Circuit
 from repro.circuits.library import ghz_circuit, qft_circuit
 from repro.circuits.transpile import fuse_single_qubit_runs
 from repro.core.partitioners import DynamicCircuitPartitioner
@@ -136,6 +137,33 @@ def test_warm_counts_bitwise_identical_to_cold_sequential():
     assert counters["serve.cache.transpile.hits"] >= 1
     assert counters["serve.cache.plan.hits"] >= 1
     assert counters["serve.cache.prefix.hits"] >= 1
+
+
+def test_warm_repeat_hashes_the_request_circuit_once(monkeypatch):
+    """The transpile cache keeps the fused circuit's hash: a warm repeat of
+    a circuit that fusion changes hashes only the circuit it sent, and its
+    fused hash and counts are the cold request's."""
+    circuit = qft_circuit(5)
+    assert (fuse_single_qubit_runs(circuit).content_hash()
+            != circuit.content_hash())
+    hashed = []
+    real = Circuit.content_hash
+
+    def counting(self):
+        hashed.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Circuit, "content_hash", counting)
+    with SimulationServer() as server:
+        cold = server.handle(_request(circuit, seed=7))
+        hashed.clear()
+        warm = server.handle(_request(circuit, seed=7))
+    assert warm.cached
+    assert hashed == [circuit]
+    assert (warm.metadata["serve"]["fused_hash"]
+            == cold.metadata["serve"]["fused_hash"]
+            == real(fuse_single_qubit_runs(circuit)))
+    assert warm.counts == cold.counts
 
 
 @pytest.mark.parametrize("backend", ["optimized", "batched"])
