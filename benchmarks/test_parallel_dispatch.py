@@ -40,8 +40,7 @@ def test_parallel_dispatch_scaling(bench_config):
         circuit, noise_model, config, plan, worker_counts=worker_counts
     )
     single = TQSimEngine(
-        noise_model, seed=config.seed + 2, backend="batched",
-        copy_cost_in_gates=config.copy_cost_in_gates,
+        noise_model, seed=config.seed + 2, backend="batched"
     ).run(circuit, SHOTS, plan=plan)
 
     print_table(
@@ -56,8 +55,7 @@ def test_parallel_dispatch_scaling(bench_config):
     from repro.dispatch import SerialDispatcher
 
     serial = SerialDispatcher(
-        noise_model, seed=config.seed + 2, num_shards=2,
-        copy_cost_in_gates=config.copy_cost_in_gates,
+        noise_model, seed=config.seed + 2, num_shards=2
     ).run(circuit, SHOTS, plan=plan)
     assert serial.counts == single.counts
     assert serial.cost.matches(single.cost)
@@ -99,8 +97,7 @@ def test_parallel_dispatch_deep_sharding_low_arity(bench_config):
         worker_counts=worker_counts, max_depth=2,
     )
     single = TQSimEngine(
-        noise_model, seed=config.seed + 2, backend="batched",
-        copy_cost_in_gates=config.copy_cost_in_gates,
+        noise_model, seed=config.seed + 2, backend="batched"
     ).run(circuit, 128, plan=plan)
 
     print_table(
@@ -111,8 +108,7 @@ def test_parallel_dispatch_deep_sharding_low_arity(bench_config):
 
     assert measured.counts_match_serial
     deep = SerialDispatcher(
-        noise_model, seed=config.seed + 2, num_shards=4, max_depth=2,
-        copy_cost_in_gates=config.copy_cost_in_gates,
+        noise_model, seed=config.seed + 2, num_shards=4, max_depth=2
     ).run(circuit, 128, plan=plan)
     assert deep.counts == single.counts
     assert deep.cost.matches(single.cost)

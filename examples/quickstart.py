@@ -34,10 +34,12 @@ def main() -> None:
     print(f"  wall time         : {baseline.cost.wall_time_seconds:.2f} s")
 
     # 2. TQSim: partition the circuit with DCP and reuse intermediate states.
+    # The state-copy cost is a partitioning decision: DCP sizes the first
+    # subcircuit and the minimum piece by it.
     partitioner = DynamicCircuitPartitioner(copy_cost_in_gates=copy_cost,
                                             margin_of_error=0.15,
                                             min_first_layer_shots=64)
-    engine = TQSimEngine(noise_model, seed=2, copy_cost_in_gates=copy_cost)
+    engine = TQSimEngine(noise_model, seed=2)
     tqsim = engine.run(circuit, shots, partitioner=partitioner)
     print("tqsim:")
     print(f"  simulation tree   : {tqsim.metadata['tree']}")

@@ -161,7 +161,6 @@ class AdmissionDecision:
 def admit_plan(
     num_qubits: int,
     arities: Sequence[int],
-    subcircuit_lengths: Sequence[int],
     memory_bytes: float,
     max_batch: int | None = None,
     prefix_states: int = 0,
@@ -190,8 +189,6 @@ def admit_plan(
         raise ValueError("max_batch must be >= 1")
     if prefix_states < 0:
         raise ValueError("prefix_states must be >= 0")
-    if len(tuple(arities)) != len(tuple(subcircuit_lengths)):
-        raise ValueError("need one arity per subcircuit")
     prefix_bytes = prefix_states * statevector_bytes(num_qubits)
     pool_budget = memory_bytes - prefix_bytes
     # No chunk is wider than the largest frontier, the plan's leaf count.

@@ -27,8 +27,8 @@ MODELED_SYSTEM_COPY_COSTS: dict[str, float] = {
     "v100_server_gpu": 5.0,
 }
 
-#: Default used by DCP when no profile is supplied: the paper's primary
-#: evaluation platform is the Xeon 6130 server, but the pure-NumPy substrate
-#: here behaves much closer to a desktop CPU, so a measured value should be
-#: preferred whenever available.
+#: Default used by DCP when no profile is supplied, and the copy price of the
+#: uncalibrated shard balancer: the paper's primary evaluation platform is the
+#: Xeon 6130 server, but the pure-NumPy substrate here behaves much closer to
+#: a desktop CPU, so a measured value should be preferred whenever available.
 DEFAULT_COPY_COST_IN_GATES = 20.0

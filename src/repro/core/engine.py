@@ -82,7 +82,6 @@ import numpy as np
 
 from repro.backends import Backend, get_backend
 from repro.circuits.circuit import Circuit
-from repro.core.copycost import DEFAULT_COPY_COST_IN_GATES
 from repro.core.partitioners import (
     CircuitPartitioner,
     DynamicCircuitPartitioner,
@@ -247,7 +246,6 @@ class TQSimEngine:
         noise_model: NoiseModel | None = None,
         seed: int | np.random.SeedSequence | None = None,
         backend: str | Backend | None = None,
-        copy_cost_in_gates: float = DEFAULT_COPY_COST_IN_GATES,
         max_batch: int | None = None,
         tracer: AnyTracer | None = None,
     ) -> None:
@@ -290,7 +288,6 @@ class TQSimEngine:
             raise ValueError("max_batch must be >= 1")
         self.noise_model = noise_model
         self.backend = get_backend(backend)
-        self.copy_cost_in_gates = float(copy_cost_in_gates)
         self.max_batch = None if max_batch is None else int(max_batch)
         self.tracer = tracer
         self._root_key = root_key_from_seed(seed)
@@ -314,8 +311,8 @@ class TQSimEngine:
         shots:
             Minimum number of measurement outcomes to produce.
         partitioner:
-            Partitioning policy; defaults to the paper's DCP configured with
-            this engine's state-copy cost.
+            Partitioning policy; defaults to the paper's DCP at its default
+            state-copy cost (the partitioner owns that cost).
         plan:
             A pre-built plan (overrides ``partitioner``).
         shard:
@@ -342,9 +339,7 @@ class TQSimEngine:
             raise ValueError("shots must be >= 1")
         if plan is None:
             if partitioner is None:
-                partitioner = DynamicCircuitPartitioner(
-                    copy_cost_in_gates=self.copy_cost_in_gates
-                )
+                partitioner = DynamicCircuitPartitioner()
             plan = partitioner.plan(circuit, shots, self.noise_model)
         if plan.total_gates != circuit.num_gates:
             raise ValueError(
@@ -487,9 +482,6 @@ class TQSimEngine:
             "subcircuit_lengths": plan.subcircuit_lengths,
             "requested_shots": shots,
             "seeding": "path-keyed-counter-v2",
-            "theoretical_speedup": plan.theoretical_speedup(
-                self.copy_cost_in_gates
-            ),
             "noise_model": self.noise_model.name if self.noise_model else "ideal",
             "max_batch": cap,
         }

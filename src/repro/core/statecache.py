@@ -30,13 +30,8 @@ import numpy as np
 
 __all__ = [
     "CacheStats",
-    "DEFAULT_PREFIX_CACHE_BYTES",
     "PrefixStateCache",
 ]
-
-#: Default byte budget of a :class:`PrefixStateCache`: one 24-qubit
-#: statevector (256 MiB), generous for the widths this package simulates.
-DEFAULT_PREFIX_CACHE_BYTES = 256 * 1024 * 1024
 
 
 @dataclass
@@ -72,12 +67,11 @@ class PrefixStateCache:
     Parameters
     ----------
     max_bytes:
-        Resident-byte budget.  ``None`` disables the bound (the pre-fix
-        behaviour, kept for callers that manage lifetime themselves).
+        Resident-byte budget.  ``None`` disables the bound, for callers
+        that manage lifetime themselves.
     """
 
-    def __init__(self, max_bytes: int | None = DEFAULT_PREFIX_CACHE_BYTES
-                 ) -> None:
+    def __init__(self, max_bytes: int | None) -> None:
         if max_bytes is not None and max_bytes < 0:
             raise ValueError("max_bytes must be >= 0 (or None for unbounded)")
         self.max_bytes = max_bytes

@@ -95,7 +95,6 @@ from typing import Any
 import numpy as np
 
 from repro.circuits.circuit import Circuit
-from repro.core.copycost import DEFAULT_COPY_COST_IN_GATES
 from repro.core.costmodel import CostModel, estimate_shard_seconds
 from repro.core.partitioners import CircuitPartitioner, PartitionPlan
 from repro.core.pathrng import PathStream, child_key, run_root_key
@@ -228,7 +227,6 @@ class Dispatcher(ABC):
         seed: int | np.random.SeedSequence | None = None,
         num_shards: int | None = None,
         backend: str = "optimized",
-        copy_cost_in_gates: float = DEFAULT_COPY_COST_IN_GATES,
         max_batch: int | None = None,
         max_depth: int = 1,
         cost_model: CostModel | None = None,
@@ -238,7 +236,6 @@ class Dispatcher(ABC):
         self._planner = ShardPlanner(
             noise_model=noise_model,
             backend=backend,
-            copy_cost_in_gates=copy_cost_in_gates,
             max_batch=max_batch,
             max_depth=max_depth,
             cost_model=cost_model,
@@ -491,7 +488,6 @@ class PoolDispatcher(Dispatcher):
         num_workers: int | None = None,
         num_shards: int | None = None,
         backend: str = "optimized",
-        copy_cost_in_gates: float = DEFAULT_COPY_COST_IN_GATES,
         max_batch: int | None = None,
         max_depth: int = 1,
         cost_model: CostModel | None = None,
@@ -544,7 +540,6 @@ class PoolDispatcher(Dispatcher):
             seed=seed,
             num_shards=num_shards,
             backend=backend,
-            copy_cost_in_gates=copy_cost_in_gates,
             max_batch=max_batch,
             max_depth=max_depth,
             cost_model=cost_model,

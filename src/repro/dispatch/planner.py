@@ -15,9 +15,9 @@ still feed 16 workers.  A shard below layer 0 also runs the ancestors of its
 range (cheap by construction — the DCP plans put the short subcircuits
 first), and the load-aware balancer prices what a range runs on every layer
 (:func:`~repro.core.engine.frontier_windows`) when choosing shard
-boundaries: in gate-equivalents (via the configured state-copy cost from
-:mod:`repro.core.copycost`) by default, and with a calibrated
-:class:`~repro.core.costmodel.CostModel` as
+boundaries: in gate-equivalents (a state copy at
+:data:`~repro.core.copycost.DEFAULT_COPY_COST_IN_GATES`) by default, and
+with a calibrated :class:`~repro.core.costmodel.CostModel` as
 :meth:`~repro.core.costmodel.CostModel.plan_seconds` of the range at the
 shards' chunk cap, in measured nanoseconds.
 
@@ -78,7 +78,7 @@ class ShardSpec:
         carries the int its shard runs at.
     estimated_cost:
         The planner's load estimate for this shard — gate-equivalents
-        (the gates and state copies, at the configured copy cost, of every
+        (the gates and state copies, at the default copy cost, of every
         node the range runs) by default, and the calibrated cost model's
         :meth:`~repro.core.costmodel.CostModel.plan_seconds` of the range
         in nanoseconds when the planner was given one.  Recorded so
@@ -96,7 +96,6 @@ class ShardSpec:
     noise_model: NoiseModel | None
     requested_shots: int
     backend: str = "optimized"
-    copy_cost_in_gates: float = DEFAULT_COPY_COST_IN_GATES
     max_batch: int | None = None
     estimated_cost: float = field(default=0.0, compare=False)
 
@@ -149,7 +148,6 @@ class ShardPlanner:
         self,
         noise_model: NoiseModel | None = None,
         backend: str = "optimized",
-        copy_cost_in_gates: float = DEFAULT_COPY_COST_IN_GATES,
         max_batch: int | None = None,
         max_depth: int = 1,
         cost_model: CostModel | None = None,
@@ -158,7 +156,6 @@ class ShardPlanner:
             raise ValueError("max_depth must be >= 1")
         self.noise_model = noise_model
         self.backend = backend
-        self.copy_cost_in_gates = float(copy_cost_in_gates)
         self.max_batch = None if max_batch is None else int(max_batch)
         self.max_depth = int(max_depth)
         self.cost_model = cost_model
@@ -196,9 +193,7 @@ class ShardPlanner:
             raise ValueError("max_depth must be >= 1")
         if plan is None:
             if partitioner is None:
-                partitioner = DynamicCircuitPartitioner(
-                    copy_cost_in_gates=self.copy_cost_in_gates
-                )
+                partitioner = DynamicCircuitPartitioner()
             plan = partitioner.plan(circuit, shots, self.noise_model)
         if plan.total_gates != circuit.num_gates:
             raise ValueError(
@@ -237,8 +232,7 @@ class ShardPlanner:
         def range_cost(start: int, stop: int) -> float:
             if self.cost_model is None:
                 return _range_gate_equivalents(
-                    arities, lengths, depth, start, stop,
-                    self.copy_cost_in_gates,
+                    arities, lengths, depth, start, stop
                 )
             return 1e9 * self.cost_model.plan_seconds(
                 arities, lengths, max_batch=cap,
@@ -259,7 +253,6 @@ class ShardPlanner:
                 noise_model=self.noise_model,
                 requested_shots=shots,
                 backend=self.backend,
-                copy_cost_in_gates=self.copy_cost_in_gates,
                 max_batch=cap,
                 estimated_cost=range_cost(start, stop),
             )
@@ -315,18 +308,18 @@ def _range_gate_equivalents(
     layer: int,
     start: int,
     stop: int,
-    copy_cost_in_gates: float,
 ) -> float:
     """Gate-equivalents of a run over units ``[start, stop)`` of ``layer``.
 
     Every node of every window of
     :func:`~repro.core.engine.frontier_windows` — each distinct ancestor
     above the range once, the range, every subtree below it — runs its
-    subcircuit, and below layer 0 costs one state copy.
+    subcircuit, and below layer 0 costs one state copy at
+    :data:`~repro.core.copycost.DEFAULT_COPY_COST_IN_GATES`.
     """
     windows = frontier_windows(arities, layer, start, stop)
     return sum(
-        (hi - lo) * (length + (copy_cost_in_gates if i else 0.0))
+        (hi - lo) * (length + (DEFAULT_COPY_COST_IN_GATES if i else 0.0))
         for i, ((lo, hi, _), length) in enumerate(zip(windows, lengths))
     )
 

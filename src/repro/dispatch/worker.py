@@ -57,7 +57,6 @@ def run_shard(
     engine = TQSimEngine(
         noise_model=spec.noise_model,
         backend=spec.backend,
-        copy_cost_in_gates=spec.copy_cost_in_gates,
         max_batch=spec.max_batch,
         tracer=tracer,
     )

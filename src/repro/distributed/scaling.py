@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.circuits.circuit import Circuit
-from repro.core.copycost import DEFAULT_COPY_COST_IN_GATES
 from repro.core.partitioners import DynamicCircuitPartitioner
 from repro.distributed.cluster import ClusterConfig, XEON_CLUSTER
 from repro.distributed.partitioned import DistributedCostModel
@@ -36,10 +35,7 @@ class ScalingPoint:
 
 
 def _plan_for(circuit: Circuit, shots: int, noise_model: NoiseModel | None):
-    partitioner = DynamicCircuitPartitioner(
-        copy_cost_in_gates=DEFAULT_COPY_COST_IN_GATES
-    )
-    return partitioner.plan(circuit, shots, noise_model)
+    return DynamicCircuitPartitioner().plan(circuit, shots, noise_model)
 
 
 def strong_scaling(

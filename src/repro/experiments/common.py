@@ -233,12 +233,10 @@ def measure_batched_tree(
     measures the chunking the same way.
     """
     sequential = TQSimEngine(
-        noise_model, seed=config.seed + 1, backend=config.backend,
-        copy_cost_in_gates=config.copy_cost_in_gates, max_batch=1,
+        noise_model, seed=config.seed + 1, backend=config.backend, max_batch=1
     ).run(circuit, config.shots, plan=plan)
     batched = TQSimEngine(
-        noise_model, seed=config.seed + 1, backend=config.backend,
-        copy_cost_in_gates=config.copy_cost_in_gates,
+        noise_model, seed=config.seed + 1, backend=config.backend
     ).run(circuit, config.shots, plan=plan)
     return BatchedTreeMeasurement(
         name=circuit.name or "circuit",
@@ -374,9 +372,7 @@ def measure_dispatch_scaling(
     serial_result = None
     for _ in range(repeats):
         dispatcher = SerialDispatcher(
-            noise_model, seed=seed, num_shards=1,
-            copy_cost_in_gates=config.copy_cost_in_gates,
-            tracer=tracer,
+            noise_model, seed=seed, num_shards=1, tracer=tracer
         )
         candidate = dispatcher.run(circuit, config.shots, plan=plan)
         if candidate.cost.wall_time_seconds < serial_seconds:
@@ -388,9 +384,7 @@ def measure_dispatch_scaling(
     for workers in worker_counts:
         dispatcher = PoolDispatcher(
             noise_model, seed=seed, num_workers=workers, num_shards=workers,
-            copy_cost_in_gates=config.copy_cost_in_gates,
-            max_depth=max_depth,
-            tracer=tracer,
+            max_depth=max_depth, tracer=tracer,
         )
         best = None
         for _ in range(repeats):
@@ -460,18 +454,17 @@ def measure_faulty_dispatch(
     The injected fault crashes shard 0's first attempt (``os._exit`` in the
     worker — a real process death, not an exception), which forces the full
     recovery path: broken-pool detection, worker rebuild and shard re-run.
-    Timing legs are best-of-``repeats``; the crash leg keeps retry backoff
-    near zero so the measurement isolates detection + re-execution.
-    ``tracer`` is threaded to all three dispatchers, so a traced measurement
-    yields one timeline covering the healthy leg and the recovery.
+    Timing legs are best-of-``repeats``.  A crashed attempt is requeued
+    at once, with no retry backoff, so the crash leg times detection and
+    re-execution.  ``tracer`` is threaded to all three dispatchers, so a
+    traced measurement yields one timeline covering the healthy leg and
+    the recovery.
     """
     from repro.dispatch import FaultInjector, PoolDispatcher, SerialDispatcher
 
     seed = config.seed + 2
     serial = SerialDispatcher(
-        noise_model, seed=seed, num_shards=1,
-        copy_cost_in_gates=config.copy_cost_in_gates,
-        tracer=tracer,
+        noise_model, seed=seed, num_shards=1, tracer=tracer
     ).run(circuit, config.shots, plan=plan)
 
     def best_run(dispatcher) -> Any:
@@ -487,16 +480,12 @@ def measure_faulty_dispatch(
 
     pool = best_run(PoolDispatcher(
         noise_model, seed=seed, num_workers=num_workers,
-        num_shards=num_workers,
-        copy_cost_in_gates=config.copy_cost_in_gates,
-        tracer=tracer,
+        num_shards=num_workers, tracer=tracer,
     ))
     faulty = best_run(PoolDispatcher(
         noise_model, seed=seed, num_workers=num_workers,
         num_shards=num_workers,
-        copy_cost_in_gates=config.copy_cost_in_gates,
         fault_injector=FaultInjector(crashes=((0, 0),)),
-        backoff_base_seconds=0.0,
         tracer=tracer,
     ))
 
@@ -554,10 +543,7 @@ def compare_simulators(
     baseline_result = baseline.run(circuit, config.shots)
 
     engine = TQSimEngine(
-        noise_model,
-        seed=config.seed + 1,
-        backend=config.backend,
-        copy_cost_in_gates=config.copy_cost_in_gates,
+        noise_model, seed=config.seed + 1, backend=config.backend
     )
     if partitioner is None:
         partitioner = config.dcp_partitioner()
@@ -576,10 +562,7 @@ def compare_simulators(
             circuit, config.shots, noise_model
         )
         calibrated_result = TQSimEngine(
-            noise_model,
-            seed=config.seed + 1,
-            backend="batched",
-            copy_cost_in_gates=cost_model.copy_cost_in_gates,
+            noise_model, seed=config.seed + 1, backend="batched"
         ).run(circuit, config.shots, plan=calibrated_plan)
         calibrated_tree = str(calibrated_plan.tree)
         calibrated_wall_clock_speedup = calibrated_result.speedup_over(

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 from repro.circuits.library.suite import benchmark_suite
 from repro.core.engine import TQSimEngine
+from repro.core.partitioners import DynamicCircuitPartitioner
 from repro.density.simulator import DensityMatrixSimulator
 from repro.experiments.common import DEFAULT_CONFIG, ExperimentConfig
 from repro.metrics.fidelity import normalized_fidelity
@@ -59,15 +60,17 @@ class DensityReferenceResult:
 def run(config: ExperimentConfig = DEFAULT_CONFIG) -> DensityReferenceResult:
     """Compare TQSim with the exact density-matrix result on small circuits."""
     noise_model = depolarizing_noise_model()
+    partitioner = DynamicCircuitPartitioner(
+        copy_cost_in_gates=config.copy_cost_in_gates
+    )
     width_limit = min(config.max_qubits, DensityMatrixSimulator.MAX_QUBITS, 9)
     rows: list[DensityReferenceRow] = []
     for spec, circuit in benchmark_suite(max_qubits=width_limit, seed=config.seed):
         ideal = StatevectorSimulator(seed=config.seed).probabilities(circuit)
         density = DensityMatrixSimulator(noise_model, seed=config.seed)
         density_nf = normalized_fidelity(ideal, density.probabilities(circuit))
-        engine = TQSimEngine(noise_model, seed=config.seed + 1,
-                             copy_cost_in_gates=config.copy_cost_in_gates)
-        tqsim_result = engine.run(circuit, config.shots)
+        engine = TQSimEngine(noise_model, seed=config.seed + 1)
+        tqsim_result = engine.run(circuit, config.shots, partitioner=partitioner)
         tqsim_nf = normalized_fidelity(ideal, tqsim_result.probabilities())
         rows.append(
             DensityReferenceRow(

@@ -71,8 +71,7 @@ def run(config: ExperimentConfig = DEFAULT_CONFIG,
         baseline_nf = normalized_fidelity(
             ideal, baseline.run(circuit, config.shots).probabilities()
         )
-        engine = TQSimEngine(noise_model, seed=config.seed + 1,
-                             copy_cost_in_gates=config.copy_cost_in_gates)
+        engine = TQSimEngine(noise_model, seed=config.seed + 1)
         tqsim_nf = normalized_fidelity(
             ideal, engine.run(circuit, config.shots, plan=plan).probabilities()
         )

@@ -133,8 +133,7 @@ def _measure_calibrated_pick(circuit, noise_model,
         best = float("inf")
         for _ in range(repeats):
             result = TQSimEngine(
-                noise_model, seed=config.seed + 1, backend="batched",
-                copy_cost_in_gates=cost_model.copy_cost_in_gates,
+                noise_model, seed=config.seed + 1, backend="batched"
             ).run(circuit, config.shots, plan=plan)
             best = min(best, result.cost.wall_time_seconds)
         return best
@@ -168,8 +167,7 @@ def run(config: ExperimentConfig = DEFAULT_CONFIG) -> TradeoffResult:
     rows: list[TradeoffRow] = []
     for label, partitioner in paper_structures(config.shots,
                                                dcp=config.dcp_partitioner()):
-        engine = TQSimEngine(noise_model, seed=config.seed + 1,
-                             copy_cost_in_gates=config.copy_cost_in_gates)
+        engine = TQSimEngine(noise_model, seed=config.seed + 1)
         result = engine.run(circuit, config.shots, partitioner=partitioner)
         fidelity = normalized_fidelity(ideal, result.probabilities())
         rows.append(

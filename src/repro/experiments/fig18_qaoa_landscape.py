@@ -73,7 +73,6 @@ def run(config: ExperimentConfig = DEFAULT_CONFIG) -> QaoaLandscapeResult:
             betas=betas,
             shots=shots,
             seed=config.seed,
-            copy_cost_in_gates=config.copy_cost_in_gates,
             graph_name=name,
         )
         baseline = qaoa_cost_landscape(graph, simulator="baseline", **kwargs)

@@ -27,7 +27,6 @@ __all__ = [
     "record_latency",
     "replayed_prefix_gates_view",
     "resilience_view",
-    "serve_cache_view",
 ]
 
 #: Every dispatch-layer counter lives under this namespace.
@@ -116,18 +115,6 @@ def latency_percentiles_ms(
         else:
             out[percentile] = float("inf")
     return out
-
-
-def serve_cache_view(metrics: MetricSet) -> dict[str, dict[str, int]]:
-    """Per-cache stat dicts rebuilt from the ``serve.cache.*`` counters."""
-    view: dict[str, dict[str, int]] = {}
-    for name, value in sorted(metrics.counters.items()):
-        if not name.startswith(SERVE_CACHE_PREFIX):
-            continue
-        cache, _, stat = name[len(SERVE_CACHE_PREFIX):].partition(".")
-        if stat:
-            view.setdefault(cache, {})[stat] = int(value)
-    return view
 
 
 def _counter(metrics: MetricSet, name: str) -> float:

@@ -59,7 +59,6 @@ from repro.backends import DEFAULT_BACKEND_NAME
 from repro.circuits.circuit import Circuit
 from repro.circuits.qasm import from_qasm
 from repro.circuits.transpile import fuse_single_qubit_runs
-from repro.core.copycost import DEFAULT_COPY_COST_IN_GATES
 from repro.core.costmodel import CostModel
 from repro.core.engine import TQSimEngine
 from repro.core.partitioners import DynamicCircuitPartitioner, PartitionPlan
@@ -197,8 +196,8 @@ class SimulationServer:
         ``None`` leaves the state cache unbounded).
     cost_model:
         Calibrated :class:`~repro.core.costmodel.CostModel` for the DCP
-        plan search and the pool's shard sizing.  Admission reads memory
-        only.
+        plan search, which then plans at the model's copy/gate ratio, and
+        for the pool's shard sizing.  Admission reads memory only.
     tracer:
         When given (and enabled), each request records spans into its own
         :class:`~repro.obs.tracer.Tracer` (tracers are not thread-safe)
@@ -211,7 +210,6 @@ class SimulationServer:
         executor_threads: int = 4,
         memory_bytes: float = XEON_NODE_MEMORY_BYTES,
         max_batch: int | None = None,
-        copy_cost_in_gates: float = DEFAULT_COPY_COST_IN_GATES,
         cost_model: CostModel | None = None,
         state_cache_bytes: int = DEFAULT_STATE_CACHE_BYTES,
         plan_cache_entries: int = 256,
@@ -226,7 +224,6 @@ class SimulationServer:
         self.workers = workers
         self.default_memory_bytes = memory_bytes
         self.max_batch = max_batch
-        self.copy_cost_in_gates = copy_cost_in_gates
         self.cost_model = cost_model
         self.tracer: AnyTracer = tracer if tracer is not None else NullTracer()
         self.caches = ServeCaches(
@@ -245,9 +242,7 @@ class SimulationServer:
             run_root_key(server_seed), _REQUEST_ID_SALT
         )
         self._sequence = 0
-        self._partitioner = DynamicCircuitPartitioner(
-            copy_cost_in_gates=copy_cost_in_gates, cost_model=cost_model
-        )
+        self._partitioner = DynamicCircuitPartitioner(cost_model=cost_model)
 
     # -- job queue ------------------------------------------------------
     async def submit(self, request: SimulationRequest) -> SimulationResponse:
@@ -376,7 +371,6 @@ class SimulationServer:
         decision = admit_plan(
             fused.num_qubits,
             plan.tree.arities,
-            plan.subcircuit_lengths,
             memory_bytes=min(request.memory_bytes, self.default_memory_bytes),
             max_batch=self.max_batch,
             prefix_states=1 if noiseless else 0,
@@ -432,7 +426,6 @@ class SimulationServer:
                 seed=request.seed,
                 num_workers=self.workers,
                 backend=backend_name,
-                copy_cost_in_gates=self.copy_cost_in_gates,
                 max_batch=decision.max_batch,
                 cost_model=self.cost_model,
                 tracer=tracer,
@@ -442,7 +435,6 @@ class SimulationServer:
             noise_model=noise_model,
             seed=request.seed,
             backend=backend_name,
-            copy_cost_in_gates=self.copy_cost_in_gates,
             max_batch=decision.max_batch,
             tracer=tracer,
         )

@@ -51,7 +51,6 @@ def qaoa_cost_landscape(
     betas: np.ndarray | None = None,
     shots: int = 200,
     seed: int | None = 0,
-    copy_cost_in_gates: float = DEFAULT_COPY_COST_IN_GATES,
     graph_name: str = "graph",
     partitioner=None,
 ) -> LandscapeResult:
@@ -71,7 +70,7 @@ def qaoa_cost_landscape(
         compared in Figure 18.
     partitioner:
         Optional partitioning policy for the TQSim engine; defaults to DCP
-        with the given copy cost.
+        at its default copy cost.
     """
     if simulator not in ("baseline", "tqsim"):
         raise ValueError("simulator must be 'baseline' or 'tqsim'")
@@ -89,8 +88,7 @@ def qaoa_cost_landscape(
                 result = engine.run(circuit, shots)
             else:
                 engine = TQSimEngine(
-                    noise_model, seed=None if seed is None else seed + 1,
-                    copy_cost_in_gates=copy_cost_in_gates,
+                    noise_model, seed=None if seed is None else seed + 1
                 )
                 result = engine.run(circuit, shots, partitioner=partitioner)
             costs[i, j] = expected_cut_from_counts(graph, result.counts)

@@ -57,7 +57,7 @@ def test_baseline_rejects_invalid_shots(ghz3):
 # TQSim engine
 # ---------------------------------------------------------------------------
 def test_engine_without_noise_matches_ideal(ghz3):
-    engine = TQSimEngine(noise_model=None, seed=3, copy_cost_in_gates=1.0)
+    engine = TQSimEngine(noise_model=None, seed=3)
     result = engine.run(ghz3, 400, partitioner=UniformCircuitPartitioner(2))
     ideal = StatevectorSimulator().probabilities(ghz3)
     assert total_variation_distance(ideal, result.probabilities()) < 0.15
@@ -68,7 +68,7 @@ def test_engine_cost_matches_tree_accounting(qft5, depolarizing_model):
     shots = 128
     partitioner = UniformCircuitPartitioner(3)
     plan = partitioner.plan(qft5, shots, depolarizing_model)
-    engine = TQSimEngine(depolarizing_model, seed=4, copy_cost_in_gates=5.0)
+    engine = TQSimEngine(depolarizing_model, seed=4)
     result = engine.run(qft5, shots, plan=plan)
     expected_gates = plan.tree.computation_cost(plan.subcircuit_lengths)
     assert result.cost.gate_applications == expected_gates
@@ -81,7 +81,7 @@ def test_engine_cost_matches_tree_accounting(qft5, depolarizing_model):
 def test_engine_reduces_computation_versus_baseline(qft5, depolarizing_model):
     shots = 200
     baseline = BaselineNoisySimulator(depolarizing_model, seed=5).run(qft5, shots)
-    engine = TQSimEngine(depolarizing_model, seed=6, copy_cost_in_gates=5.0)
+    engine = TQSimEngine(depolarizing_model, seed=6)
     result = engine.run(
         qft5, shots,
         partitioner=DynamicCircuitPartitioner(copy_cost_in_gates=5.0,
@@ -99,7 +99,7 @@ def test_engine_accuracy_close_to_baseline(bv6, strong_depolarizing_model):
     baseline = BaselineNoisySimulator(strong_depolarizing_model, seed=7).run(
         bv6, shots
     )
-    engine = TQSimEngine(strong_depolarizing_model, seed=8, copy_cost_in_gates=3.0)
+    engine = TQSimEngine(strong_depolarizing_model, seed=8)
     tqsim = engine.run(bv6, shots, partitioner=ManualPartitioner((300, 4)))
     nf_baseline = normalized_fidelity(ideal, baseline.probabilities())
     nf_tqsim = normalized_fidelity(ideal, tqsim.probabilities())
@@ -131,11 +131,10 @@ def test_engine_readout_error_applied_at_leaves():
     assert set(result.counts) <= {"00", "11"}
 
 
-def test_engine_metadata_contains_theoretical_speedup(qft5, depolarizing_model):
-    engine = TQSimEngine(depolarizing_model, seed=11, copy_cost_in_gates=4.0)
+def test_engine_metadata_records_policy_and_noise_model(qft5, depolarizing_model):
+    engine = TQSimEngine(depolarizing_model, seed=11)
     result = engine.run(qft5, 100, partitioner=UniformCircuitPartitioner(3))
     assert result.metadata["policy"] == "ucp"
-    assert result.metadata["theoretical_speedup"] > 1.0
     assert result.metadata["noise_model"] == depolarizing_model.name
 
 

@@ -418,7 +418,6 @@ def test_admit_plan_memory_only_path():
     decision = admit_plan(
         num_qubits=4,
         arities=(8, 8),
-        subcircuit_lengths=(5, 5),
         memory_bytes=8 * 2**30,
     )
     assert isinstance(decision, AdmissionDecision)
@@ -433,7 +432,6 @@ def test_admit_plan_without_a_cap_admits_one_wide_state_per_layer():
     decision = admit_plan(
         num_qubits=20,
         arities=(64, 4),
-        subcircuit_lengths=(10, 10),
         memory_bytes=8 * 2**30,
     )
     assert decision.fits_memory
@@ -446,7 +444,6 @@ def test_admit_plan_shrinks_batch_under_tight_budget():
     decision = admit_plan(
         num_qubits=20,
         arities=(64,),
-        subcircuit_lengths=(10,),
         memory_bytes=256 * 2**20,
         max_batch=64,
     )
@@ -465,14 +462,12 @@ def test_admit_plan_accounts_prefix_replay_states():
     base = admit_plan(
         num_qubits=20,
         arities=(64,),
-        subcircuit_lengths=(10,),
         memory_bytes=256 * 2**20,
         max_batch=64,
     )
     held = admit_plan(
         num_qubits=20,
         arities=(64,),
-        subcircuit_lengths=(10,),
         memory_bytes=256 * 2**20,
         max_batch=64,
         prefix_states=4,
@@ -492,7 +487,6 @@ def test_admit_plan_rejects_when_prefix_states_exhaust_budget():
     decision = admit_plan(
         num_qubits=20,
         arities=(8,),
-        subcircuit_lengths=(4,),
         memory_bytes=256 * 2**20,
         prefix_states=32,
     )
@@ -505,7 +499,6 @@ def test_admit_plan_validates_prefix_states():
         admit_plan(
             num_qubits=4,
             arities=(4,),
-            subcircuit_lengths=(3,),
             memory_bytes=2**30,
             prefix_states=-1,
         )

@@ -23,7 +23,7 @@ def test_trajectory_ensembles_converge_to_density_matrix():
     shots = 1500
     exact = DensityMatrixSimulator(noise, seed=0).probabilities(circuit)
     baseline = BaselineNoisySimulator(noise, seed=1).run(circuit, shots)
-    engine = TQSimEngine(noise, seed=2, copy_cost_in_gates=4.0)
+    engine = TQSimEngine(noise, seed=2)
     partitioner = DynamicCircuitPartitioner(copy_cost_in_gates=4.0,
                                             margin_of_error=0.1,
                                             min_first_layer_shots=200)
@@ -48,7 +48,7 @@ def test_headline_claim_speedup_with_bounded_fidelity_loss():
     partitioner = DynamicCircuitPartitioner(copy_cost_in_gates=8.0,
                                             margin_of_error=0.15,
                                             min_first_layer_shots=100)
-    tqsim = TQSimEngine(noise, seed=4, copy_cost_in_gates=8.0).run(
+    tqsim = TQSimEngine(noise, seed=4).run(
         circuit, shots, partitioner=partitioner
     )
 
@@ -72,9 +72,9 @@ def test_wall_clock_speedup_tracks_cost_speedup():
                                             min_first_layer_shots=50)
     # One node at a time: the execution the per-trajectory counters model
     # (larger chunks add a batching win on top).
-    tqsim = TQSimEngine(
-        noise, seed=6, copy_cost_in_gates=6.0, max_batch=1
-    ).run(circuit, shots, partitioner=partitioner)
+    tqsim = TQSimEngine(noise, seed=6, max_batch=1).run(
+        circuit, shots, partitioner=partitioner
+    )
     cost_speedup = tqsim.speedup_over(baseline, copy_cost_in_gates=6.0)
     wall_speedup = tqsim.speedup_over(baseline, use_wall_time=True)
     assert cost_speedup > 1.2

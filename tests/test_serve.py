@@ -26,8 +26,10 @@ from repro.analysis.memory import (
 from repro.circuits.circuit import Circuit
 from repro.circuits.library import ghz_circuit, qft_circuit
 from repro.circuits.transpile import fuse_single_qubit_runs
+from repro.core.costmodel import CostModel
 from repro.core.partitioners import DynamicCircuitPartitioner
 from repro.core.statecache import PrefixStateCache
+from repro.noise.sycamore import noise_model_by_code
 from repro.obs.schema import (
     LATENCY_BUCKET_BOUNDS_MS,
     latency_percentiles_ms,
@@ -339,6 +341,27 @@ def test_plan_and_transpile_eviction_pressure_keeps_counts_identical():
         counters = server.counters()
     assert counters.get("serve.cache.plan.evictions", 0) >= 1
     assert counters.get("serve.cache.transpile.evictions", 0) >= 1
+
+
+# ---------------------------------------------------------------------------
+# Planning
+# ---------------------------------------------------------------------------
+def test_calibrated_server_plans_at_the_models_copy_ratio():
+    """A server given a cost model serves the tree DCP picks under that
+    model, whose copy/gate ratio (0.1 here) sets the first subcircuit and
+    the minimum piece; the default ratio of 20 would serve ``(256)``."""
+    model = CostModel(
+        backend="batched", num_qubits=6, copy_ns=100.0,
+        batch_overhead_ns=900.0, batch_row_ns=100.0, sample_ns=500.0,
+    )
+    circuit = qft_circuit(6)
+    with SimulationServer(cost_model=model) as server:
+        response = server.handle(_request(circuit, noise="DC", shots=256))
+    expected = DynamicCircuitPartitioner(cost_model=model).plan(
+        fuse_single_qubit_runs(circuit), 256, noise_model_by_code("DC")
+    )
+    assert response.ok
+    assert response.metadata["tree"] == str(expected.tree) == "(16,2,2,2,2)"
 
 
 # ---------------------------------------------------------------------------
