@@ -43,10 +43,15 @@ permutation: it is applied in place on the one row that drew it,
 phases — no row is copied out of the block and no kernel runs, and the
 bytes are the kernels'.
 A general-Kraus update prices every row's branches from the channel's
-effect operators ``K_i†K_i`` without applying any operator, then applies
-only the operators the rows drew through ``apply_unitary``: the most-drawn
-one to the whole block in place (a one-row block's drawn one, without
-tallying the draws), a diagonal one as a multiply with no kernel call.
+effect operators ``K_i†K_i`` without applying any operator: with the
+diagonal effects of every damping channel, from each row's population of
+every operand local index, summed off the amplitude-major float view of
+the block (no copy of a row-inner block) in an order that does not depend
+on the row count.  It then applies only the operators the rows drew
+through ``apply_unitary``: the most-drawn one to the whole block in place
+(with no tally of the draws when every row drew it, as in a one-row block
+or a chunk where no row jumps), a diagonal one as a multiply with no kernel
+call.
 
 Random streams
 --------------
@@ -262,15 +267,17 @@ class Backend(ABC):
 
         Row ``b``'s branch weights ``||K_i psi_b||^2 = <psi_b|E_i|psi_b>``
         come from the channel's effect operators ``E_i = K_i†K_i`` in one
-        read of the block, and an inverse-CDF lookup of ``uniforms[b]``
-        picks its branch (:meth:`~repro.noise.channels.KrausChannel.
-        sample_branches`); a row whose weights are not finite and positive
-        raises before ``batched`` is written.  The most-drawn branch is then
-        applied to the whole block in place and every other branch only to
-        the rows that drew it, copied out before that write.  Each row ends
-        as ``K_i psi_b / sqrt(w_bi)``, computed row by row the same way
-        whichever rows share its block.  Returns the branch index of every
-        row.
+        read of the block, bitwise the same in any block and layout
+        (:meth:`~repro.noise.channels.KrausChannel.branch_weights`), and an
+        inverse-CDF lookup of ``uniforms[b]`` picks its branch
+        (:meth:`~repro.noise.channels.KrausChannel.sample_branches`); a row
+        whose weights are not finite and positive raises before ``batched``
+        is written.  The most-drawn branch is then applied to the whole
+        block in place and every other branch only to the rows that drew
+        it, copied out before that write; when every row drew one branch
+        the draws are not tallied.  Each row ends as ``K_i psi_b /
+        sqrt(w_bi)``, computed row by row the same way whichever rows share
+        its block.  Returns the branch index of every row.
         """
         channel = event.channel
         weights, indices = channel.sample_branches(
@@ -279,11 +286,11 @@ class Backend(ABC):
         chosen = weights[np.arange(len(indices)), indices]
         scales = (1.0 / np.sqrt(chosen))[:, None]
         # The rows of every other drawn branch are copied out before the
-        # in-place write below; a one-row block has no other branch.
+        # in-place write below; a block whose rows all draw one branch (one
+        # row, or no jump anywhere) needs no tally.
         others: list[tuple[int, np.ndarray, np.ndarray]] = []
-        if len(indices) == 1:
-            major = int(indices[0])
-        else:
+        major = int(indices[0])
+        if len(indices) > 1 and (indices != major).any():
             counts = np.bincount(indices)
             major = int(counts.argmax())
             for branch in np.flatnonzero(counts).tolist():

@@ -55,8 +55,9 @@ class CalibratedPick:
     """The analytic DCP plan vs the cost-model-picked plan, measured.
 
     Both plans execute on the batched engine with the same seed (best of
-    ``repeats`` runs each), so the ratio isolates the *plan choice* made by
-    the calibrated search from everything else.
+    ``repeats`` runs each, taking turns), so the ratio isolates the *plan
+    choice* made by the calibrated search from everything else; when both
+    are the same tree, one timing stands for both and the ratio is 1.
     """
 
     analytic_tree: str
@@ -120,7 +121,13 @@ def _scaled(arities: tuple[int, ...], scale: float) -> tuple[int, ...]:
 def _measure_calibrated_pick(circuit, noise_model,
                              config: ExperimentConfig,
                              repeats: int = 2) -> CalibratedPick:
-    """Time the analytic DCP plan against the calibrated pick, both batched."""
+    """Time the analytic DCP plan against the calibrated pick, both batched.
+
+    Plans with the same arities and subcircuit lengths are one tree: it is
+    timed once and that reading stands for both.  Otherwise the two plans
+    take turns within each repeat, so a slow spell of the machine does not
+    fall on one of them only.
+    """
     cost_model = get_cost_model("batched", circuit.num_qubits)
     analytic_plan = config.dcp_partitioner().plan(
         circuit, config.shots, noise_model
@@ -128,22 +135,30 @@ def _measure_calibrated_pick(circuit, noise_model,
     calibrated_plan = config.calibrated_dcp_partitioner(cost_model).plan(
         circuit, config.shots, noise_model
     )
-
-    def best_seconds(plan) -> float:
-        best = float("inf")
-        for _ in range(repeats):
+    plans = [analytic_plan]
+    if _shape(calibrated_plan) != _shape(analytic_plan):
+        plans.append(calibrated_plan)
+    best = [float("inf")] * len(plans)
+    for _ in range(repeats):
+        for index, plan in enumerate(plans):
             result = TQSimEngine(
                 noise_model, seed=config.seed + 1, backend="batched"
             ).run(circuit, config.shots, plan=plan)
-            best = min(best, result.cost.wall_time_seconds)
-        return best
-
+            best[index] = min(best[index], result.cost.wall_time_seconds)
     return CalibratedPick(
         analytic_tree=str(analytic_plan.tree),
         calibrated_tree=str(calibrated_plan.tree),
-        analytic_seconds=best_seconds(analytic_plan),
-        calibrated_seconds=best_seconds(calibrated_plan),
+        analytic_seconds=best[0],
+        calibrated_seconds=best[-1],
         predicted_seconds=calibrated_plan.parameters["predicted_seconds"],
+    )
+
+
+def _shape(plan) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """A plan's arities and subcircuit lengths: what its run executes."""
+    return (
+        tuple(plan.tree.arities),
+        tuple(len(subcircuit) for subcircuit in plan.subcircuits),
     )
 
 

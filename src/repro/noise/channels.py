@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
@@ -68,6 +69,50 @@ class _Mixture(NamedTuple):
 
 #: ``mixture_hits`` of a block whose draws all stay on an identity branch 0.
 _NO_HITS = (np.empty(0, dtype=np.intp),) * 3
+
+
+@lru_cache(maxsize=64)
+def _population_split(
+    qubits: tuple[int, ...], num_qubits: int
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """How to sum an amplitude-major float view plane by plane.
+
+    The amplitude axis splits at every operand qubit, as in
+    :func:`~repro.statevector.apply._operand_planes`, and the non-operand
+    qubits also split into an upper half and the rest; a column axis
+    follows.  Returns that shape, the upper axes, then the lower axes as
+    numbered once the upper ones are summed away: two reductions over outer
+    axes that sum each plane with a fixed order per column, whatever the
+    column count, while the axes below each keep its inner loops long for
+    one row as for many.  Last, per local index, the position of its plane
+    among the ``2**q`` planes left (highest operand qubit first).  Cached
+    like :func:`~repro.statevector.apply.local_indices`.
+    """
+    free = [bit for bit in reversed(range(num_qubits)) if bit not in qubits]
+    upper_bits = set(free[: (len(free) + 1) // 2])
+    shape: list[int] = []
+    roles: list[str] = []
+    for bit in reversed(range(num_qubits)):
+        role = (
+            "operand" if bit in qubits
+            else "upper" if bit in upper_bits else "lower"
+        )
+        if role != "operand" and roles and roles[-1] == role:
+            shape[-1] *= 2
+        else:
+            shape.append(2)
+            roles.append(role)
+    upper = [axis for axis, role in enumerate(roles) if role == "upper"]
+    lower = [
+        axis - len(upper) for axis, role in enumerate(roles) if role == "lower"
+    ]
+    order = sorted(range(len(qubits)), key=lambda m: -qubits[m])
+    positions = tuple(
+        sum(((local >> m) & 1) << (len(order) - 1 - rank)
+            for rank, m in enumerate(order))
+        for local in range(1 << len(qubits))
+    )
+    return tuple(shape) + (-1,), tuple(upper), tuple(lower), positions
 
 
 class KrausChannel:
@@ -118,11 +163,12 @@ class KrausChannel:
         self._kraus = operators
         self._effects = effects
         # Diagonal effects (every damping channel and their products) weigh
-        # a branch as a sum of basis probabilities; see branch_weights.
+        # a branch from the populations of the local indices; see
+        # branch_weights.  Row l holds E_i[l, l] of every branch i.
         self._effect_diagonals: np.ndarray | None = (
             None
             if effects[:, off_diagonal].any()
-            else np.ascontiguousarray(effects.diagonal(axis1=1, axis2=2).real)
+            else effects.diagonal(axis1=1, axis2=2).real.T.copy()
         )
         # A diagonal operator is applied as one multiply, with no kernel call.
         is_diagonal = ~stack[:, off_diagonal].any(axis=1)
@@ -166,30 +212,29 @@ class KrausChannel:
 
         ``states`` is a ``(B, 2**n)`` block and ``qubits`` the operands of
         the event; returns ``(B, num_kraus)`` weights clamped at zero.  With
-        diagonal effects a weight is a sum of the row's basis probabilities
-        weighted by ``E_i`` at each amplitude's local index; otherwise it is
+        diagonal effects a weight is ``sum_l E_i[l, l] p_bl`` over the local
+        indices ``l`` in order, where ``p_bl`` is row ``b``'s population of
+        ``l``: the block viewed amplitude-major as ``2B`` float columns (re
+        and im of each row, no copy when the rows are adjacent in memory, as
+        in :meth:`~repro.backends.base.Backend.allocate_batch` blocks),
+        squared, summed over the plane of ``l`` by two reductions over outer
+        axes (:func:`_population_split`), then re and im added.  The columns
+        stay the inner axis, two even for one row, so each column sums in
+        one order whatever the row count: a row's weights are bitwise the
+        same alone as in any block and layout.  A one-row block takes the
+        last additions and the products on Python floats, which cost less
+        than numpy calls on arrays that small.  Otherwise a weight is
         ``Re tr(E_i rho_b)`` of the row's reduced density matrix on
-        ``qubits``.  Either way each row is reduced on its own, so its
-        weights are bitwise the same in any block.  The diagonal case
-        reduces a C-ordered copy of the probabilities: on a row-inner block
-        (:meth:`~repro.backends.base.Backend.allocate_batch`) the reduction
-        would run in a different order for a 64-row block than for a
-        one-row block, which can change the last bit of a weight.
+        ``qubits``, computed row by row.
         """
-        local = local_indices(tuple(qubits), int(states.shape[-1]).bit_length() - 1)
-        if self._effect_diagonals is not None:
-            probabilities = np.square(states.real)
-            probabilities += np.square(states.imag)
-            table = np.take(self._effect_diagonals, local, axis=1)
-            weights = np.einsum(
-                "bj,kj->bk", np.ascontiguousarray(probabilities), table
-            )
-        else:
+        num_qubits = int(states.shape[-1]).bit_length() - 1
+        effects = self._effect_diagonals
+        if effects is None:
             # Amplitudes grouped by local index: positions[l] lists the
             # basis states whose operand bits read l, in ascending order.
-            positions = np.argsort(local, kind="stable").reshape(
-                self._effects.shape[1], -1
-            )
+            positions = np.argsort(
+                local_indices(tuple(qubits), num_qubits), kind="stable"
+            ).reshape(self._effects.shape[1], -1)
             weights = np.empty((states.shape[0], self.num_kraus))
             for row, state in zip(weights, states):
                 amplitudes = state[positions]
@@ -197,7 +242,36 @@ class KrausChannel:
                 row[:] = np.einsum("klm,ml->k", self._effects, rho).real
             # Rounding can leave -1e-17 on an empty branch.
             np.maximum(weights, 0.0, out=weights)
-        return weights
+            return weights
+        split, upper, lower, planes = _population_split(
+            tuple(qubits), num_qubits
+        )
+        amplitudes = states.T
+        if len(states) > 1 and states.strides[0] != states.itemsize:
+            # Rows that are not adjacent (a C-ordered block) cannot be
+            # viewed as float columns: copy them amplitude-major.
+            amplitudes = np.ascontiguousarray(amplitudes)
+        sums = np.square(amplitudes.view(np.float64)).reshape(split)
+        sums = np.add.reduce(np.add.reduce(sums, axis=upper), axis=lower)
+        if len(states) == 1:
+            # The same additions and products on Python floats, which cost
+            # less than numpy calls on arrays this small.
+            flat = sums.ravel().tolist()
+            alone: list[float] | None = None
+            for plane, factors in zip(planes, effects.tolist()):
+                population = flat[2 * plane] + flat[2 * plane + 1]
+                alone = (
+                    [f * population for f in factors] if alone is None
+                    else [w + f * population for w, f in zip(alone, factors)]
+                )
+            return np.array([alone])
+        sums = sums.reshape(len(planes), -1)
+        populations = sums[:, 0::2] + sums[:, 1::2]
+        # Branch-major, so every product runs along the rows.
+        weights = effects[0][:, None] * populations[planes[0]]
+        for local in range(1, len(planes)):
+            weights += effects[local][:, None] * populations[planes[local]]
+        return weights.T
 
     def sample_branches(
         self,

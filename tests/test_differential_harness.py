@@ -43,7 +43,11 @@ from repro.core import (
 from repro.core.pathrng import run_root_key
 from repro.dispatch import PoolDispatcher, SerialDispatcher
 from repro.noise import NoiseModel, ReadoutError, depolarizing_noise_model
-from repro.noise.channels import AmplitudeDampingChannel
+from repro.noise.channels import (
+    AmplitudeDampingChannel,
+    PhaseDampingChannel,
+    ThermalRelaxationChannel,
+)
 from repro.statevector.simulator import StatevectorSimulator
 
 NUM_CASES = 40
@@ -270,6 +274,61 @@ def test_pinned_general_kraus_five_way_identity(qft5):
     for name, result in others.items():
         assert result.counts == reference.counts, name
         assert _counter_tuple(result) == _counter_tuple(reference), name
+
+
+def test_pinned_thermal_relaxation_and_phase_damping_with_readout(qft5):
+    """The paper's other general-Kraus channels run every path bitwise.
+
+    Thermal relaxation (four Kraus operators) and phase damping, with
+    readout error, on a (3, 4, 2) tree: caps 1, 2, 3 and the default, the
+    reference backend, both dispatchers (deep shards in the pool), and the
+    per-shot baseline against the engine's one-layer plan at the same caps.
+    Pinned (not drawn), so the random cases keep their draws.
+    """
+    noise = NoiseModel(
+        single_qubit_channels=[
+            ThermalRelaxationChannel(50.0, 30.0, 4.0), PhaseDampingChannel(0.05),
+        ],
+        two_qubit_channels=[
+            ThermalRelaxationChannel(50.0, 30.0, 8.0), PhaseDampingChannel(0.08),
+        ],
+        readout_error=ReadoutError(0.02, 0.01),
+        name="thermal+dephasing+readout",
+    )
+    plan = ManualPartitioner((3, 4, 2)).plan(qft5, 24, noise)
+    reference = TQSimEngine(noise, seed=2718, max_batch=1).run(
+        qft5, 24, plan=plan
+    )
+    assert len(reference.counts) > 1
+    others = {
+        f"cap {cap}": TQSimEngine(noise, seed=2718, max_batch=cap).run(
+            qft5, 24, plan=plan
+        )
+        for cap in (2, 3, None)
+    }
+    others["numpy"] = TQSimEngine(noise, seed=2718, backend="numpy").run(
+        qft5, 24, plan=plan
+    )
+    others["serial"] = SerialDispatcher(noise, seed=2718, num_shards=3).run(
+        qft5, 24, plan=plan
+    )
+    with PoolDispatcher(
+        noise, seed=2718, num_workers=2, num_shards=5, max_depth=2
+    ) as pool:
+        others["pooled"] = pool.run(qft5, 24, plan=plan)
+    for name, result in others.items():
+        assert result.counts == reference.counts, name
+        assert _counter_tuple(result) == _counter_tuple(reference), name
+
+    shots = 19  # a partial last chunk at caps 2 and 3
+    baseline = BaselineNoisySimulator(noise, seed=2718).run(qft5, shots)
+    assert len(baseline.counts) > 1
+    for cap in (1, 2, 3, None):
+        one_layer = TQSimEngine(noise, seed=2718, max_batch=cap).run(
+            qft5, shots, partitioner=SingleShotPartitioner()
+        )
+        assert one_layer.counts == baseline.counts, cap
+        assert _counter_tuple(one_layer) == _counter_tuple(baseline), cap
 
 
 def test_pinned_mixed_channel_kinds_interleave_identically(qft5):

@@ -3,8 +3,13 @@
 import pytest
 
 from repro.circuits.library import qft_circuit
+from repro.circuits.library.qpe import qpe_circuit
+from repro.core.costmodel import CostModel
+from repro.core.engine import TQSimEngine
+from repro.experiments import fig17_tradeoff
 from repro.experiments.common import ExperimentConfig, compare_simulators
 from repro.experiments.registry import EXPERIMENTS, get_experiment, run_experiment
+from repro.noise.sycamore import depolarizing_noise_model
 
 #: Deliberately tiny configuration so the whole module runs in seconds.
 TINY = ExperimentConfig(shots=48, max_qubits=6, seed=5, copy_cost_in_gates=5.0)
@@ -153,6 +158,48 @@ def test_fig17_tradeoff_structures():
     assert degenerate.total_outcomes < result.shots
     with pytest.raises(KeyError):
         result.row("missing")
+
+
+def _timed_plans(monkeypatch, copy_ns: float, same_partitioner: bool):
+    """``_measure_calibrated_pick`` on qpe_5 at 64 shots with a round-number
+    model, and the shape of every plan it ran, in order."""
+    model = CostModel(backend="batched", num_qubits=5, copy_ns=copy_ns,
+                      batch_overhead_ns=900.0, batch_row_ns=100.0,
+                      sample_ns=500.0)
+    monkeypatch.setattr(fig17_tradeoff, "get_cost_model", lambda *_: model)
+    if same_partitioner:
+        monkeypatch.setattr(ExperimentConfig, "dcp_partitioner",
+                            lambda self: self.calibrated_dcp_partitioner(model))
+    ran = []
+
+    class RecordingEngine(TQSimEngine):
+        def run(self, circuit, shots, plan=None, **kwargs):
+            ran.append(fig17_tradeoff._shape(plan))
+            return super().run(circuit, shots, plan=plan, **kwargs)
+
+    monkeypatch.setattr(fig17_tradeoff, "TQSimEngine", RecordingEngine)
+    pick = fig17_tradeoff._measure_calibrated_pick(
+        qpe_circuit(5), depolarizing_noise_model(), TINY.scaled(shots=64),
+        repeats=2,
+    )
+    return pick, ran
+
+
+def test_fig17_times_one_tree_once_for_both_picks(monkeypatch):
+    pick, ran = _timed_plans(monkeypatch, 100.0, same_partitioner=True)
+    assert pick.analytic_tree == pick.calibrated_tree
+    assert len(ran) == 2 and ran[0] == ran[1]
+    assert pick.analytic_seconds == pick.calibrated_seconds
+    assert pick.measured_speedup == 1.0
+
+
+def test_fig17_alternates_the_repeats_of_two_plans(monkeypatch):
+    # Copies this dear make the calibrated search pick a one-layer plan.
+    pick, ran = _timed_plans(monkeypatch, 1e4, same_partitioner=False)
+    assert pick.analytic_tree == "(16,2,2)"
+    assert pick.calibrated_tree == "(64)"
+    assert ran[0] != ran[1]
+    assert ran == ran[:2] * 2
 
 
 def test_fig19_redundancy_comparison():

@@ -93,10 +93,43 @@ CHANNELS = {
 }
 
 
-def _random_block(rows: int, rng: np.random.Generator) -> np.ndarray:
-    dim = 2**NUM_QUBITS
+def _random_block(
+    rows: int, rng: np.random.Generator, num_qubits: int = NUM_QUBITS
+) -> np.ndarray:
+    dim = 2**num_qubits
     block = rng.normal(size=(rows, dim)) + 1j * rng.normal(size=(rows, dim))
     return block / np.linalg.norm(block, axis=1, keepdims=True)
+
+
+#: The benchmark's width: every target of each one-qubit channel, and an
+#: adjacent and a non-adjacent pair (in descending order) of each two-qubit
+#: one.
+WIDE_QUBITS = 8
+WIDE_CASES = [
+    (name, qubits)
+    for name, (channel, _) in sorted(CHANNELS.items())
+    for qubits in (
+        [(target,) for target in range(WIDE_QUBITS)]
+        if channel.num_qubits == 1 else [(3, 4), (6, 1)]
+    )
+]
+WIDE_IDS = [
+    f"{name}-q{'q'.join(map(str, qubits))}" for name, qubits in WIDE_CASES
+]
+
+
+def _reduced_density_weights(state, channel, qubits):
+    """``Re tr(E_i rho)`` of the reduced density matrix on ``qubits``."""
+    num_qubits = state.size.bit_length() - 1
+    # Local index l = sum_m bit_m << m, so the last operand leads.
+    axes = [num_qubits - 1 - q for q in reversed(qubits)]
+    rest = [axis for axis in range(num_qubits) if axis not in axes]
+    amplitudes = state.reshape((2,) * num_qubits).transpose(axes + rest)
+    amplitudes = amplitudes.reshape(2 ** len(qubits), -1)
+    rho = amplitudes @ amplitudes.conj().T
+    return np.array([
+        np.trace(k.conj().T @ k @ rho).real for k in channel.kraus_operators
+    ])
 
 
 def _oracle(state, channel, qubits, uniform):
@@ -191,25 +224,64 @@ def test_zero_weight_branch_is_never_drawn(rows, backend):
 
 @pytest.mark.parametrize("layout", BLOCK_LAYOUTS)
 @pytest.mark.parametrize("backend", ["optimized", "numpy"])
-@pytest.mark.parametrize("name", sorted(CHANNELS))
-def test_update_is_bitwise_independent_of_block_size(name, backend, layout):
-    """Each row's update is the same alone, in blocks of 5 and in 64, in
-    every block layout, as in a C-ordered block of 64."""
-    channel, qubits = CHANNELS[name]
-    rng = np.random.default_rng(len(name))
-    block = _random_block(64, rng)
-    uniforms = rng.random((64, 1))
+@pytest.mark.parametrize(
+    ("name", "qubits"), WIDE_CASES, ids=WIDE_IDS
+)
+def test_update_is_bitwise_independent_of_block_size(
+    name, qubits, backend, layout
+):
+    """At 8 qubits each row's update is the same as a 1-D state, alone, in
+    blocks of 2, 3, 5, 64 and 128, in every block layout, as in a C-ordered
+    block of 128."""
+    channel, _ = CHANNELS[name]
+    rng = np.random.default_rng([len(name), *qubits])
+    block = _random_block(128, rng, WIDE_QUBITS)
+    uniforms = rng.random((128, 1))
     events = [NoiseEvent(channel, qubits)]
     resolved = get_backend(backend)
     whole = resolved.apply_noise_events_uniforms(block.copy(), events, uniforms)
-    for size in (1, 5, 64):
+    for size in (1, 2, 3, 5, 64, 128):
         pieces = in_layout(block, layout)
-        for start in range(0, 64, size):
+        for start in range(0, 128, size):
             stop = start + size
             pieces[start:stop] = resolved.apply_noise_events_uniforms(
                 pieces[start:stop], events, uniforms[start:stop]
             )
         np.testing.assert_array_equal(pieces, whole)
+    for row in range(128):
+        single = resolved.apply_noise_events_uniforms(
+            block[row].copy(), events, uniforms[row : row + 1]
+        )
+        np.testing.assert_array_equal(single, whole[row])
+
+
+@pytest.mark.parametrize("layout", BLOCK_LAYOUTS)
+@pytest.mark.parametrize(
+    ("name", "qubits"), WIDE_CASES, ids=WIDE_IDS
+)
+def test_branch_weights_of_a_row_alone_equal_its_weights_in_the_block(
+    name, qubits, layout
+):
+    """A row's weights alone (a one-row slice of the block, or a C-ordered
+    copy of it) are bitwise its weights in the 128-row block, and within
+    1e-14 of ``Re tr(E_i rho_b)`` of its reduced density matrix."""
+    channel, _ = CHANNELS[name]
+    block = _random_block(
+        128, np.random.default_rng([len(name), *qubits]), WIDE_QUBITS
+    )
+    stored = in_layout(block, layout)
+    weights = channel.branch_weights(stored, qubits)
+    assert weights.shape == (128, channel.num_kraus)
+    for row in range(128):
+        for alone in (stored[row : row + 1], block[row : row + 1].copy()):
+            np.testing.assert_array_equal(
+                channel.branch_weights(alone, qubits)[0], weights[row]
+            )
+        np.testing.assert_allclose(
+            weights[row],
+            _reduced_density_weights(block[row], channel, qubits),
+            rtol=1e-14, atol=0,
+        )
 
 
 def test_no_jump_block_makes_no_kernel_call():
