@@ -136,7 +136,9 @@ def _measure_calibrated_pick(circuit, noise_model,
         circuit, config.shots, noise_model
     )
     plans = [analytic_plan]
-    if _shape(calibrated_plan) != _shape(analytic_plan):
+    if (calibrated_plan.tree.arities, calibrated_plan.subcircuit_lengths) != (
+        analytic_plan.tree.arities, analytic_plan.subcircuit_lengths
+    ):
         plans.append(calibrated_plan)
     best = [float("inf")] * len(plans)
     for _ in range(repeats):
@@ -151,14 +153,6 @@ def _measure_calibrated_pick(circuit, noise_model,
         analytic_seconds=best[0],
         calibrated_seconds=best[-1],
         predicted_seconds=calibrated_plan.parameters["predicted_seconds"],
-    )
-
-
-def _shape(plan) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """A plan's arities and subcircuit lengths: what its run executes."""
-    return (
-        tuple(plan.tree.arities),
-        tuple(len(subcircuit) for subcircuit in plan.subcircuits),
     )
 
 

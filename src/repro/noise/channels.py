@@ -34,7 +34,11 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 import numpy as np
 
 from repro.circuits import stdgates
-from repro.statevector.apply import apply_phased_permutation, local_indices
+from repro.statevector.apply import (
+    apply_phased_permutation,
+    local_indices,
+    operand_planes,
+)
 from repro.statevector.sampling import inverse_cdf_index, inverse_cdf_rows
 
 if TYPE_CHECKING:
@@ -77,42 +81,37 @@ def _population_split(
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """How to sum an amplitude-major float view plane by plane.
 
-    The amplitude axis splits at every operand qubit, as in
-    :func:`~repro.statevector.apply._operand_planes`, and the non-operand
-    qubits also split into an upper half and the rest; a column axis
-    follows.  Returns that shape, the upper axes, then the lower axes as
-    numbered once the upper ones are summed away: two reductions over outer
-    axes that sum each plane with a fixed order per column, whatever the
-    column count, while the axes below each keep its inner loops long for
-    one row as for many.  Last, per local index, the position of its plane
-    among the ``2**q`` planes left (highest operand qubit first).  Cached
-    like :func:`~repro.statevector.apply.local_indices`.
+    The amplitude axis splits as in
+    :func:`~repro.statevector.apply.operand_planes`, each run of
+    non-operand qubits further into its part in the upper half of all
+    non-operand qubits and the rest, and a column axis follows.  Returns
+    that shape, the upper axes, then the lower axes as numbered once the
+    upper ones are summed away: summed in that order, each plane sums in
+    one order per column whatever the column count, and the axes below
+    each reduction keep its inner loops long on one row as on many (one
+    reduction over every non-operand axis would loop over two floats at a
+    time on a one-row block).  Last, the position of each local index's
+    plane among the planes left, from ``operand_planes``.  Cached like
+    ``operand_planes``.
     """
-    free = [bit for bit in reversed(range(num_qubits)) if bit not in qubits]
-    upper_bits = set(free[: (len(free) + 1) // 2])
-    shape: list[int] = []
-    roles: list[str] = []
-    for bit in reversed(range(num_qubits)):
-        role = (
-            "operand" if bit in qubits
-            else "upper" if bit in upper_bits else "lower"
-        )
-        if role != "operand" and roles and roles[-1] == role:
-            shape[-1] *= 2
-        else:
-            shape.append(2)
-            roles.append(role)
-    upper = [axis for axis, role in enumerate(roles) if role == "upper"]
-    lower = [
-        axis - len(upper) for axis, role in enumerate(roles) if role == "lower"
-    ]
-    order = sorted(range(len(qubits)), key=lambda m: -qubits[m])
-    positions = tuple(
-        sum(((local >> m) & 1) << (len(order) - 1 - rank)
-            for rank, m in enumerate(order))
-        for local in range(1 << len(qubits))
-    )
-    return tuple(shape) + (-1,), tuple(upper), tuple(lower), positions
+    shape, _, positions = operand_planes(qubits, num_qubits)
+    upper_bits = (num_qubits - len(qubits) + 1) // 2
+    split: list[int] = []
+    upper: list[int] = []
+    lower: list[int] = []
+    for axis, size in enumerate(shape):
+        if axis % 2:  # an operand qubit
+            split.append(size)
+            continue
+        high = min(size.bit_length() - 1, upper_bits)
+        upper_bits -= high
+        for part, axes in ((1 << high, upper), (size >> high, lower)):
+            if part > 1:
+                axes.append(len(split))
+                split.append(part)
+    # Every upper axis lies above every lower one.
+    lower = [axis - len(upper) for axis in lower]
+    return tuple(split) + (-1,), tuple(upper), tuple(lower), positions
 
 
 class KrausChannel:

@@ -23,6 +23,7 @@ __all__ = [
     "apply_unitary_to_density",
     "apply_kraus_to_density",
     "local_indices",
+    "operand_planes",
     "apply_phased_permutation",
 ]
 
@@ -95,14 +96,18 @@ def local_indices(qubits: tuple[int, ...], num_qubits: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _operand_planes(
+def operand_planes(
     qubits: tuple[int, ...], num_qubits: int
-) -> tuple[tuple[int, ...], tuple[tuple[int | slice, ...], ...]]:
+) -> tuple[
+    tuple[int, ...], tuple[tuple[int | slice, ...], ...], tuple[int, ...]
+]:
     """How to view a statevector as planes of one local index on ``qubits``.
 
     Returns a shape that splits the amplitude axis at every operand qubit
-    (highest first) and, per local index ``l``, the index of its plane in
-    that view: the amplitudes whose operand bits read ``l``.  Cached and
+    (highest first); per local index ``l``, the index of its plane in that
+    view: the amplitudes whose operand bits read ``l``; and per ``l``, the
+    position of that plane among the ``2**len(qubits)`` operand planes in C
+    order, as they lie once the other axes are summed away.  Cached and
     shared like :func:`local_indices`, and a few tuples in size.
     """
     order = sorted(range(len(qubits)), key=lambda m: -qubits[m])
@@ -111,13 +116,16 @@ def _operand_planes(
         shape += [1 << (top - qubits[m] - 1), 2]
         top = qubits[m]
     shape.append(1 << top)
-    planes = []
+    planes, positions = [], []
     for local in range(1 << len(qubits)):
+        bits = [(local >> m) & 1 for m in order]
         index: list[int | slice] = [slice(None)] * len(shape)
-        for axis, m in enumerate(order):
-            index[2 * axis + 1] = (local >> m) & 1
+        index[1::2] = bits
         planes.append(tuple(index))
-    return tuple(shape), tuple(planes)
+        positions.append(
+            sum(bit << rank for rank, bit in enumerate(reversed(bits)))
+        )
+    return tuple(shape), tuple(planes), tuple(positions)
 
 
 def apply_phased_permutation(
@@ -137,7 +145,7 @@ def apply_phased_permutation(
     make for such a matrix, so the bytes are theirs (a multiply by 1 could
     flip the sign of a zero).
     """
-    shape, planes = _operand_planes(
+    shape, planes, _ = operand_planes(
         qubits, int(state.shape[-1]).bit_length() - 1
     )
     view = state.reshape(shape)

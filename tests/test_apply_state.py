@@ -14,7 +14,7 @@ from repro.statevector import (
     apply_unitary,
     apply_unitary_to_density,
 )
-from repro.statevector.apply import local_indices
+from repro.statevector.apply import local_indices, operand_planes
 
 
 def test_apply_unitary_matches_dense_expansion(rng):
@@ -40,6 +40,24 @@ def test_local_indices_follow_the_gate_matrix_convention(rng):
             state * diagonal[local],
             apply_unitary(state, np.diag(diagonal), targets),
         )
+
+
+def test_operand_planes_group_amplitudes_by_local_index(rng):
+    """Plane ``l`` holds the amplitudes at local index ``l``, and once the
+    other axes are summed away it sits at ``positions[l]``."""
+    num_qubits = 5
+    state = rng.normal(size=2**num_qubits)
+    for targets in [(0,), (4,), (0, 3), (3, 1), (1, 4, 0)]:
+        shape, planes, positions = operand_planes(targets, num_qubits)
+        local = local_indices(targets, num_qubits)
+        basis = np.arange(2**num_qubits).reshape(shape)
+        sums = state.reshape(shape).sum(axis=tuple(range(0, len(shape), 2)))
+        assert sorted(positions) == list(range(2 ** len(targets)))
+        for index, (plane, position) in enumerate(zip(planes, positions)):
+            assert np.array_equal(
+                np.sort(basis[plane], axis=None), np.flatnonzero(local == index)
+            )
+            assert np.isclose(sums.ravel()[position], state[local == index].sum())
 
 
 def test_apply_unitary_validates_inputs(rng):

@@ -162,7 +162,8 @@ def test_fig17_tradeoff_structures():
 
 def _timed_plans(monkeypatch, copy_ns: float, same_partitioner: bool):
     """``_measure_calibrated_pick`` on qpe_5 at 64 shots with a round-number
-    model, and the shape of every plan it ran, in order."""
+    model, and the arities and subcircuit lengths of every plan it ran, in
+    order."""
     model = CostModel(backend="batched", num_qubits=5, copy_ns=copy_ns,
                       batch_overhead_ns=900.0, batch_row_ns=100.0,
                       sample_ns=500.0)
@@ -174,7 +175,7 @@ def _timed_plans(monkeypatch, copy_ns: float, same_partitioner: bool):
 
     class RecordingEngine(TQSimEngine):
         def run(self, circuit, shots, plan=None, **kwargs):
-            ran.append(fig17_tradeoff._shape(plan))
+            ran.append((plan.tree.arities, plan.subcircuit_lengths))
             return super().run(circuit, shots, plan=plan, **kwargs)
 
     monkeypatch.setattr(fig17_tradeoff, "TQSimEngine", RecordingEngine)
