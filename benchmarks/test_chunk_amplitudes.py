@@ -8,9 +8,13 @@ plans of the suite's ``qsc`` circuits at 4-12 qubits under depolarizing
 shot at a quarter, half, one, two and four times the rule's cap and at the
 old fixed cap of 64 rows; ``64/rule`` is the time at 64 rows over the time
 at the rule's cap (``rule cap`` rows).  Each cell is the fastest of
-``ROUNDS`` runs, the caps taking turns within a round.  Counts never
-depend on the cap, which is the only assertion: the timings are evidence,
-not a gate.
+``ROUNDS`` runs, the caps taking turns within a round.  ``rows/node-gate``
+is, from one more (traced, untimed) run at the rule's cap, the rows the
+kernel calls advanced over the node-gates the run counts: a chunk evolves
+its distinct states, so noise that leaves most nodes on the identity
+keeps it well below 1, and without noise it is 1.  Counts never depend on
+the cap, which is the only assertion: the timings are evidence, not a
+gate.
 """
 
 import time
@@ -21,6 +25,7 @@ from repro.circuits.library import qsc_circuit
 from repro.core import SingleShotPartitioner, TQSimEngine
 from repro.core.engine import default_chunk_cap
 from repro.noise.sycamore import noise_model_by_code
+from repro.obs import Tracer
 
 WIDTHS = range(4, 13)
 NOISE_CODES = ("DC", "ADR", None)
@@ -57,12 +62,22 @@ def _sweep(code: str | None, width: int) -> dict:
             best[label] = min(best[label], time.perf_counter() - began)
             counts[label] = result.counts
     assert all(tally == counts["rule"] for tally in counts.values())
+    tracer = Tracer()
+    traced = TQSimEngine(noise, seed=SEED, max_batch=rule, tracer=tracer).run(
+        circuit, shots, plan=plan
+    )
+    assert traced.counts == counts["rule"]
+    kernel_rows = sum(
+        span.attributes["kernel_rows"] for span in tracer.spans
+        if span.name == "engine.subcircuit"
+    )
     row = {"noise": code or "none", "qubits": width, "rule cap": rule,
            "shots": shots}
     row.update(
         {label: seconds / shots * 1e6 for label, seconds in best.items()}
     )
     row["64/rule"] = best["cap 64"] / best["rule"]
+    row["rows/node-gate"] = kernel_rows / traced.cost.gate_applications
     return row
 
 

@@ -21,9 +21,13 @@ from repro.experiments.common import (
 )
 from repro.noise import depolarizing_noise_model
 
-TREE_ARITIES = (16, 16)
+# Sized so the serial leg (about 0.1 s alone on a 2-vCPU box) stays well
+# above the pool's fixed per-run overhead, which inside a full tier-1
+# process has read up to 19 ms; (16, 16) at 256 shots left a 26-47 ms
+# serial leg once chunks evolved only their distinct states.
+TREE_ARITIES = (16, 64)
 WIDTH = 9
-SHOTS = 256
+SHOTS = 1024
 
 
 def test_parallel_dispatch_scaling(bench_config):

@@ -37,20 +37,31 @@ place); the products and sums, and so the bytes, are those of the in-place
 path.  The reference backend loops over rows.
 The batch helpers below (branch sampling, general-Kraus updates, outcome
 sampling) are written once on such blocks, so every backend shares one
-implementation.  A mixture branch (a Pauli, for instance) is a phased
-permutation: it is applied in place on the one row that drew it,
-``batched[row]`` being a view in every layout, as plane copies with
-phases — no row is copied out of the block and no kernel runs, and the
-bytes are the kernels'.
-A general-Kraus update prices every row's branches from the channel's
-effect operators ``K_i†K_i`` without applying any operator: with the
-diagonal effects of every damping channel, from each row's population of
-every operand local index, summed off the amplitude-major float view of
-the block (no copy of a row-inner block) in an order that does not depend
-on the row count.  It then applies only the operators the rows drew
-through ``apply_unitary``: the most-drawn one to the whole block in place
-(with no tally of the draws when every row drew it, as in a one-row block
-or a chunk where no row jumps), a diagonal one as a multiply with no kernel
+implementation.  The engine runs them on the *slots* of a frontier chunk,
+the distinct states its trajectories hold
+(:class:`~repro.core.engine.ChunkSlots`): trajectory ``b`` holds row
+``owner[b]``, and at each noise event the slots' split rule moves the
+trajectories of a row that drew different branches to rows of their own,
+copied before any row is written (:meth:`Backend.apply_slot_noise`,
+:meth:`Backend.sample_slot_outcomes`).  The per-row hooks below call the
+same two methods with every row its own slot.
+A mixture branch (a Pauli, for instance) is a phased permutation: it is
+applied in place on the one row that drew it, ``batched[row]`` being a
+view in every layout, as plane copies with phases — no row is copied out
+of the block and no kernel runs, and the bytes are the kernels'.  With
+slots, the trajectories of a row that drew the identity keep the row.
+A general-Kraus update runs in two halves.  First it prices every row's
+branches from the channel's effect operators ``K_i†K_i`` without applying
+any operator — with the diagonal effects of every damping channel, from
+each row's population of every operand local index, summed off the
+amplitude-major float view of the block (no copy of a row-inner block) in
+an order that does not depend on the row count — once per row however
+many trajectories share it, and each trajectory draws its branch from its
+row's weights with its own uniform; with slots, the trajectories that drew
+branch 0 keep their row.  Then it applies only the drawn operators through
+``apply_unitary``: the most-drawn one to the whole block in place (with no
+tally of the draws when every row drew it, as in a one-row block or a
+chunk where no row jumps), a diagonal one as a multiply with no kernel
 call.
 
 Random streams
@@ -60,13 +71,15 @@ Every trajectory draws from its own path-keyed
 pre-drawn uniforms, one column per event and one row per trajectory
 (:meth:`Backend.apply_noise_events_uniforms`), or one stream per row
 (:meth:`Backend.apply_noise_events_multi`), and outcome sampling takes one
-stream per row (:meth:`Backend.sample_outcomes_multi`, whose one-row path is
-:meth:`Backend.sample_outcome`).  There is no shared-stream form: a row's
-draws never depend on the rows around it.  A block's outcomes come from one
-lookup over pre-drawn uniforms, :meth:`Backend.outcomes_from_uniforms`,
-which also measures one ``(2**n,)`` state with every row of a uniform block:
-that is how the engine samples every leaf of a noiseless tree from its one
-final state (:meth:`~repro.core.engine.TQSimEngine.sample_leaves`).
+stream per trajectory, each measuring its row
+(:meth:`Backend.sample_outcomes_multi`, whose one-stream path is
+:meth:`Backend.sample_outcome`).  There is no shared-stream form: a
+trajectory's draws never depend on the trajectories around it.  A block's
+outcomes come from one lookup over pre-drawn uniforms,
+:meth:`Backend.outcomes_from_uniforms`, which also measures one
+``(2**n,)`` state with every row of a uniform block: that is how the
+engine samples every leaf of a noiseless tree from its one final state
+(:meth:`~repro.core.engine.TQSimEngine.sample_leaves`).
 """
 
 from __future__ import annotations
@@ -90,6 +103,7 @@ if TYPE_CHECKING:
     # Annotations are strings under ``from __future__ import annotations``
     # and runtime code imports ``repro.core.pathrng`` inside the functions
     # that draw, so the backends package stays import-cycle free.
+    from repro.core.engine import ChunkSlots
     from repro.core.pathrng import PathStream, UniformStream
 
 __all__ = ["Backend"]
@@ -212,33 +226,68 @@ class Backend(ABC):
         """Apply noise events from pre-drawn per-row uniforms.
 
         ``uniforms`` is a ``(B, len(events))`` block whose column ``j``
-        holds each row's uniform for ``events[j]``.  Mixed-unitary events map
-        the column to branches in one lookup and apply each drawn
-        non-identity branch in place on its row
-        (:meth:`apply_mixture_branches`); general Kraus events price each
-        row's branches from the channel's effect operators and apply only
-        the drawn operators (:meth:`_apply_kraus_from_uniforms`).  Either
-        way the branch is the
-        one the per-state path (:func:`~repro.noise.trajectory.
-        sample_channel_on_state`) picks from the same uniform, which is
-        what lets the engine pre-draw a whole subcircuit's noise in one
-        :func:`~repro.core.pathrng.draw_block` call.
+        holds each row's uniform for ``events[j]``.  This is
+        :meth:`apply_slot_noise` with every row its own slot.
         """
-        batched = state if state.ndim == 2 else state.reshape(1, -1)
-        if uniforms.shape != (batched.shape[0], len(events)):
+        self.apply_slot_noise(
+            state if state.ndim == 2 else state.reshape(1, -1), events, uniforms
+        )
+        return state
+
+    def apply_slot_noise(
+        self,
+        block: np.ndarray,
+        events: Sequence[NoiseEvent],
+        uniforms: np.ndarray,
+        slots: ChunkSlots | None = None,
+    ) -> np.ndarray:
+        """Apply noise events to trajectories from pre-drawn uniforms, in
+        place; the one noise step of every backend.
+
+        ``uniforms`` is a ``(B, len(events))`` block whose column ``j``
+        holds each trajectory's uniform for ``events[j]``.  Trajectory
+        ``b`` is row ``b`` of the ``(B, 2**n)`` block ``block``, unless the
+        engine passes the *slots* of a frontier chunk: then ``block`` is
+        ``slots.block``, trajectory ``b`` holds its row ``slots.owner[b]``,
+        and at every event ``slots.split`` moves the trajectories of a row
+        that drew different branches to rows of their own, copied before
+        any row is updated.  Mixed-unitary events map the column to
+        branches in one lookup and apply each drawn non-identity branch in
+        place on its row (:meth:`apply_mixture_branches`); general Kraus
+        events price each row once from the channel's effect operators,
+        draw each trajectory's branch from its row's weights and apply only
+        the drawn operators (:meth:`_apply_kraus_from_uniforms`).  Either
+        way the branch is the one the per-state path (:func:`~repro.noise.
+        trajectory.sample_channel_on_state`) picks from the same uniform,
+        which is what lets the engine pre-draw a whole subcircuit's noise
+        in one :func:`~repro.core.pathrng.draw_block` call.  Returns the
+        block holding the result (``slots.block`` with slots).
+        """
+        owner = None if slots is None else slots.owner
+        trajectories = len(block if owner is None else owner)
+        if uniforms.shape != (trajectories, len(events)):
             raise ValueError("uniforms must be one column per event, "
                              "one row per trajectory")
+        batched = block
         for j, event in enumerate(events):
             channel = event.channel
             if channel.is_mixed_unitary:
-                _, rows, branches = channel.mixture_hits(uniforms[:, j : j + 1])
-                if rows.size:
-                    self.apply_mixture_branches(
-                        batched, event, rows.tolist(), branches.tolist()
-                    )
+                _, hit_rows, hit_branches = channel.mixture_hits(
+                    uniforms[:, j : j + 1]
+                )
+                if hit_rows.size:
+                    rows, branches = hit_rows.tolist(), hit_branches.tolist()
+                    if slots is not None:
+                        rows, branches, _ = slots.split(self, rows, branches)
+                        batched = slots.block
+                    self.apply_mixture_branches(batched, event, rows, branches)
             else:
-                self._apply_kraus_from_uniforms(batched, event, uniforms[:, j])
-        return state
+                self._apply_kraus_from_uniforms(
+                    batched, event, uniforms[:, j], slots
+                )
+                if slots is not None:
+                    batched = slots.block
+        return batched
 
     def apply_mixture_branches(
         self,
@@ -261,28 +310,46 @@ class Backend(ABC):
             apply(batched[row], branch, event.qubits)
 
     def _apply_kraus_from_uniforms(
-        self, batched: np.ndarray, event: NoiseEvent, uniforms: np.ndarray
+        self,
+        batched: np.ndarray,
+        event: NoiseEvent,
+        uniforms: np.ndarray,
+        slots: ChunkSlots | None = None,
     ) -> np.ndarray:
-        """One quantum-trajectory step of a general Kraus channel per row.
+        """One quantum-trajectory step of a general Kraus channel per row,
+        or per slot (see :meth:`apply_slot_noise`), in two halves.
 
-        Row ``b``'s branch weights ``||K_i psi_b||^2 = <psi_b|E_i|psi_b>``
-        come from the channel's effect operators ``E_i = K_i†K_i`` in one
-        read of the block, bitwise the same in any block and layout
-        (:meth:`~repro.noise.channels.KrausChannel.branch_weights`), and an
-        inverse-CDF lookup of ``uniforms[b]`` picks its branch
-        (:meth:`~repro.noise.channels.KrausChannel.sample_branches`); a row
-        whose weights are not finite and positive raises before ``batched``
-        is written.  The most-drawn branch is then applied to the whole
-        block in place and every other branch only to the rows that drew
-        it, copied out before that write; when every row drew one branch
-        the draws are not tallied.  Each row ends as ``K_i psi_b /
+        First the price and the draw: row ``b``'s branch weights
+        ``||K_i psi_b||^2 = <psi_b|E_i|psi_b>`` come from the channel's
+        effect operators ``E_i = K_i†K_i`` in one read of the block,
+        bitwise the same in any block and layout, and each trajectory's
+        uniform picks a branch from its row's weights by an inverse-CDF
+        lookup (:meth:`~repro.noise.channels.KrausChannel.
+        sample_branches`); a row whose weights are not finite and positive
+        raises before ``batched`` is written.  With slots, the trajectories
+        that drew a branch other than 0 are then split off their slots.
+        Then the apply: the most-drawn branch is applied to the whole block
+        in place and every other branch only to the rows that drew it,
+        copied out before that write; when every row drew one branch the
+        draws are not tallied.  Each row ends as ``K_i psi_b /
         sqrt(w_bi)``, computed row by row the same way whichever rows share
-        its block.  Returns the branch index of every row.
+        its block.  Returns the branch index of every row (every slot).
         """
         channel = event.channel
+        owner = None if slots is None else slots.owner
         weights, indices = channel.sample_branches(
-            batched, event.qubits, uniforms
+            batched, event.qubits, uniforms, owner
         )
+        if slots is not None:
+            # The trajectories that drew branch 0 keep their slot.
+            jumped = np.flatnonzero(indices)
+            targets, branches, sources = slots.split(
+                self, jumped.tolist(), indices[jumped].tolist()
+            )
+            batched = slots.block
+            weights = weights[sources]
+            indices = np.zeros(len(batched), dtype=np.intp)
+            indices[targets] = branches
         chosen = weights[np.arange(len(indices)), indices]
         scales = (1.0 / np.sqrt(chosen))[:, None]
         # The rows of every other drawn branch are copied out before the
@@ -340,22 +407,39 @@ class Backend(ABC):
         rngs: Sequence[PathStream],
         readout_error: ReadoutError | None = None,
     ) -> list[str]:
-        """Sample one outcome per batch row, row ``i`` drawing from ``rngs[i]``.
+        """Sample one outcome per batch row, row ``i`` drawing from
+        ``rngs[i]``: :meth:`sample_slot_outcomes` with every row its own
+        slot."""
+        return self.sample_slot_outcomes(state, rngs, readout_error)
 
-        Row ``i`` consumes ``rngs[i]`` exactly as :meth:`sample_outcome` would
-        on a single state — one uniform for the outcome, then the readout
-        flips — so results are independent of batch grouping.
+    def sample_slot_outcomes(
+        self,
+        state: np.ndarray,
+        rngs: Sequence[PathStream],
+        readout_error: ReadoutError | None = None,
+        owner: np.ndarray | None = None,
+    ) -> list[str]:
+        """Sample one outcome per stream: stream ``i`` measures row
+        ``owner[i]`` of ``state`` (row ``i`` when ``owner`` is None).
+
+        Stream ``i`` is consumed exactly as :meth:`sample_outcome` would
+        consume it on that row alone — one uniform for the outcome, then
+        the readout flips — so results are independent of batch grouping
+        and of how many streams share a row.
         """
         from repro.core.pathrng import draw_block
 
-        batched = _check_rows(state, rngs)
+        batched = state if state.ndim == 2 else state.reshape(1, -1)
+        if len(batched if owner is None else owner) != len(rngs):
+            raise ValueError("need exactly one stream per batch row")
         if len(rngs) == 1:
             # The scalar sampler consumes the same uniforms, with fewer calls.
-            return [self.sample_outcome(batched[0], rngs[0], readout_error)]
+            row = batched[0 if owner is None else int(owner[0])]
+            return [self.sample_outcome(row, rngs[0], readout_error)]
         num_qubits = _num_qubits(batched)
         count = 1 if readout_error is None else 1 + num_qubits
         outcomes = self.outcomes_from_uniforms(
-            batched, draw_block(rngs, count), readout_error
+            batched, draw_block(rngs, count), readout_error, owner
         )
         return [index_to_bitstring(int(o), num_qubits) for o in outcomes]
 
@@ -364,26 +448,30 @@ class Backend(ABC):
         state: np.ndarray,
         uniforms: np.ndarray,
         readout_error: ReadoutError | None = None,
+        owner: np.ndarray | None = None,
     ) -> np.ndarray:
         """The outcome index each row of a ``(B, count)`` uniform block
         measures.
 
         A row holds one trajectory's draws in stream order: the outcome
         uniform, then one per bit for the readout flips.  ``state`` is a
-        ``(B, 2**n)`` block whose row ``b`` is measured with uniform row
-        ``b`` (:func:`~repro.statevector.sampling.inverse_cdf_rows`), or one
-        ``(2**n,)`` state that every row measures: one cumulative, searched
-        once per uniform (:func:`~repro.statevector.sampling.
-        inverse_cdf_index`).  Either way a row draws the outcome
-        :meth:`sample_outcome` draws from the same uniforms.  Raises
-        ``ValueError`` when the probabilities are not finite and positive.
+        block whose row ``owner[b]`` (row ``b`` when ``owner`` is None) is
+        measured with uniform row ``b`` (:func:`~repro.statevector.
+        sampling.inverse_cdf_rows`), or one ``(2**n,)`` state that every
+        row measures: one cumulative, searched once per uniform
+        (:func:`~repro.statevector.sampling.inverse_cdf_index`).  Either way
+        a row draws the outcome :meth:`sample_outcome` draws from the same
+        uniforms.  Raises ``ValueError`` when the probabilities are not
+        finite and positive.
         """
         probabilities = self.probabilities(state)
         if state.ndim == 1:
             outcomes = inverse_cdf_index(np.cumsum(probabilities), uniforms[:, 0])
         else:
+            cumulative = probabilities.cumsum(axis=1)
             outcomes = inverse_cdf_rows(
-                probabilities.cumsum(axis=1), uniforms[:, 0]
+                cumulative if owner is None else cumulative[owner],
+                uniforms[:, 0],
             )
         if readout_error is not None:
             outcomes = self._readout_flips_from_uniforms(

@@ -8,22 +8,33 @@ children; leaves sample one measurement outcome each.
 
 One traversal implements that contract, over *frontier chunks*.  The
 layer-``i+1`` nodes below a chunk of layer-``i`` nodes are the chunk's
-flattened children (row ``r``'s child ``c`` is flat index
+flattened children (node ``r``'s child ``c`` is flat index
 ``r * A_{i+1} + c``), and they execute *together*, the next at most
 ``cap`` of them per chunk — so one chunk spans the children of several
 parents, and layer ``i`` runs about ``ceil(frontier_i / cap)`` chunks,
-where ``frontier_i = A_0 * ... * A_i`` is its node count.  One row
-gather copies every row's parent state into a ``(B, 2**n)`` block and the
-child subcircuit runs once through the backend's batched kernels instead of
-``B`` separate passes (the paper's Figure-8 argument: one small statevector
-update does not fill the machine).  At the leaf layer all ``B`` outcomes are
-drawn in one inverse-CDF pass.  The cap is ``max_batch`` when one is given
-and otherwise :func:`default_chunk_cap` of the circuit's width: as many rows
-as fit :data:`DEFAULT_CHUNK_AMPLITUDES` amplitudes, so a chunk holds about
-the same bytes at every width.  The pool holds one
+where ``frontier_i = A_0 * ... * A_i`` is its node count.  A chunk evolves
+its *distinct states*, not its nodes (:class:`ChunkSlots`, the technique
+Qiskit Aer calls shot branching): its ``S <= B`` slots are the first ``S``
+rows of its layer's pooled buffer, and each of its ``B`` nodes holds one.
+A layer-0 chunk starts as one slot reset to |0...0>, a child chunk
+gathers each distinct parent slot once, and at a noise event the nodes of
+a slot that drew different branches move to slots of their own, copied
+before any slot is updated (:meth:`ChunkSlots.split`).  Under the paper's
+error rates most nodes draw no error inside a subcircuit, so kernels,
+copies and leaf lookups run on a fraction of the nodes.  Each gate runs
+once through the backend's batched kernels on the ``S`` slots instead of
+``B`` separate passes (the paper's Figure-8 argument: one small
+statevector update does not fill the machine).  At the leaf layer all
+``B`` outcomes are drawn in one inverse-CDF pass, each leaf from its own
+slot with its own stream.  Plans without gate noise keep one slot per
+node.  The cap is ``max_batch`` when one is given and otherwise
+:func:`default_chunk_cap` of the circuit's width: as many rows as fit
+:data:`DEFAULT_CHUNK_AMPLITUDES` amplitudes, so a chunk holds about the
+same bytes at every width.  The pool holds one
 ``(min(frontier_i, cap), 2**n)`` buffer per layer, so peak memory is
 ``sum_i min(frontier_i, cap)`` statevectors, at most ``layers * cap``
-(``layers * max(2**15, 2**n)`` amplitudes at the default cap);
+(``layers * max(2**15, 2**n)`` amplitudes at the default cap), however
+nodes share slots: a chunk never holds more slots than nodes.
 ``max_batch=1`` is the classic depth-first order with one statevector per
 layer (the Figure-9 footprint).  Every backend runs this traversal — the
 reference backend by looping its kernels over rows — and ``"batched"`` is
@@ -35,10 +46,12 @@ leaf of a run from that one state with the traversal's own run key, child
 keys and outcome lookup, so its counts equal the traversal's bitwise; the
 serving layer's warm path is this call on a cached final state.
 
-Cost counters keep per-trajectory semantics at every chunk size
-(``gate_applications``, ``state_copies``, ``leaf_samples``,
-``noise_applications``): a kernel advancing ``B`` rows counts as ``B``
-applications, and a gather into ``B`` rows counts as ``B`` reuse copies.
+Cost counters keep per-trajectory semantics at every chunk size, however
+nodes share slots (``gate_applications``, ``state_copies``,
+``leaf_samples``, ``noise_applications``): a gate on a chunk of ``B``
+nodes counts as ``B`` applications, and a chunk of ``B`` children as ``B``
+reuse copies.  The rows the kernels actually advanced are the
+``engine.subcircuit`` span's ``kernel_rows``.
 
 Seeding (contract v2)
 ---------------------
@@ -56,12 +69,17 @@ its subcircuit, and — at leaves — the outcome draw plus readout flips.
 Two properties follow, and they are the engine's signature guarantees:
 
 * **Chunking independence.**  Every noise event, mixed-unitary or general
-  Kraus, consumes exactly one uniform per row, so a chunk pre-draws a whole
-  subcircuit's noise in one vectorised block
+  Kraus, consumes exactly one uniform per node, so a chunk pre-draws a
+  whole subcircuit's noise in one vectorised block
   (:func:`~repro.core.pathrng.draw_block`); because the ``t``-th uniform of
   a stream is a pure function of ``(key, t)``, that block is bitwise the
-  per-row draws.  Counts and counters are therefore *bitwise identical*
-  across chunk sizes — with or without noise.
+  per-node draws.  A slot holds bitwise the state its nodes would hold in
+  rows of their own: the kernels compute a row the same way in any block,
+  a general-Kraus slot is priced the same alone as in any block, and a
+  split copies a slot before any update.  So each node draws the branches
+  and the outcome it would draw alone, and counts and counters are
+  *bitwise identical* across chunk sizes and slot sharing — with or
+  without noise.
 * **Sharding at any depth.**  A shard is a contiguous range of one
   layer's flattened frontier (``run(shard=(run_key, layer, start, stop))``;
   see :func:`frontier_windows` and :mod:`repro.dispatch`).  It runs the
@@ -171,7 +189,7 @@ class _LayerNoise(NamedTuple):
 
     #: ``events_for_gate`` of each gate, in gate order.
     events: Sequence[Sequence[NoiseEvent]]
-    #: Total events: the uniforms one row draws for the subcircuit.
+    #: Total events: the uniforms one node draws for the subcircuit.
     draws: int
     #: Per gate: whether any of its events is a mixture of unitaries.
     mixed: Sequence[bool]
@@ -198,6 +216,88 @@ def _mixture_hits(
     return hits
 
 
+class ChunkSlots:
+    """The distinct states of one frontier chunk.
+
+    Rows ``[0, count)`` of ``buffer``, the layer's pooled buffer, are the
+    chunk's slots, and node ``b`` holds slot ``owner[b]``; ``sizes[s]`` is
+    the number of nodes holding slot ``s``.  Every slot belongs to at least
+    one node, so ``count`` never exceeds the chunk's nodes nor the buffer's
+    rows.  ``owner`` is None when every node holds its own slot in node
+    order, as in plans without gate noise.
+    """
+
+    __slots__ = ("buffer", "owner", "sizes", "count")
+
+    def __init__(
+        self, buffer: np.ndarray, owner: np.ndarray | None, count: int
+    ) -> None:
+        self.buffer = buffer
+        self.owner = owner
+        self.sizes = (
+            None if owner is None else np.bincount(owner, minlength=count).tolist()
+        )
+        self.count = count
+
+    @property
+    def block(self) -> np.ndarray:
+        """The slots, rows ``[0, count)`` of the buffer."""
+        return self.buffer[: self.count]
+
+    def split(
+        self,
+        backend: Backend,
+        rows: Sequence[int],
+        branches: Sequence[int],
+    ) -> tuple[list[int], list[int], Sequence[int]]:
+        """Tell apart the nodes of a slot that one noise event sent down
+        different branches: the one split rule of both noise kinds.
+
+        Node ``rows[k]`` drew branch ``branches[k]`` and every other node
+        drew the default branch (a mixture's identity, a general Kraus
+        channel's branch 0).  Within a slot, nodes that drew the same
+        branch form a group.  The nodes that drew the default keep the
+        slot when there are any, and otherwise the group of the smallest
+        branch does; every other group moves to a new slot, copied from
+        the old one before any slot is updated.  Returns the slots whose
+        branch is not the default with their branches, and the slot each
+        slot's state was copied from (itself, for a slot that was not
+        split).
+        """
+        owner, count, sizes = self.owner, self.count, self.sizes
+        if owner is None:
+            # One node per slot: nothing to group.
+            return list(rows), list(branches), range(count)
+        groups: dict[tuple[int, int], list[int]] = {}
+        moved: dict[int, int] = {}
+        for row, slot, branch in zip(rows, owner[rows].tolist(), branches):
+            groups.setdefault((slot, branch), []).append(row)
+            moved[slot] = moved.get(slot, 0) + 1
+        # A slot none of whose nodes drew the default is kept by its first
+        # group in (slot, branch) order.
+        free = {slot for slot, drew in moved.items() if drew == sizes[slot]}
+        targets: list[int] = []
+        drawn: list[int] = []
+        sources = list(range(count))
+        for (slot, branch), members in sorted(groups.items()):
+            if slot in free:
+                free.discard(slot)
+                targets.append(slot)
+            else:
+                targets.append(len(sources))
+                owner[members] = len(sources)
+                sources.append(slot)
+                sizes[slot] -= len(members)
+                sizes.append(len(members))
+            drawn.append(branch)
+        if len(sources) > count:
+            backend.gather_into(
+                self.buffer[count : len(sources)], self.block, sources[count:]
+            )
+            self.count = len(sources)
+        return targets, drawn, sources
+
+
 class _Walk(NamedTuple):
     """What every chunk of one :meth:`TQSimEngine._run_tree` call shares."""
 
@@ -211,6 +311,8 @@ class _Walk(NamedTuple):
     #: ``windows[i]``: layer ``i``'s ``(lo, hi, booked)`` from
     #: :func:`frontier_windows`.
     windows: Sequence[tuple[int, int, int]]
+    #: Whether nodes may share slots: the plan has gate noise.
+    share: bool
 
 
 def _child_keys_below(
@@ -508,35 +610,42 @@ class TQSimEngine:
 
     def _apply_subcircuit(
         self,
-        state: np.ndarray,
+        slots: ChunkSlots,
         subcircuit: Circuit,
         noise: _LayerNoise,
         row_rngs: Sequence[PathStream],
         tracer: AnyTracer = NULL_TRACER,
-    ) -> np.ndarray:
-        """Apply one subcircuit with freshly sampled trajectory noise.
+    ) -> int:
+        """Apply one subcircuit with freshly sampled trajectory noise to a
+        chunk's slots; returns the rows its gate calls advanced.
 
-        ``state`` is a ``(B, 2**n)`` chunk whose row ``i`` is the tree node
-        streaming from ``row_rngs[i]``.  Every noise event, mixed-unitary or
-        general Kraus, consumes exactly one uniform per row, so the chunk's
-        whole noise budget is pre-drawn in *one*
-        :func:`~repro.core.pathrng.draw_block` call: the row counters
+        Node ``b`` of the chunk holds slot ``slots.owner[b]`` and streams
+        from ``row_rngs[b]``.  Every noise event, mixed-unitary or general
+        Kraus, consumes exactly one uniform per node, so the chunk's whole
+        noise budget is pre-drawn in *one*
+        :func:`~repro.core.pathrng.draw_block` call: the node counters
         advance in lockstep and column ``j`` of the block is bitwise the
-        ``j``-th per-event draw of each row's stream.
+        ``j``-th per-event draw of each node's stream.
 
-        Mixed-unitary branches do not depend on the state, so every
-        mixture column of the block is mapped to branches up front, in one
-        pass per channel (:meth:`~repro.noise.channels.KrausChannel.
-        mixture_hits`), keeping only the draws that apply an operator.
-        Events still apply in gate order: an event with no such draw costs
-        one dictionary lookup, and each drawn branch is applied in place on
-        its row (:meth:`~repro.backends.base.Backend.
-        apply_mixture_branches`).  A gate whose events are all general Kraus
-        makes one :meth:`~repro.backends.base.Backend.
-        apply_noise_events_uniforms` call.
+        Gates run on the slots; the returned count is ``slots.count``
+        summed over the gates.  At an event, the nodes of a slot that drew
+        different branches are told apart by :meth:`ChunkSlots.split`
+        before any slot is updated.  Mixed-unitary branches do not depend
+        on the state, so every mixture column of the block is mapped to
+        branches up front, in one pass per channel (:meth:`~repro.noise.
+        channels.KrausChannel.mixture_hits`), keeping only the draws that
+        apply an operator: an event with no such draw costs one dictionary
+        lookup, and each drawn branch is applied in place on its slot
+        (:meth:`~repro.backends.base.Backend.apply_mixture_branches`).
+        General-Kraus events go through :meth:`~repro.backends.base.
+        Backend.apply_slot_noise` with the slots, one call per gate whose
+        events are all general Kraus: it prices each slot once, draws each
+        node's branch from its slot's weights and applies each slot's
+        branch.  A chunk whose nodes each hold their own slot passes no
+        slots, which is the per-row step.
         """
         backend = self.backend
-        rows = len(row_rngs)
+        nodes = len(row_rngs)
         # Kernel-level spans sit behind the tracer's sampling knob; the
         # common (disabled) case costs one attribute lookup per subcircuit.
         kernel_interval = tracer.kernel_interval
@@ -544,27 +653,36 @@ class TQSimEngine:
         hits: dict[int, tuple[list[int], list[int]]] = {}
         if noise.draws:
             with (
-                tracer.span("engine.noise_predraw", rows=rows,
+                tracer.span("engine.noise_predraw", rows=nodes,
                             draws=noise.draws)
                 if tracer.enabled
                 else NULL_SPAN
             ):
                 uniforms = draw_block(row_rngs, noise.draws)
             hits = _mixture_hits(noise.mixtures, uniforms)
+        # A chunk whose nodes each hold their own slot runs the per-row step.
+        shared = None if slots.owner is None else slots
+        kernel_rows = 0
         column = 0
+        block = slots.block
         for gate, events, mixed in zip(subcircuit, noise.events, noise.mixed):
+            kernel_rows += len(block)
             if kernel_interval:
                 with tracer.kernel_span(
-                    "backend.kernel", gate=gate.name, rows=rows
+                    "backend.kernel", gate=gate.name, rows=len(block)
                 ):
-                    state = backend.apply_gate(state, gate)
+                    out = backend.apply_gate(block, gate)
             else:
-                state = backend.apply_gate(state, gate)
+                out = backend.apply_gate(block, gate)
+            if out is not block:
+                # Out-of-place backends: the slots live in the pooled buffer.
+                np.copyto(block, out)
             if not mixed:
                 if events:
                     width = len(events)
-                    state = backend.apply_noise_events_uniforms(
-                        state, events, uniforms[:, column : column + width]
+                    block = backend.apply_slot_noise(
+                        block, events, uniforms[:, column : column + width],
+                        shared,
                     )
                     column += width
                 continue
@@ -572,13 +690,18 @@ class TQSimEngine:
                 if event.channel.is_mixed_unitary:
                     drawn = hits.get(column)
                     if drawn is not None:
-                        backend.apply_mixture_branches(state, event, *drawn)
+                        targets, branches, _ = slots.split(backend, *drawn)
+                        block = slots.block
+                        backend.apply_mixture_branches(
+                            block, event, targets, branches
+                        )
                 else:
-                    state = backend.apply_noise_events_uniforms(
-                        state, (event,), uniforms[:, column : column + 1]
+                    block = backend.apply_slot_noise(
+                        block, (event,), uniforms[:, column : column + 1],
+                        shared,
                     )
                 column += 1
-        return state
+        return kernel_rows
 
     # ------------------------------------------------------------------
     def _run_tree(
@@ -594,58 +717,72 @@ class TQSimEngine:
         tracer: AnyTracer = NULL_TRACER,
     ) -> None:
         """Depth-first traversal over frontier chunks of at most ``cap``
-        rows.
+        nodes.
 
         Runs layer ``i``'s nodes ``[lo, hi)`` of ``windows[i]`` (every node
         for a full run).  The nodes of layer ``i`` below the live
-        layer-``i-1`` chunk are that chunk's flattened children — row ``r``'s
-        child ``c`` is flat index ``r * A_i + c`` — clamped to the layer's
-        window, and each chunk takes the next at most ``cap`` of them,
-        so one chunk spans the children of several parents and layer ``i``
-        runs about ``ceil((hi - lo) / cap)`` chunks.  ``pool[i]`` is a
-        ``(min(hi - lo, cap), 2**n)`` buffer.  A chunk runs one batched
-        kernel call per gate; leaf chunks sample all their outcomes in one
-        batched call, and interior chunks run all their children
-        (:meth:`_run_chunk` recurses once per layer) before the next chunk
-        overwrites the buffer.
+        layer-``i-1`` chunk are that chunk's flattened children — node
+        ``r``'s child ``c`` is flat index ``r * A_i + c`` — clamped to the
+        layer's window, and each chunk takes the next at most ``cap`` of
+        them, so one chunk spans the children of several parents and layer
+        ``i`` runs about ``ceil((hi - lo) / cap)`` chunks.  ``pool[i]`` is a
+        ``(min(hi - lo, cap), 2**n)`` buffer.  A chunk holds its distinct
+        states, its *slots*, in the first rows of its layer's buffer
+        (:class:`ChunkSlots`): a layer-0 chunk starts as one slot reset to
+        |0...0>, a child chunk gathers each distinct parent slot once, and
+        noise events split slots (:meth:`ChunkSlots.split`).  A chunk runs one
+        batched kernel call per gate on its slots; leaf chunks sample all
+        their outcomes in one batched call, and interior chunks run all
+        their children (:meth:`_run_chunk` recurses once per layer) before
+        the next chunk overwrites the buffer.  Plans without gate noise keep
+        one slot per node.
 
-        Random streams: every row of a chunk is its own tree node with its
-        own :class:`~repro.core.pathrng.PathStream` (``child_keys(run_key,
+        Random streams: every node of a chunk has its own
+        :class:`~repro.core.pathrng.PathStream` (``child_keys(run_key,
         j)`` at layer 0, :func:`~repro.core.pathrng.child_keys_multi`
-        below), so a chunk draws all rows' uniforms in one block while the
+        below), so a chunk draws all nodes' uniforms in one block while the
         operator application stays vectorised.  Draws therefore depend only
-        on a node's path — never on the chunk cap or how nodes were grouped
-        into chunks — which is what makes both the chunking and any sharding
-        of the tree bitwise reproducible.
+        on a node's path — never on the chunk cap, how nodes were grouped
+        into chunks or which nodes share a slot — which is what makes both
+        the chunking and any sharding of the tree bitwise reproducible.
         """
         pool = [
             self.backend.allocate_batch(circuit.num_qubits, min(hi - lo, cap))
             for lo, hi, _ in windows
         ]
-        walk = _Walk(plan, noise, pool, counts, cost, tracer, windows)
+        # The predicate of ``sample_leaves``: without gate noise every node
+        # keeps its own slot.
+        share = any(layer.draws for layer in noise)
+        walk = _Walk(plan, noise, pool, counts, cost, tracer, windows, share)
         lo, hi, _ = windows[0]
         for first in range(lo, hi, cap):
-            batch = pool[0][: min(cap, hi - first)]
+            nodes = min(cap, hi - first)
+            slots = (
+                ChunkSlots(pool[0], np.zeros(nodes, dtype=np.intp), 1)
+                if share and nodes > 1
+                else ChunkSlots(pool[0], None, nodes)
+            )
             # Layer-0 chunks start from |0...0> like the baseline; resets are
             # not reuse copies.
-            self.backend.reset_state(batch)
+            self.backend.reset_state(slots.block)
             self._run_chunk(
-                walk, 0, batch, child_keys(run_key, first, len(batch)), first
+                walk, 0, slots, child_keys(run_key, first, nodes), first
             )
 
     def _run_chunk(
         self,
         walk: _Walk,
         layer: int,
-        batch: np.ndarray,
+        slots: ChunkSlots,
         keys: np.ndarray,
         first: int,
     ) -> None:
         """Apply subcircuit ``layer`` to one loaded chunk, then sample its
-        leaves or run its children.  ``first`` is row 0's flat index in the
-        layer's frontier."""
+        leaves or run its children.  Node ``b`` is keyed ``keys[b]``, and
+        ``first`` is node 0's flat index in the layer's frontier."""
         tracer = walk.tracer
         plan = walk.plan
+        nodes = len(keys)
         path, first_child = (
             _chunk_labels(plan.tree.arities, layer, first)
             if tracer.enabled
@@ -655,24 +792,20 @@ class TQSimEngine:
         with (
             tracer.span(
                 "engine.subcircuit", path=path, layer=layer,
-                gates=len(plan.subcircuits[layer]), rows=len(batch),
+                gates=len(plan.subcircuits[layer]), rows=nodes,
                 first_child=first_child,
             )
             if tracer.enabled
             else NULL_SPAN
-        ):
-            state = self._apply_subcircuit(
-                batch, plan.subcircuits[layer], walk.noise[layer], row_rngs,
+        ) as span:
+            kernel_rows = self._apply_subcircuit(
+                slots, plan.subcircuits[layer], walk.noise[layer], row_rngs,
                 tracer,
             )
-        if state is not batch:
-            # Honour the mutation contract for out-of-place backends:
-            # leaves are sampled from, and children gathered out of, the
-            # pooled buffer, so the result must land in it.
-            np.copyto(batch, state)
-        # Rows before the window's ``booked`` node are ancestors another
-        # shard accounts (at most one row per layer).
-        booked = first + len(batch) - max(first, walk.windows[layer][2])
+            span.set(kernel_rows=kernel_rows)
+        # Nodes before the window's ``booked`` node are ancestors another
+        # shard accounts (at most one node per layer).
+        booked = first + nodes - max(first, walk.windows[layer][2])
         cost = walk.cost
         cost.gate_applications += len(plan.subcircuits[layer]) * booked
         cost.noise_applications += walk.noise[layer].draws * booked
@@ -681,30 +814,37 @@ class TQSimEngine:
         if layer + 1 == plan.tree.num_subcircuits:
             readout = self.noise_model.readout_error if self.noise_model else None
             with (
-                tracer.span("engine.leaf_sample", path=path, rows=len(batch))
+                tracer.span("engine.leaf_sample", path=path, rows=nodes)
                 if tracer.enabled
                 else NULL_SPAN
             ):
-                outcomes = self.backend.sample_outcomes_multi(
-                    batch, row_rngs, readout
+                outcomes = self.backend.sample_slot_outcomes(
+                    slots.block, row_rngs, readout, slots.owner
                 )
             for bitstring in outcomes:
                 walk.counts[bitstring] = walk.counts.get(bitstring, 0) + 1
-            cost.leaf_samples += len(batch)
+            cost.leaf_samples += nodes
             return
         # The children run in frontier chunks: one row gather copies each
-        # chunk's parent rows in, and one vectorised hash derives its keys.
+        # distinct parent slot in once, and one vectorised hash derives the
+        # chunk's keys.
         layer += 1
         arity = plan.tree.arities[layer]
         buffer = walk.pool[layer]
         lo, hi, _ = walk.windows[layer]
         base = first * arity
-        begin, end = max(base, lo), min(base + len(batch) * arity, hi)
+        begin, end = max(base, lo), min(base + nodes * arity, hi)
         for child_first in range(begin, end, len(buffer)):
             rows, chunk_keys = _child_keys_below(
                 keys, child_first - base, min(len(buffer), end - child_first),
                 arity,
             )
+            parents = rows if slots.owner is None else slots.owner[rows]
+            owner = None
+            if walk.share and len(rows) > 1:
+                distinct, inverse = np.unique(parents, return_inverse=True)
+                if len(distinct) < len(rows):
+                    parents, owner = distinct, inverse
             with (
                 tracer.span(
                     "engine.copy", layer=layer, rows=len(rows),
@@ -713,7 +853,10 @@ class TQSimEngine:
                 if tracer.enabled
                 else NULL_SPAN
             ):
-                self.backend.gather_into(buffer[: len(rows)], batch, rows)
+                self.backend.gather_into(
+                    buffer[: len(parents)], slots.block, parents
+                )
             self._run_chunk(
-                walk, layer, buffer[: len(rows)], chunk_keys, child_first
+                walk, layer, ChunkSlots(buffer, owner, len(parents)), chunk_keys,
+                child_first,
             )

@@ -277,17 +277,23 @@ class KrausChannel:
         states: np.ndarray,
         qubits: Sequence[int],
         uniforms: np.ndarray | float,
+        owner: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Each row's branch weights and the branch ``uniforms[b]`` draws.
+        """Each row's branch weights and the branch ``uniforms[b]`` draws
+        from row ``owner[b]`` (row ``b`` when ``owner`` is None).
 
-        The draw is the inverse-CDF lookup of
-        :func:`~repro.statevector.sampling.inverse_cdf_rows`.  Raises
-        ``ValueError`` when a row's weights are not finite and positive (a
-        state the channel annihilates, or one holding NaN or inf).
+        Every row is priced once, however many draws read it.  The draw is
+        the inverse-CDF lookup of :func:`~repro.statevector.sampling.
+        inverse_cdf_rows`.  Raises ``ValueError`` when a row's weights are
+        not finite and positive (a state the channel annihilates, or one
+        holding NaN or inf).
         """
         weights = self.branch_weights(states, qubits)
+        cumulative = weights.cumsum(axis=1)
         try:
-            indices = inverse_cdf_rows(weights.cumsum(axis=1), uniforms)
+            indices = inverse_cdf_rows(
+                cumulative if owner is None else cumulative[owner], uniforms
+            )
         except ValueError as error:
             raise ValueError(
                 f"channel {self.name!r} annihilated the state: branch {error}"

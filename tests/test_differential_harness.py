@@ -45,6 +45,7 @@ from repro.dispatch import PoolDispatcher, SerialDispatcher
 from repro.noise import NoiseModel, ReadoutError, depolarizing_noise_model
 from repro.noise.channels import (
     AmplitudeDampingChannel,
+    PauliChannel,
     PhaseDampingChannel,
     ThermalRelaxationChannel,
 )
@@ -329,6 +330,62 @@ def test_pinned_thermal_relaxation_and_phase_damping_with_readout(qft5):
         )
         assert one_layer.counts == baseline.counts, cap
         assert _counter_tuple(one_layer) == _counter_tuple(baseline), cap
+
+
+def test_pinned_strong_noise_splits_shared_slots_identically(qft5):
+    """Nodes that share a slot and draw different branches split it.
+
+    A Pauli channel drawing X, Y or Z with probability 1/4 each after 1q
+    gates sends the nodes of one shared slot down up to four branches at
+    one event, and strongly damped thermal relaxation (four Kraus
+    operators) after 2q gates splits them by state-dependent draws; with
+    readout error, on a (4, 8) tree.  Caps 1, 2, 3, 5 and the default on
+    both backends, both dispatchers (deep shards in the pool), and the
+    per-shot baseline against the engine's one-layer plan at the same caps
+    must agree in counts and all four counters.  Pinned (not drawn), so
+    the random cases keep their draws.
+    """
+    noise = NoiseModel(
+        single_qubit_channels=[PauliChannel({"X": 0.25, "Y": 0.25, "Z": 0.25})],
+        two_qubit_channels=[ThermalRelaxationChannel(1.0, 1.0, 1.0)],
+        readout_error=ReadoutError(0.02, 0.01),
+        name="pauli+thermal+readout",
+    )
+    plan = ManualPartitioner((4, 8)).plan(qft5, 32, noise)
+    reference = TQSimEngine(noise, seed=1618, max_batch=1).run(
+        qft5, 32, plan=plan
+    )
+    assert len(reference.counts) > 1
+    others = {
+        f"{backend} cap {cap}": TQSimEngine(
+            noise, seed=1618, backend=backend, max_batch=cap
+        ).run(qft5, 32, plan=plan)
+        for backend in ("optimized", "numpy")
+        for cap in (1, 2, 3, 5, None)
+    }
+    others["serial"] = SerialDispatcher(noise, seed=1618, num_shards=3).run(
+        qft5, 32, plan=plan
+    )
+    with PoolDispatcher(
+        noise, seed=1618, num_workers=2, num_shards=5, max_depth=2
+    ) as pool:
+        others["pooled"] = pool.run(qft5, 32, plan=plan)
+    for name, result in others.items():
+        assert result.counts == reference.counts, name
+        assert _counter_tuple(result) == _counter_tuple(reference), name
+
+    shots = 19  # a partial last chunk at caps 2, 3 and 5
+    baseline = BaselineNoisySimulator(noise, seed=1618).run(qft5, shots)
+    assert len(baseline.counts) > 1
+    for backend in ("optimized", "numpy"):
+        for cap in (1, 2, 3, 5, None):
+            one_layer = TQSimEngine(
+                noise, seed=1618, backend=backend, max_batch=cap
+            ).run(qft5, shots, partitioner=SingleShotPartitioner())
+            assert one_layer.counts == baseline.counts, (backend, cap)
+            assert _counter_tuple(one_layer) == _counter_tuple(baseline), (
+                backend, cap,
+            )
 
 
 def test_pinned_mixed_channel_kinds_interleave_identically(qft5):

@@ -22,6 +22,12 @@ from repro.core import (
 )
 from repro.core.engine import DEFAULT_CHUNK_AMPLITUDES, default_chunk_cap
 from repro.noise import NoiseModel, ReadoutError, depolarizing_noise_model
+from repro.noise.channels import (
+    AmplitudeDampingChannel,
+    DepolarizingChannel,
+    PauliChannel,
+    ThermalRelaxationChannel,
+)
 
 
 def _counter_tuple(result):
@@ -81,8 +87,6 @@ def test_noisy_counts_tvd_consistent(bv6):
 
 
 def test_noisy_counts_mixed_kraus_channels(ghz3):
-    from repro.noise.channels import AmplitudeDampingChannel
-
     noise_model = NoiseModel(
         single_qubit_channels=[AmplitudeDampingChannel(0.05)],
         two_qubit_channels=[AmplitudeDampingChannel(0.03)],
@@ -291,3 +295,98 @@ def test_pool_is_freed_when_run_returns(qft5, depolarizing_model):
         assert all(buffer() is None for buffer in backend.buffers)
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# Slots: a chunk evolves its distinct states, not its nodes
+# ---------------------------------------------------------------------------
+class _RowCounter(OptimizedNumpyBackend):
+    """The optimized backend, recording the rows each kernel call advances."""
+
+    def __init__(self):
+        super().__init__()
+        self.kernel_rows: list[int] = []
+
+    def apply_gate(self, state, gate):
+        self.kernel_rows.append(state.shape[0])
+        return super().apply_gate(state, gate)
+
+
+def _never_fires(kind: str) -> NoiseModel:
+    if kind == "mixture":
+        return NoiseModel(
+            single_qubit_channels=[DepolarizingChannel(0.0)],
+            two_qubit_channels=[DepolarizingChannel(0.0, 2)],
+        )
+    return NoiseModel(
+        single_qubit_channels=[AmplitudeDampingChannel(0.0)],
+        two_qubit_channels=[AmplitudeDampingChannel(0.0)],
+    )
+
+
+@pytest.mark.parametrize("kind", ["mixture", "kraus"])
+@pytest.mark.parametrize("arities", [(3, 10), (4, 2, 2), (30,)])
+def test_noise_that_never_fires_advances_one_row_per_kernel_call(
+    qft5, arities, kind
+):
+    """Every node of a chunk draws the identity, so its chunk keeps the
+    one slot it started with (layer 0) or gathered from its parent's."""
+    noise = _never_fires(kind)
+    plan = ManualPartitioner(arities).plan(qft5, 30, noise)
+    backend = _RowCounter()
+    result = _run(qft5, 30, plan, noise, backend=backend)
+    assert set(backend.kernel_rows) == {1}
+    reference = _run(qft5, 30, plan, noise, max_batch=1)
+    assert result.counts == reference.counts
+    assert _counter_tuple(result) == _counter_tuple(reference)
+
+
+@pytest.mark.parametrize("max_batch", [1, 4, None])
+def test_noiseless_plan_advances_one_row_per_node_gate(qft5, max_batch):
+    """Without gate noise every node keeps its own slot."""
+    plan = ManualPartitioner((3, 5, 2)).plan(qft5, 30, None)
+    backend = _RowCounter()
+    result = _run(qft5, 30, plan, backend=backend, max_batch=max_batch)
+    assert sum(backend.kernel_rows) == result.cost.gate_applications
+    reference = _run(qft5, 30, plan, max_batch=1)
+    assert result.counts == reference.counts
+    assert _counter_tuple(result) == _counter_tuple(reference)
+
+
+@pytest.mark.parametrize("max_batch", [2, 5, None])
+def test_no_chunk_holds_more_slots_than_nodes(qft5, max_batch):
+    """Strong noise splits slots until nodes stop sharing them, never
+    past one slot per node; the counters stay the cap-1 run's."""
+    from repro.obs import Tracer
+
+    noise = NoiseModel(
+        single_qubit_channels=[PauliChannel({"X": 0.25, "Y": 0.25, "Z": 0.25})],
+        two_qubit_channels=[ThermalRelaxationChannel(1.0, 1.0, 1.0)],
+        readout_error=ReadoutError(0.02, 0.01),
+    )
+    plan = ManualPartitioner((4, 4, 2)).plan(qft5, 32, noise)
+    backend = _RowCounter()
+    tracer = Tracer(kernel_interval=1)
+    result = _run(
+        qft5, 32, plan, noise, backend=backend, max_batch=max_batch,
+        tracer=tracer,
+    )
+    chunks = {
+        span.index: span for span in tracer.spans
+        if span.name == "engine.subcircuit"
+    }
+    kernels = [span for span in tracer.spans if span.name == "backend.kernel"]
+    assert len(kernels) == len(backend.kernel_rows)
+    advanced = dict.fromkeys(chunks, 0)
+    for span in kernels:
+        nodes = chunks[span.parent].attributes["rows"]
+        assert 1 <= span.attributes["rows"] <= nodes
+        advanced[span.parent] += span.attributes["rows"]
+    for index, chunk in chunks.items():
+        assert chunk.attributes["kernel_rows"] == advanced[index]
+    # Some chunk shared slots, and some split them.
+    assert sum(advanced.values()) < result.cost.gate_applications
+    assert max(backend.kernel_rows) > 1
+    reference = _run(qft5, 32, plan, noise, max_batch=1)
+    assert result.counts == reference.counts
+    assert _counter_tuple(result) == _counter_tuple(reference)

@@ -19,7 +19,7 @@ from test_backend_equivalence import BLOCK_LAYOUTS, in_layout
 from repro.backends import get_backend
 from repro.backends.optimized import OptimizedNumpyBackend
 from repro.core import ManualPartitioner, TQSimEngine
-from repro.core.engine import _mixture_hits
+from repro.core.engine import ChunkSlots, _mixture_hits
 from repro.circuits.circuit import Circuit
 from repro.core.pathrng import PathStream, child_keys, draw_block
 from repro.noise import NoiseModel, depolarizing_noise_model, noise_model_by_code
@@ -567,15 +567,18 @@ def test_one_mixture_lookup_per_channel_per_chunk(qft5, strong, cap, monkeypatch
 
 
 class _NoiseCallCounter(OptimizedNumpyBackend):
-    """The optimized backend, counting its block noise-step calls."""
+    """The optimized backend, counting its block noise-step calls, on a
+    chunk's shared slots or with every row its own slot."""
 
     def __init__(self) -> None:
         super().__init__()
         self.noise_calls = 0
+        self.shared_calls = 0
 
-    def apply_noise_events_uniforms(self, state, events, uniforms):
+    def apply_slot_noise(self, block, events, uniforms, slots=None):
         self.noise_calls += 1
-        return super().apply_noise_events_uniforms(state, events, uniforms)
+        self.shared_calls += slots is not None
+        return super().apply_slot_noise(block, events, uniforms, slots)
 
 
 def test_kraus_only_gates_make_one_noise_call_per_chunk(qft5):
@@ -593,6 +596,8 @@ def test_kraus_only_gates_make_one_noise_call_per_chunk(qft5):
     assert backend.noise_calls == sum(
         noisy[chunk.attributes["layer"]] for chunk in chunks
     )
+    # Chunks of several nodes share slots and pass them to the one step.
+    assert backend.shared_calls > 0
 
 
 NOISE_STEP_MODELS = {
@@ -612,27 +617,41 @@ NOISE_STEP_MODELS = {
 }
 
 
+#: How the engine step's 16 nodes hold slots: each its own row, or four
+#: nodes on each of four distinct rows, which noise events then split.
+SLOT_SHARING = {"own": None, "shared": np.arange(16) % 4}
+
+
+@pytest.mark.parametrize("sharing", sorted(SLOT_SHARING))
 @pytest.mark.parametrize("backend", ["optimized", "numpy"])
 @pytest.mark.parametrize("name", sorted(NOISE_STEP_MODELS))
 def test_engine_noise_step_equals_the_per_gate_block_step(
-    qft5, name, backend
+    qft5, name, backend, sharing
 ):
-    """The engine's up-front branch lookup leaves every row as the block
-    step applied gate by gate, every event in order."""
+    """The engine's up-front branch lookup leaves every node as the block
+    step applied gate by gate, every event in order, to a block holding
+    one row per node, whether or not nodes share slots."""
     noise = NOISE_STEP_MODELS[name]
     engine = TQSimEngine(noise, backend=backend)
     keys = child_keys(0xBEEF, 0, 16)
-    block = in_layout(_random_block(16, np.random.default_rng(6)), "allocated")
+    owner = SLOT_SHARING[sharing]
+    states = _random_block(16, np.random.default_rng(6))
+    buffer = in_layout(states, "allocated")
+    if owner is None:
+        slots = ChunkSlots(buffer, None, 16)
+    else:
+        slots = ChunkSlots(buffer, owner.copy(), 4)
+        states = states[owner]
     subcircuit = Circuit(NUM_QUBITS)
     for gate in qft5.gates:
         if max(gate.qubits) < NUM_QUBITS:
             subcircuit.append(gate)
     matched = engine._match_noise(subcircuit)
     streams = [PathStream(int(key)) for key in keys]
-    result = engine._apply_subcircuit(block.copy(), subcircuit, matched, streams)
+    engine._apply_subcircuit(slots, subcircuit, matched, streams)
     uniforms = draw_block([PathStream(int(key)) for key in keys], matched.draws)
     resolved = get_backend(backend)
-    expected = block.copy()
+    expected = in_layout(states, "allocated")
     column = 0
     for gate, events in zip(subcircuit, matched.events):
         expected = resolved.apply_gate(expected, gate)
@@ -644,4 +663,39 @@ def test_engine_noise_step_equals_the_per_gate_block_step(
     assert column == matched.draws > 0
     if name in ("depolarizing", "mixed_and_kraus_per_gate"):
         assert _mixture_hits(matched.mixtures, uniforms)
+    result = slots.block if owner is None else slots.block[slots.owner]
+    assert slots.count <= 16
+    if owner is not None:
+        # The draws split the four shared slots.
+        assert slots.count > 4
+    assert np.asarray(result).tobytes() == np.asarray(expected).tobytes()
+
+
+@pytest.mark.parametrize("backend", ["optimized", "numpy"])
+@pytest.mark.parametrize("name", sorted(NOISE_STEP_MODELS))
+def test_slot_noise_step_on_shared_slots_equals_the_per_row_step(
+    qft5, name, backend
+):
+    """``Backend.apply_slot_noise`` handed shared slots and every event of
+    a subcircuit in one call, mixtures included, leaves each node's slot
+    byte for byte as the per-row step leaves a row of its own."""
+    noise = NOISE_STEP_MODELS[name]
+    events = [
+        event
+        for gate in qft5.gates
+        if max(gate.qubits) < NUM_QUBITS
+        for event in noise.events_for_gate(gate)
+    ]
+    owner = SLOT_SHARING["shared"]
+    states = _random_block(16, np.random.default_rng(8))
+    slots = ChunkSlots(in_layout(states, "allocated"), owner.copy(), 4)
+    uniforms = np.random.default_rng(9).random((16, len(events)))
+    resolved = get_backend(backend)
+    resolved.apply_slot_noise(slots.block, events, uniforms, slots)
+    expected = resolved.apply_noise_events_uniforms(
+        in_layout(states[owner], "allocated"), events, uniforms
+    )
+    # The draws split the four shared slots.
+    assert 4 < slots.count <= 16
+    result = slots.block[slots.owner]
     assert np.asarray(result).tobytes() == np.asarray(expected).tobytes()

@@ -419,6 +419,31 @@ def test_tracing_is_bitwise_inert_across_all_execution_modes(qft5):
         assert untraced.counts == reference.counts, name
 
 
+def test_traced_kernel_rows_never_exceed_node_gates(qft5):
+    """Chunks evolve their distinct states: each subcircuit span reports
+    the rows its gate calls advanced, at most its nodes times its gates
+    and fewer when nodes share slots, and the rows of its kernel spans
+    add up to it.  Traced counts stay the untraced counts, bitwise."""
+    plan = _plan(qft5)
+    untraced = TQSimEngine(_noise(), seed=SEED).run(qft5, SHOTS, plan=plan)
+    tracer = Tracer(kernel_interval=1)
+    with use_tracer(tracer):
+        traced = TQSimEngine(_noise(), seed=SEED).run(qft5, SHOTS, plan=plan)
+    assert traced.counts == untraced.counts
+    assert traced.cost.matches(untraced.cost)
+    chunks = [s for s in tracer.spans if s.name == "engine.subcircuit"]
+    kernels = [s for s in tracer.spans if s.name == "backend.kernel"]
+    for chunk in chunks:
+        attributes = chunk.attributes
+        assert attributes["kernel_rows"] <= attributes["rows"] * attributes["gates"]
+        assert attributes["kernel_rows"] == sum(
+            k.attributes["rows"] for k in kernels if k.parent == chunk.index
+        )
+    nodes = sum(c.attributes["rows"] * c.attributes["gates"] for c in chunks)
+    assert nodes == traced.cost.gate_applications
+    assert sum(c.attributes["kernel_rows"] for c in chunks) < nodes
+
+
 def test_untraced_runs_record_no_spans(qft5):
     plan = _plan(qft5)
     assert isinstance(get_tracer(), NullTracer)
